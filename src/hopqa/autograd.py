@@ -15,14 +15,6 @@ from .exceptions import DimensionError, EmptySupportError
 DEFAULT_DTYPE = np.float64
 
 
-def set_default_dtype(dtype) -> None:
-    """Switch tensor storage precision (tests assume float64)."""
-    global DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    DEFAULT_DTYPE = dtype
-
-
 class Tensor:
     __slots__ = ("data", "grad", "parents", "backward_fn", "is_param", "name",
                  "_backward_done")
@@ -211,7 +203,7 @@ def tanh(a: Tensor) -> Tensor:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Branch form: never exponentiates a large positive argument."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:

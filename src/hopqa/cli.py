@@ -150,7 +150,16 @@ def _load_eval_dataset(path, vocab, cbt: bool):
     return _load_split_file(path, vocab, loader)
 
 
+def _check_positive(args, *flags) -> None:
+    """Reject a given flag below 1 instead of reading 0 as unset."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {value}")
+
+
 def cmd_eval(args) -> int:
+    _check_positive(args, "hops", "limit")
     bundle = load_checkpoint(args.checkpoint)
     dataset = _load_eval_dataset(args.data, bundle.vocab, args.cbt)
     hop_counts = _parse_sweep(args.hop_sweep) if args.hop_sweep \
@@ -164,6 +173,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    _check_positive(args, "hops")
     bundle = load_checkpoint(args.checkpoint)
     dataset = _load_eval_dataset(args.data, bundle.vocab, args.cbt)
     if not 0 <= args.example < len(dataset.examples):

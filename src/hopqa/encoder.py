@@ -65,13 +65,39 @@ class GRUParams:
             yield f"{prefix}.{f}", getattr(self, f)
 
 
+class StateRows:
+    """Position-indexed rows of one direction's `(n+1, h)` state matrix.
+
+    Item `l` reads like the list it stands in for: forward rows are `l`,
+    backward rows count from the right end (`bwd[n+1]` is row 0). Each row is
+    built as one `take_row` node on first use and cached.
+    """
+
+    def __init__(self, states: Tensor, reverse: bool):
+        self.states = states
+        self.reverse = reverse
+        self._rows: dict[int, Tensor] = {}
+
+    def __len__(self) -> int:
+        # the backward list form keeps an unused slot 0 before its n+1 states
+        return self.states.data.shape[0] + (1 if self.reverse else 0)
+
+    def __getitem__(self, l: int) -> Tensor:
+        row = self._rows.get(l)
+        if row is None:
+            i = len(self) - 1 - l if self.reverse else l
+            row = self._rows[l] = ag.take_row(self.states, i)
+        return row
+
+
 @dataclass
 class EncoderStates:
     """fwd[l] = forward state after reading position l (fwd[0] = zero init);
     bwd[l] = backward state after reading position l right-to-left
-    (bwd[n+1] = zero init). Lists are indexed directly by l."""
-    fwd: list
-    bwd: list
+    (bwd[n+1] = zero init). Both are indexed directly by l: lists of
+    tensors, or `StateRows` over the encoder's state matrices."""
+    fwd: list | StateRows
+    bwd: list | StateRows
 
     @property
     def n(self) -> int:
@@ -116,32 +142,80 @@ def gru_step(xz: Tensor, xr: Tensor, xh: Tensor, l: int, h_prev: Tensor,
     return out
 
 
-def _gru_direction(embedded: Tensor, p: GRUParams, positions) -> list[Tensor]:
-    h_dim = p.U_z.data.shape[0]
-    xz = ag.matmul(embedded, p.W_z)
-    xr = ag.matmul(embedded, p.W_r)
-    xh = ag.matmul(embedded, p.W_h)
-    h = ag.zeros(h_dim)
-    states = []
-    for l in positions:
-        h = gru_step(xz, xr, xh, l, h, p)
-        states.append(h)
-    return states
+def gru_sequence(embedded: Tensor, p: GRUParams,
+                 reverse: bool = False) -> Tensor:
+    """One direction over the whole sequence as a single tape node.
+
+    Returns the `(n+1, h)` state matrix in reading order: row 0 is the zero
+    initial state, row k the state after k steps (right-to-left when
+    `reverse`). Same recurrence as `gru_step`; the backward pass runs BPTT
+    over saved gate values and leaves every weight gradient to one gemm.
+    """
+    x = embedded.data[::-1] if reverse else embedded.data
+    n = x.shape[0]
+    h = p.U_z.data.shape[0]
+    xzr = np.concatenate((x @ p.W_z.data + p.b_z.data,
+                          x @ p.W_r.data + p.b_r.data), axis=1)
+    xc = x @ p.W_h.data + p.b_h.data
+    u_zr = np.concatenate((p.U_z.data, p.U_r.data))
+    u_h = p.U_h.data
+    H = np.zeros((n + 1, h))
+    ZR = np.empty((n, 2 * h))
+    C = np.empty((n, h))
+    for hp, h_next, xzr_k, xc_k, zr_k, c in zip(H, H[1:], xzr, xc, ZR, C):
+        zr_k[:] = zr = ag.stable_sigmoid(xzr_k + u_zr @ hp)
+        z = zr[:h]
+        np.tanh(xc_k + u_h @ (zr[h:] * hp), out=c)
+        np.add(z * hp, (1.0 - z) * c, out=h_next)
+    out = Tensor(H, parents=(embedded, p.W_z, p.U_z, p.b_z, p.W_r, p.U_r,
+                             p.b_r, p.W_h, p.U_h, p.b_h))
+
+    def bw(G):
+        # gate derivatives that do not depend on the carried gradient
+        Hp, Z, R = H[:-1], ZR[:, :h], ZR[:, h:]
+        f_z = (Hp - C) * Z * (1.0 - Z)
+        f_c = (1.0 - Z) * (1.0 - C * C)
+        f_r = Hp * R * (1.0 - R)
+        u_zr_t = np.concatenate((p.U_z.data, p.U_r.data)).T
+        u_h_t = p.U_h.data.T
+        DA = np.empty((n, 3 * h))  # (da_z, da_r, da_c) per step
+        dh = np.zeros(h)
+        for g_k, fz, fc, fr, z, r, da_z, da_r, da_c, da_zr in zip(
+                G[:0:-1], f_z[::-1], f_c[::-1], f_r[::-1], Z[::-1], R[::-1],
+                DA[::-1, :h], DA[::-1, h:2 * h], DA[::-1, 2 * h:],
+                DA[::-1, :2 * h]):
+            g = g_k + dh
+            np.multiply(g, fz, out=da_z)
+            drh = u_h_t @ np.multiply(g, fc, out=da_c)
+            np.multiply(drh, fr, out=da_r)
+            dh = g * z + drh * r + u_zr_t @ da_zr
+        dU_zr = DA[:, :2 * h].T @ Hp
+        p.U_z.grad += dU_zr[:h]
+        p.U_r.grad += dU_zr[h:]
+        p.U_h.grad += DA[:, 2 * h:].T @ (R * Hp)
+        if reverse:
+            DA = DA[::-1]
+        db = DA.sum(axis=0)
+        dW = embedded.data.T @ DA
+        for i, (w, b) in enumerate(((p.W_z, p.b_z), (p.W_r, p.b_r),
+                                    (p.W_h, p.b_h))):
+            blk = slice(i * h, (i + 1) * h)
+            b.grad += db[blk]
+            w.grad += dW[:, blk]
+            embedded.grad += DA[:, blk] @ w.data.T
+    out.backward_fn = bw
+    return out
 
 
 def bigru_encode(embedded: Tensor, fwd_params: GRUParams,
                  bwd_params: GRUParams) -> EncoderStates:
     """Run both directions over an embedded sequence (one row per position)."""
-    n = embedded.data.shape[0]
-    if n < 1:
+    if embedded.data.shape[0] < 1:
         raise ValueError("cannot encode an empty sequence")
-    h_dim = fwd_params.U_z.data.shape[0]
-    fwd_states = _gru_direction(embedded, fwd_params, range(n))
-    bwd_states = _gru_direction(embedded, bwd_params, range(n - 1, -1, -1))
-    bwd_states.reverse()
-    fwd = [ag.zeros(h_dim)] + fwd_states
-    bwd = [None] + bwd_states + [ag.zeros(h_dim)]
-    return EncoderStates(fwd=fwd, bwd=bwd)
+    return EncoderStates(
+        fwd=StateRows(gru_sequence(embedded, fwd_params), reverse=False),
+        bwd=StateRows(gru_sequence(embedded, bwd_params, reverse=True),
+                      reverse=True))
 
 
 def embed_sequence(doc: Document, e_i: Tensor, dropout_rate: float,

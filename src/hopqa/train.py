@@ -151,14 +151,6 @@ def _restore(params: ModelParams, arrays: dict) -> None:
         t.data[...] = arrays[n]
 
 
-def clone_params(params: ModelParams, config_h=None) -> ModelParams:
-    fresh = init_params(params.h, params.vocab_size, params.n_answers,
-                        np.random.default_rng(0),
-                        identity_eo=params.identity_eo)
-    _restore(fresh, _snapshot(params))
-    return fresh
-
-
 def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
           evaluator=None, resume: dict | None = None) -> TrainResult:
     """Run the full schedule. `evaluator(params) -> float` may be stubbed in

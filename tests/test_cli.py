@@ -138,6 +138,14 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(workdir / "nope.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl")]) == 1
 
+    @pytest.mark.parametrize("flags", [["--hops", "0"], ["--hops", "-1"],
+                                       ["--limit", "-3"], ["--limit", "0"]])
+    def test_nonpositive_flag_exit_2(self, workdir, capsys, flags):
+        assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "data" / "dev.jsonl")]
+                    + flags) == 2
+        assert f"{flags[0]} must be at least 1" in capsys.readouterr().err
+
 
 class TestInspect:
     def test_prints_trace(self, workdir, capsys):
@@ -168,6 +176,14 @@ class TestInspect:
                      "--data", str(workdir / "data" / "dev.jsonl"),
                      "--example", "0", "--ablate-query-gate"]) == 0
         assert "query gate ablated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("hops", ["0", "-2"])
+    def test_nonpositive_hops_exit_2(self, workdir, capsys, hops):
+        assert main(["inspect",
+                     "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "data" / "dev.jsonl"),
+                     "--example", "0", "--hops", hops]) == 2
+        assert "--hops must be at least 1" in capsys.readouterr().err
 
     def test_example_out_of_range_exit_2(self, workdir, capsys):
         assert main(["inspect",

@@ -4,7 +4,7 @@ import pytest
 from hopqa import autograd as ag
 from hopqa.encoder import (Document, EncoderStates, Span, bigru_encode,
                            embed_answer, embed_sequence, encode_span_query,
-                           init_wq)
+                           gru_sequence, gru_step, init_wq)
 from hopqa.exceptions import ConfigError
 from hopqa.model import init_params
 
@@ -90,6 +90,95 @@ class TestBigru:
             return ag.dot(states.fwd[n], ag.constant(weight))
 
         assert ag.grad_check(f, gru_tensors, eps=1e-4) < 1e-5
+
+    def test_span_query_gradients_reach_both_directions(self, rng):
+        """A span query mixes fwd[l_s-1] and bwd[l_e+1], so the backward
+        direction's weights and the embeddings get checked too."""
+        h = 3
+        params = init_params(h, 6, 2, rng)
+        doc = make_doc([1, 3, 5, 0, 2, 4])
+        weight = rng.normal(size=h)
+        tensors = ([params.E_i, params.W_q]
+                   + [t for _, t in params.gru_f.named("f")]
+                   + [t for _, t in params.gru_b.named("b")])
+
+        def f():
+            emb = embed_sequence(doc, params.E_i, 0.0, "eval")
+            states = bigru_encode(emb, params.gru_f, params.gru_b)
+            z = encode_span_query(states, Span(3, 4), params.W_q)
+            return ag.dot(z, ag.constant(weight))
+
+        assert ag.grad_check(f, tensors, eps=1e-4) < 1e-5
+        ag.backward(f())
+        for _, t in params.gru_b.named("b"):
+            assert np.any(t.grad != 0.0)
+
+
+def step_chain(emb, p, reverse):
+    """Reference: one `gru_step` node per position, states in reading order
+    with the zero initial state first."""
+    n, h = emb.data.shape[0], p.U_z.data.shape[0]
+    xz, xr, xh = (ag.matmul(emb, w) for w in (p.W_z, p.W_r, p.W_h))
+    state = ag.zeros(h)
+    states = [state]
+    for l in (range(n - 1, -1, -1) if reverse else range(n)):
+        state = gru_step(xz, xr, xh, l, state, p)
+        states.append(state)
+    return states
+
+
+class TestGruSequence:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("h", [1, 3, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_step_chain(self, n, h, reverse):
+        rng = np.random.default_rng(100 * n + 10 * h + reverse)
+        p = init_params(h, 4, 2, rng).gru_f
+        for _, t in p.named("p"):
+            t.data[...] = rng.normal(size=t.data.shape)
+        emb = ag.param(rng.normal(size=(n, h)))
+        weights = rng.normal(size=(n + 1, h))
+        tensors = [emb] + [t for _, t in p.named("p")]
+
+        def states_and_grads(rows):
+            loss = ag.dot(ag.reshape(ag.stack_rows(rows), (-1,)),
+                          ag.constant(weights.reshape(-1)))
+            ag.backward(loss)
+            grads = [t.grad.copy() for t in tensors]
+            for t in tensors:
+                t.grad = None
+            return np.stack([r.data for r in rows]), grads
+
+        want, want_g = states_and_grads(step_chain(emb, p, reverse))
+        seq = gru_sequence(emb, p, reverse)
+        got, got_g = states_and_grads(
+            [ag.take_row(seq, k) for k in range(n + 1)])
+        assert np.max(np.abs(got - want)) < 1e-12
+        for t, g1, g2 in zip(tensors, got_g, want_g):
+            assert np.max(np.abs(g1 - g2)) < 1e-10, t
+
+    def test_one_node_per_direction(self, rng):
+        params = init_params(3, 6, 2, rng)
+        emb = embed_sequence(make_doc([1, 2, 3, 4]), params.E_i, 0.0, "eval")
+        states = bigru_encode(emb, params.gru_f, params.gru_b)
+        assert states.fwd[2].parents[0] is states.fwd[4].parents[0]
+        assert states.bwd[1].parents[0] is states.bwd[5].parents[0]
+        assert states.fwd[2].parents[0].parents[0] is emb
+
+    def test_rows_follow_list_indexing(self, rng):
+        params = init_params(3, 6, 2, rng)
+        emb = embed_sequence(make_doc([1, 2, 3]), params.E_i, 0.0, "eval")
+        states = bigru_encode(emb, params.gru_f, params.gru_b)
+        fwd = step_chain(emb, params.gru_f, False)
+        bwd = step_chain(emb, params.gru_b, True)
+        assert states.n == 3 and len(states.bwd) == 5
+        for l in range(4):
+            assert np.allclose(states.fwd[l].data, fwd[l].data)
+        for l in range(1, 5):
+            assert np.allclose(states.bwd[l].data, bwd[4 - l].data)
+        assert states.fwd[2] is states.fwd[2]
+        with pytest.raises(IndexError):
+            states.bwd[0]
 
 
 class TestSpanQuery:
