@@ -160,6 +160,8 @@ def _check_positive(args, *flags) -> None:
 
 def cmd_eval(args) -> int:
     _check_positive(args, "hops", "limit")
+    if args.hops is not None and args.hop_sweep:
+        raise ConfigError("--hops and --hop-sweep cannot be combined")
     bundle = load_checkpoint(args.checkpoint)
     dataset = _load_eval_dataset(args.data, bundle.vocab, args.cbt)
     hop_counts = _parse_sweep(args.hop_sweep) if args.hop_sweep \

@@ -65,43 +65,18 @@ class GRUParams:
             yield f"{prefix}.{f}", getattr(self, f)
 
 
-class StateRows:
-    """Position-indexed rows of one direction's `(n+1, h)` state matrix.
-
-    Item `l` reads like the list it stands in for: forward rows are `l`,
-    backward rows count from the right end (`bwd[n+1]` is row 0). Each row is
-    built as one `take_row` node on first use and cached.
-    """
-
-    def __init__(self, states: Tensor, reverse: bool):
-        self.states = states
-        self.reverse = reverse
-        self._rows: dict[int, Tensor] = {}
-
-    def __len__(self) -> int:
-        # the backward list form keeps an unused slot 0 before its n+1 states
-        return self.states.data.shape[0] + (1 if self.reverse else 0)
-
-    def __getitem__(self, l: int) -> Tensor:
-        row = self._rows.get(l)
-        if row is None:
-            i = len(self) - 1 - l if self.reverse else l
-            row = self._rows[l] = ag.take_row(self.states, i)
-        return row
-
-
 @dataclass
 class EncoderStates:
-    """fwd[l] = forward state after reading position l (fwd[0] = zero init);
-    bwd[l] = backward state after reading position l right-to-left
-    (bwd[n+1] = zero init). Both are indexed directly by l: lists of
-    tensors, or `StateRows` over the encoder's state matrices."""
-    fwd: list | StateRows
-    bwd: list | StateRows
+    """The two `(n+1, h)` state matrices of `gru_sequence`, each in its own
+    reading order. `fwd` row l is the forward state after position l (row 0
+    the zero initial state); `bwd` row n+1-l is the backward state after
+    reading position l right-to-left (row 0 the zero initial state)."""
+    fwd: Tensor
+    bwd: Tensor
 
     @property
     def n(self) -> int:
-        return len(self.fwd) - 1
+        return self.fwd.data.shape[0] - 1
 
 
 def gru_step(xz: Tensor, xr: Tensor, xh: Tensor, l: int, h_prev: Tensor,
@@ -212,10 +187,8 @@ def bigru_encode(embedded: Tensor, fwd_params: GRUParams,
     """Run both directions over an embedded sequence (one row per position)."""
     if embedded.data.shape[0] < 1:
         raise ValueError("cannot encode an empty sequence")
-    return EncoderStates(
-        fwd=StateRows(gru_sequence(embedded, fwd_params), reverse=False),
-        bwd=StateRows(gru_sequence(embedded, bwd_params, reverse=True),
-                      reverse=True))
+    return EncoderStates(fwd=gru_sequence(embedded, fwd_params),
+                         bwd=gru_sequence(embedded, bwd_params, reverse=True))
 
 
 def embed_sequence(doc: Document, e_i: Tensor, dropout_rate: float,
@@ -235,13 +208,32 @@ def embed_sequence(doc: Document, e_i: Tensor, dropout_rate: float,
     return emb
 
 
-def encode_span_query(states: EncoderStates, span: Span, w_q: Tensor) -> Tensor:
-    """Project [h^f_{l_s-1}; h^b_{l_e+1}] — outer context only."""
-    if span.l_e > states.n:
-        raise IndexError(f"span ({span.l_s}, {span.l_e}) exceeds sequence "
-                         f"length {states.n}")
-    outer = ag.concat([states.fwd[span.l_s - 1], states.bwd[span.l_e + 1]])
-    return ag.matmul(w_q, outer)
+def encode_span_queries(states: EncoderStates, spans, w_q: Tensor) -> Tensor:
+    """Query vectors of many spans as one `(M, h)` tape node.
+
+    Row k projects [h^f_{l_s-1}; h^b_{l_e+1}] of span k (outer context only)
+    by `w_q`. Spans that share a boundary read the same state row, so the
+    backward pass scatters with `np.add.at`.
+    """
+    n = states.n
+    for s in spans:
+        if s.l_e > n:
+            raise IndexError(f"span ({s.l_s}, {s.l_e}) exceeds sequence "
+                             f"length {n}")
+    h_f, h_b = states.fwd, states.bwd
+    h = h_f.data.shape[1]
+    fi = np.fromiter((s.l_s - 1 for s in spans), dtype=np.intp)
+    bi = np.fromiter((n - s.l_e for s in spans), dtype=np.intp)
+    outer = np.concatenate((h_f.data[fi], h_b.data[bi]), axis=1)
+    out = Tensor(outer @ w_q.data.T, parents=(h_f, h_b, w_q))
+
+    def bw(g):
+        w_q.grad += g.T @ outer
+        d_outer = g @ w_q.data
+        np.add.at(h_f.grad, fi, d_outer[:, :h])
+        np.add.at(h_b.grad, bi, d_outer[:, h:])
+    out.backward_fn = bw
+    return out
 
 
 def init_wq(h: int, rng: np.random.Generator,
@@ -251,10 +243,3 @@ def init_wq(h: int, rng: np.random.Generator,
         raise ValueError("h must be positive")
     base = np.concatenate([np.eye(h), np.eye(h)], axis=1)
     return base + rng.normal(0.0, noise_std, size=(h, 2 * h))
-
-
-def embed_answer(symbol_id: int, e_i: Tensor, e_o: Tensor,
-                 answer_row: int) -> tuple[Tensor, Tensor]:
-    """Input embedding (query-update path) and output embedding (answer path)
-    of one answer symbol; `answer_row` indexes the answer-symbol table."""
-    return ag.take_row(e_i, symbol_id), ag.take_row(e_o, answer_row)

@@ -32,7 +32,7 @@ class Retrieved:
 class HopTrace:
     hop: int
     alpha: np.ndarray
-    spans: list[tuple[int, int]]
+    spans: tuple[tuple[int, int], ...]  # one per support pair, shared by hops
     g_a: float
     eta: float
     g_q_mean: float
@@ -138,14 +138,14 @@ class HopRunResult:
 
 def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
              cand_mat: Tensor, params: ModelParams, hops: int, *,
-             spans: list[tuple[int, int]] | None = None,
+             spans: tuple[tuple[int, int], ...] | None = None,
              ablate_query_gate: bool = False,
              force_answer_gate: float | None = None) -> HopRunResult:
     """The retrieval/update cycle from stacked support matrices."""
     if hops < 1:
         raise ValueError("need at least one hop")
     if spans is None:
-        spans = [(0, 0)] * z_mat.data.shape[0]
+        spans = ((0, 0),) * z_mat.data.shape[0]
     q = q0
     a0 = init_answer(q0, params, ablate_query_gate=ablate_query_gate)
     a = a0
@@ -160,7 +160,7 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
         a = update_answer(a, g_a, r.y_o_tilde)
         q, g_q = update_query(q, r, params)
         traces.append(HopTrace(
-            hop=t + 1, alpha=r.alpha.data.copy(), spans=list(spans),
+            hop=t + 1, alpha=r.alpha.data.copy(), spans=spans,
             g_a=float(g_a.data), eta=float(eta.data),
             g_q_mean=float(np.mean(g_q.data))))
     scores, probs = score_candidates(a, cand_mat)
@@ -204,7 +204,7 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
         params.E_o, [vocab.answer_row(c) for c in example.candidates])
     result = run_hops(
         support.query_z, z_mat, y_i_mat, y_o_mat, cand_mat, params, hops,
-        spans=[(p.span.l_s, p.span.l_e) for p in support.pairs],
+        spans=tuple((s.l_s, s.l_e) for s in support.spans),
         ablate_query_gate=ablate_query_gate,
         force_answer_gate=force_answer_gate)
     return ForwardResult(scores=result.scores, probs=result.probs,

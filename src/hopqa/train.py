@@ -45,6 +45,9 @@ class TrainConfig:
             raise ConfigError(f"dropout {self.dropout} not in [0, 1)")
         if self.lr0 <= 0 or self.embed_init_stddev <= 0:
             raise ConfigError("lr0 and embed_init_stddev must be positive")
+        if self.dev_subsample < 0:
+            raise ConfigError(f"dev_subsample must be 0 (full dev set) or "
+                              f"positive, got {self.dev_subsample}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -101,7 +104,11 @@ class EvalResult:
 def evaluate(params: ModelParams, dataset: Dataset, hops: int,
              max_examples: int = 0,
              ablate_query_gate: bool = False) -> EvalResult:
-    """Deterministic accuracy (dropout off)."""
+    """Deterministic accuracy (dropout off) on the first `max_examples`
+    examples, or on all of them when it is 0."""
+    if max_examples < 0:
+        raise ConfigError(f"max_examples must be 0 (all) or positive, got "
+                          f"{max_examples}")
     examples = dataset.examples
     if max_examples:
         examples = examples[:max_examples]

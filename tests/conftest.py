@@ -6,6 +6,12 @@ from hopqa.encoder import GRUParams
 from hopqa.model import ModelParams
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: acceptance learning runs; `pytest -m 'not slow'` "
+        "skips them for a quick loop")
+
+
 def zero_gru(h: int) -> GRUParams:
     def z():
         return ag.param(np.zeros((h, h)))

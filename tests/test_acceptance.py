@@ -284,6 +284,7 @@ def test_invariant_suite(verdict):
 # --------------------------------------------------------------------------
 # 4. learning, 1-hop
 
+@pytest.mark.slow
 def test_learning_one_hop(verdict, task_l1):
     tr, dev, _ = task_l1
     start = time.time()
@@ -297,6 +298,7 @@ def test_learning_one_hop(verdict, task_l1):
 # --------------------------------------------------------------------------
 # 5. multi-hop gap
 
+@pytest.mark.slow
 def test_multi_hop_gap(verdict, task_l2):
     _, dev, _ = task_l2
     passes = 0
@@ -331,6 +333,7 @@ def _l2_models_cache(task_l2):
 # --------------------------------------------------------------------------
 # 6. hop-sweep stability
 
+@pytest.mark.slow
 def test_hop_sweep_stability(verdict, task_l2):
     _, dev, _ = task_l2
     r2, _ = _l2_models_cache(task_l2)[0]

@@ -1,15 +1,30 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hopqa.checkpoint import load_checkpoint
+from hopqa.checkpoint import load_checkpoint, save_checkpoint
 from hopqa.cli import main
+from hopqa.model import init_params
 
 GEN_CFG = {"n_entities": 12, "n_relations": 2, "chain_length": 1,
            "n_distractor_facts": 1, "n_examples": 16, "n_dev": 8,
            "n_test": 4, "seed": 11}
+# `hopqa inspect` output for TestInspect.test_output_pinned, recorded from
+# the code that copied the span list into every hop's trace
+INSPECT_PINNED = (
+    "example 0: gold=e02 predicted=e02 [answer gates: 0.520, 0.520, 0.521]\n"
+    "  hop 1: eta=0.253 g_a=0.520 g_q_mean=0.512  e02@7:0.255  e01@5:0.249  "
+    "e08@3:0.248  e10@1:0.248\n"
+    "  hop 2: eta=0.253 g_a=0.520 g_q_mean=0.506  e02@7:0.252  e01@5:0.250  "
+    "e08@3:0.249  e10@1:0.249\n"
+    "  hop 3: eta=0.253 g_a=0.521 g_q_mean=0.502  e02@7:0.251  e01@5:0.250  "
+    "e08@3:0.250  e10@1:0.250\n"
+    "trace written to {trace}\n")
+TRACE_SHA256 = \
+    "c3069d3029e618de6196ffeb12844b01bd7335edc6398f88908942c82d21ffd2"
 TRAIN_CFG = {"h": 4, "hops": 1, "batch_size": 4, "checkpoint_every": 100,
              "max_epochs": 2, "dropout": 0.0, "seed": 0}
 
@@ -91,6 +106,13 @@ class TestTrain:
                      "--data", str(workdir / "data"),
                      "--out", str(tmp_path / "run")]) == 2
 
+    def test_negative_dev_subsample_exit_2(self, workdir, tmp_path, capsys):
+        assert main(["train", "--data", str(workdir / "data"),
+                     "--dev-subsample", "-7",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "dev_subsample" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_matches_straight_run(self, workdir, tmp_path):
         """1 epoch + resume for a 2nd epoch reproduces a straight 2-epoch run
         bit-exactly."""
@@ -138,6 +160,14 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(workdir / "nope.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl")]) == 1
 
+    def test_hops_with_hop_sweep_exit_2(self, workdir, capsys):
+        assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "data" / "dev.jsonl"),
+                     "--hops", "5", "--hop-sweep", "1..2"]) == 2
+        captured = capsys.readouterr()
+        assert "--hops" in captured.err and "--hop-sweep" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags", [["--hops", "0"], ["--hops", "-1"],
                                        ["--limit", "-3"], ["--limit", "0"]])
     def test_nonpositive_flag_exit_2(self, workdir, capsys, flags):
@@ -169,6 +199,29 @@ class TestInspect:
         for r in rows:
             assert abs(sum(r["alpha"]) - 1.0) < 1e-9
             assert 0.0 < r["g_a"] < 1.0
+
+    def test_output_pinned(self, workdir, tmp_path, capsys):
+        """Stdout and trace file of an untrained model, byte for byte, as
+        they were when each hop copied the span list. W_q = [I I] makes
+        every span query a sum of two states, exact in any summation order,
+        so the bytes do not depend on how the span queries are batched."""
+        bundle = load_checkpoint(workdir / "run" / "best.ckpt")
+        params = init_params(4, bundle.vocab.size, bundle.vocab.n_answers,
+                             np.random.default_rng(7))
+        params.W_q.data[...] = np.concatenate([np.eye(4), np.eye(4)], axis=1)
+        ckpt = tmp_path / "fixed.ckpt"
+        save_checkpoint(ckpt, config=bundle.config, params=params,
+                        vocab=bundle.vocab)
+        trace = tmp_path / "trace.jsonl"
+        assert main(["inspect", "--checkpoint", str(ckpt),
+                     "--data", str(workdir / "data" / "dev.jsonl"),
+                     "--example", "0", "--hops", "3",
+                     "--out", str(trace)]) == 0
+        assert capsys.readouterr().out == INSPECT_PINNED.format(trace=trace)
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_SHA256
+        rows = [json.loads(l) for l in trace.read_text().splitlines()]
+        assert [r["spans"] for r in rows] == [[[1, 1], [3, 3], [5, 5],
+                                               [7, 7]]] * 3
 
     def test_ablation_prints_both(self, workdir, capsys):
         assert main(["inspect",

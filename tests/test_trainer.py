@@ -131,6 +131,14 @@ class TestEvaluate:
         r = evaluate(p, dev, hops=1, max_examples=2)
         assert len(r.predictions) == 2
 
+    def test_negative_subsample_rejected(self, tiny_task):
+        """A negative count would slice `examples[:-k]` and score the rest."""
+        tr, dev, _ = tiny_task
+        p = init_params(4, tr.vocab.size, tr.vocab.n_answers,
+                        np.random.default_rng(1))
+        with pytest.raises(ConfigError, match="max_examples"):
+            evaluate(p, dev, hops=1, max_examples=-1)
+
 
 class TestSingleStep:
     def test_one_adam_step_reduces_loss(self, tiny_task):
@@ -206,7 +214,8 @@ class TestSchedule:
 class TestConfigValidation:
     def test_bad_values_rejected(self):
         for kw in ({"h": 0}, {"batch_size": 0}, {"dropout": 1.0},
-                   {"dropout": -0.1}, {"lr0": 0.0}, {"max_epochs": 0}):
+                   {"dropout": -0.1}, {"lr0": 0.0}, {"max_epochs": 0},
+                   {"dev_subsample": -7}):
             with pytest.raises(ConfigError):
                 tiny_config(**kw)
 
