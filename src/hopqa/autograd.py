@@ -159,15 +159,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c, parents=(a,))
-
-    def bw(g):
-        a.grad += g * c
-    out.backward_fn = bw
-    return out
-
-
 def smul(s: Tensor, v: Tensor) -> Tensor:
     """Broadcast-multiply a 0-d scalar tensor onto a vector/matrix."""
     if s.data.shape != ():
@@ -278,6 +269,7 @@ def take_row(m: Tensor, i: int) -> Tensor:
     return out
 
 
+# no caller in src/; stays because benches/tracer.py patches ag.stack_rows
 def stack_rows(parts) -> Tensor:
     parts = list(parts)
     if not parts:
@@ -330,15 +322,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def bw(g):
         a.grad += g.reshape(a.data.shape)
-    out.backward_fn = bw
-    return out
-
-
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(np.sum(a.data)), parents=(a,))
-
-    def bw(g):
-        a.grad += g
     out.backward_fn = bw
     return out
 

@@ -1,6 +1,7 @@
 """Versioned checkpoint container: one .npz file holding every named
-parameter tensor, Adam moments, the config, the vocab, and run counters.
-Round-trips are bit-exact (float64 arrays stored as-is)."""
+parameter tensor, the config, the vocab and, for a resumable checkpoint,
+the Adam moments and the `RunState` (its best-dev snapshot as `best/<name>`
+arrays). Round-trips are bit-exact (float64 arrays stored as-is)."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Vocab
-from .model import ModelParams, init_params
-from .train import Adam, TrainConfig, TrainResult
+# benches/tracer.py patches the name checkpoint.init_params
+from .model import ModelParams, init_params, make_params  # noqa: F401
+from .train import Adam, RunState, TrainConfig
 
 FORMAT_VERSION = 1
 
@@ -22,11 +24,13 @@ class CheckpointBundle:
     params: ModelParams
     vocab: Vocab
     optimizer_state: dict | None
+    run: RunState | None
     meta: dict
 
 
 def save_checkpoint(path, *, config: TrainConfig, params: ModelParams,
                     vocab: Vocab, optimizer: Adam | None = None,
+                    run: RunState | None = None,
                     meta: dict | None = None) -> None:
     arrays = {}
     for name, t in params.named():
@@ -40,11 +44,16 @@ def save_checkpoint(path, *, config: TrainConfig, params: ModelParams,
         opt_meta = {"t": state["t"], "lr": state["lr"]}
     else:
         opt_meta = None
+    run_meta = None
+    if run is not None:
+        run_meta, best = run.to_checkpoint()
+        arrays.update(best)
     header = {
         "version": FORMAT_VERSION,
         "config": asdict(config),
         "vocab": vocab.to_dict(),
         "optimizer": opt_meta,
+        "run": run_meta,
         "meta": meta or {},
     }
     arrays["header"] = np.array(json.dumps(header))
@@ -58,17 +67,12 @@ def load_checkpoint(path) -> CheckpointBundle:
         if header["version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version "
                              f"{header['version']}")
-        config = TrainConfig.from_dict(header["config"])
+        config = TrainConfig(**header["config"])
         vocab = Vocab.from_dict(header["vocab"])
-        params = init_params(config.h, vocab.size, vocab.n_answers,
-                             np.random.default_rng(0),
-                             identity_eo=config.identity_eo)
-        for name, t in params.named():
-            stored = npz[f"param/{name}"]
-            if stored.shape != t.data.shape:
-                raise ValueError(f"checkpoint param {name!r} has shape "
-                                 f"{stored.shape}, expected {t.data.shape}")
-            t.data[...] = stored
+        params = make_params(
+            {k[len("param/"):]: npz[k] for k in npz.files
+             if k.startswith("param/")},
+            config.h, vocab.size, vocab.n_answers, config.identity_eo)
         opt_state = None
         if header["optimizer"] is not None:
             opt_state = {
@@ -79,31 +83,9 @@ def load_checkpoint(path) -> CheckpointBundle:
                 "v": {name: npz[f"adam_v/{name}"].copy()
                       for name, _ in params.trainable()},
             }
+        run = None
+        if header.get("run") is not None:
+            run = RunState.from_checkpoint(header["run"], npz)
     return CheckpointBundle(config=config, params=params, vocab=vocab,
-                            optimizer_state=opt_state, meta=header["meta"])
-
-
-def result_meta(result: TrainResult) -> dict:
-    """Run counters and schedule state needed to resume a finished epoch."""
-    return {
-        "step": result.metrics[-1]["step"] if result.metrics else 0,
-        "epoch": result.epochs_run,
-        "dev_acc": result.best_acc,
-        "last_ckpt_acc": result.last_ckpt_acc,
-        "prev_epoch_acc": result.prev_epoch_acc,
-        "best_acc": result.best_acc,
-        "best_step": result.best_step,
-        "best_epoch": result.best_epoch,
-        "rng_state": result.rng_state,
-    }
-
-
-def resume_bundle(bundle: CheckpointBundle) -> dict:
-    """Adapt a loaded checkpoint into the `train(resume=...)` argument."""
-    if bundle.optimizer_state is None:
-        raise ValueError("checkpoint has no optimizer state; cannot resume")
-    return {
-        "params": {n: t.data.copy() for n, t in bundle.params.named()},
-        "optimizer": bundle.optimizer_state,
-        "meta": bundle.meta,
-    }
+                            optimizer_state=opt_state, run=run,
+                            meta=header["meta"])

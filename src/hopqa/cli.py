@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (load_checkpoint, result_meta, resume_bundle,
-                         save_checkpoint)
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (Dataset, SynthConfig, generate_splits, load_canonical,
                    load_cbt, save_canonical)
 from .exceptions import ConfigError, DataError, ParseError
@@ -91,28 +90,24 @@ def cmd_train(args) -> int:
     if args.dev_subsample is not None:
         cfg_dict["dev_subsample"] = args.dev_subsample
     try:
-        config = TrainConfig.from_dict(cfg_dict)
+        config = TrainConfig(**cfg_dict)
     except TypeError as e:
         raise ConfigError(f"bad training config: {e}") from e
 
     train_set, dev_set = _load_dir(args.data, cbt=args.cbt)
-    resume = None
-    if args.resume:
-        resume = resume_bundle(load_checkpoint(args.resume))
+    resume = load_checkpoint(args.resume) if args.resume else None
     result = train(config, train_set, dev_set, resume=resume)
+    state = result.state
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = result_meta(result)
     save_checkpoint(out / "best.ckpt", config=config,
                     params=result.best_params, vocab=train_set.vocab,
-                    optimizer=result.optimizer,
-                    meta={**meta, "dev_acc": result.best_acc,
-                          "step": result.best_step,
-                          "epoch": result.best_epoch})
+                    meta={"dev_acc": state.best_acc, "step": state.best_step,
+                          "epoch": state.best_epoch})
     save_checkpoint(out / "last.ckpt", config=config,
                     params=result.final_params, vocab=train_set.vocab,
-                    optimizer=result.optimizer, meta=meta)
+                    optimizer=result.optimizer, run=state)
     with open(out / "metrics.jsonl", "w", encoding="utf-8") as f:
         for row in result.metrics:
             f.write(json.dumps(row) + "\n")
@@ -128,9 +123,9 @@ def cmd_train(args) -> int:
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
-    print(f"best dev accuracy {result.best_acc:.4f} at step "
-          f"{result.best_step} (epoch {result.best_epoch}); "
-          f"ran {result.epochs_run} epochs")
+    print(f"best dev accuracy {state.best_acc:.4f} at step "
+          f"{state.best_step} (epoch {state.best_epoch}); "
+          f"ran {state.epochs_run} epochs")
     return 0
 
 
@@ -185,10 +180,10 @@ def cmd_inspect(args) -> int:
     hops = args.hops or bundle.config.hops
     vocab = dataset.vocab
     fr = forward_pass(ex, bundle.params, vocab, hops)
+    predicted = vocab.tokens[ex.candidates[fr.prediction]]
     gates = ", ".join(f"{t.g_a:.3f}" for t in fr.traces)
     print(f"example {args.example}: gold={vocab.tokens[ex.gold]} "
-          f"predicted={vocab.tokens[fr.predicted_symbol]} "
-          f"[answer gates: {gates}]")
+          f"predicted={predicted} [answer gates: {gates}]")
     for t in fr.traces:
         tops = np.argsort(t.alpha)[::-1][:5]
         desc = "  ".join(
@@ -200,8 +195,8 @@ def cmd_inspect(args) -> int:
         fr2 = forward_pass(ex, bundle.params, vocab, hops,
                            ablate_query_gate=True)
         print(f"with query gate ablated: predicted="
-              f"{vocab.tokens[fr2.predicted_symbol]} "
-              f"(original {vocab.tokens[fr.predicted_symbol]})")
+              f"{vocab.tokens[ex.candidates[fr2.prediction]]} "
+              f"(original {predicted})")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             for t in fr.traces:

@@ -79,6 +79,7 @@ class EncoderStates:
         return self.fwd.data.shape[0] - 1
 
 
+# test reference for gru_sequence; benches/tracer.py patches encoder.gru_step
 def gru_step(xz: Tensor, xr: Tensor, xh: Tensor, l: int, h_prev: Tensor,
              p: GRUParams) -> Tensor:
     """One recurrence step as a single fused tape node.

@@ -17,7 +17,8 @@ from . import autograd as ag
 from .autograd import Tensor
 from .exceptions import EmptySupportError
 from .model import ModelParams
-from .support import Example, SupportSet, build_support, stacked
+# keep `stacked` a module-level name: benches/tracer.py patches hops.stacked
+from .support import Example, build_support, stacked
 
 
 @dataclass
@@ -119,11 +120,6 @@ def score_candidates(a: Tensor, cand_mat: Tensor) -> tuple[Tensor, Tensor]:
     return scores, ag.softmax(scores)
 
 
-def predict(probs: Tensor) -> int:
-    """Argmax with lowest-index tie-break."""
-    return int(np.argmax(probs.data))
-
-
 @dataclass
 class HopRunResult:
     scores: Tensor
@@ -133,7 +129,9 @@ class HopRunResult:
 
     @property
     def prediction(self) -> int:
-        return predict(self.probs)
+        """Index into the candidate list: the argmax of `probs`, ties broken
+        to the lowest index."""
+        return int(np.argmax(self.probs.data))
 
 
 def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
@@ -167,30 +165,13 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
     return HopRunResult(scores=scores, probs=probs, answer=a, traces=traces)
 
 
-@dataclass
-class ForwardResult:
-    scores: Tensor
-    probs: Tensor
-    traces: list[HopTrace]
-    candidates: list[int]
-    support: SupportSet
-
-    @property
-    def prediction(self) -> int:
-        """Index into the candidate list."""
-        return predict(self.probs)
-
-    @property
-    def predicted_symbol(self) -> int:
-        return self.candidates[self.prediction]
-
-
 def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
                  mode: str = "eval", dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None,
                  ablate_query_gate: bool = False,
-                 force_answer_gate: float | None = None) -> ForwardResult:
-    """Encode one example and run the full retrieval cycle.
+                 force_answer_gate: float | None = None) -> HopRunResult:
+    """Encode one example and run the full retrieval cycle. The predicted
+    symbol is `example.candidates[result.prediction]`.
 
     `vocab` supplies the separator id and the vocab-id -> answer-row map.
     The hop count is free to differ from the one used in training; hop
@@ -202,11 +183,8 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
     z_mat, y_i_mat, y_o_mat = stacked(support)
     cand_mat = ag.gather_rows(
         params.E_o, [vocab.answer_row(c) for c in example.candidates])
-    result = run_hops(
+    return run_hops(
         support.query_z, z_mat, y_i_mat, y_o_mat, cand_mat, params, hops,
         spans=tuple((s.l_s, s.l_e) for s in support.spans),
         ablate_query_gate=ablate_query_gate,
         force_answer_gate=force_answer_gate)
-    return ForwardResult(scores=result.scores, probs=result.probs,
-                         traces=result.traces,
-                         candidates=list(example.candidates), support=support)

@@ -8,13 +8,14 @@ identity (attention-sum scoring mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .encoder import GRUParams, init_wq
+from .exceptions import ConfigError
 
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -63,49 +64,70 @@ class ModelParams:
                 continue
             yield name, t
 
-    def get(self, name: str) -> Tensor:
-        for n, t in self.named():
-            if n == name:
-                return t
-        raise KeyError(name)
+
+GRU_FIELDS = tuple(f.name for f in fields(GRUParams))
 
 
-def _init_gru(h: int, rng: np.random.Generator, prefix: str) -> GRUParams:
-    def mat(name):
-        return ag.param(glorot(rng, (h, h)), name=f"{prefix}.{name}")
+def param_shapes(h: int, vocab_size: int, n_answers: int,
+                 identity_eo: bool = False) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in `ModelParams.named()` order."""
+    gru = {f: (h,) if f.startswith("b_") else (h, h) for f in GRU_FIELDS}
+    return {
+        "E_i": (vocab_size, h),
+        "E_o": (n_answers, n_answers if identity_eo else h),
+        **{f"gru_f.{f}": s for f, s in gru.items()},
+        **{f"gru_b.{f}": s for f, s in gru.items()},
+        "W_q": (h, 2 * h), "U_q_c": (h, 3 * h), "U_q_g": (h, 2 * h),
+        "b_q_g": (h,), "U_a_q": (h, h), "g_a_q": (), "u_a_g": (2 * h + 1,),
+        "b_a": (),
+    }
 
-    return GRUParams(
-        W_z=mat("W_z"), U_z=mat("U_z"),
-        b_z=ag.param(np.ones(h), name=f"{prefix}.b_z"),
-        W_r=mat("W_r"), U_r=mat("U_r"),
-        b_r=ag.param(np.zeros(h), name=f"{prefix}.b_r"),
-        W_h=mat("W_h"), U_h=mat("U_h"),
-        b_h=ag.param(np.zeros(h), name=f"{prefix}.b_h"),
-    )
+
+def make_params(arrays, h: int, vocab_size: int, n_answers: int,
+                identity_eo: bool = False) -> ModelParams:
+    """Wrap one array per `param_shapes` name as a parameter set, without
+    copying. A missing name or a wrong shape raises `ConfigError`."""
+    shapes = param_shapes(h, vocab_size, n_answers, identity_eo)
+    t = {}
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ConfigError(f"parameter {name!r} missing")
+        a = np.asarray(arrays[name])
+        if a.shape != shape:
+            raise ConfigError(f"parameter {name!r} has shape {a.shape}, "
+                              f"expected {shape}")
+        t[name] = ag.param(a, name=name)
+
+    def gru(prefix):
+        return GRUParams(**{f: t[f"{prefix}.{f}"] for f in GRU_FIELDS})
+
+    return ModelParams(
+        h=h, vocab_size=vocab_size, n_answers=n_answers,
+        identity_eo=identity_eo, gru_f=gru("gru_f"), gru_b=gru("gru_b"),
+        **{n: a for n, a in t.items() if "." not in n})
+
+
+def _init_gru(h: int, rng: np.random.Generator, prefix: str) -> dict:
+    """Glorot W/U matrices; the update-gate bias b_z starts at 1, the
+    other biases at 0."""
+    return {f"{prefix}.{f}": (np.ones(h) if f == "b_z" else np.zeros(h))
+            if f.startswith("b_") else glorot(rng, (h, h))
+            for f in GRU_FIELDS}
 
 
 def init_params(h: int, vocab_size: int, n_answers: int,
                 rng: np.random.Generator, identity_eo: bool = False,
                 embed_init_stddev: float = 0.1) -> ModelParams:
-    e_i = ag.param(rng.normal(0.0, embed_init_stddev, size=(vocab_size, h)),
-                   name="E_i")
-    if identity_eo:
-        e_o = ag.param(np.eye(n_answers), name="E_o")
-    else:
-        e_o = ag.param(rng.normal(0.0, embed_init_stddev, size=(n_answers, h)),
-                       name="E_o")
-    return ModelParams(
-        h=h, vocab_size=vocab_size, n_answers=n_answers,
-        identity_eo=identity_eo,
-        E_i=e_i, E_o=e_o,
-        gru_f=_init_gru(h, rng, "gru_f"),
-        gru_b=_init_gru(h, rng, "gru_b"),
-        W_q=ag.param(init_wq(h, rng), name="W_q"),
-        U_q_c=ag.param(glorot(rng, (h, 3 * h)), name="U_q_c"),
-        U_q_g=ag.param(glorot(rng, (h, 2 * h)), name="U_q_g"),
-        b_q_g=ag.param(np.zeros(h), name="b_q_g"),
-        U_a_q=ag.param(glorot(rng, (h, h)), name="U_a_q"),
-        g_a_q=ag.param(np.asarray(0.0), name="g_a_q"),
-        u_a_g=ag.param(glorot(rng, (2 * h + 1,)), name="u_a_g"),
-        b_a=ag.param(np.asarray(0.0), name="b_a"),
-    )
+    """Draw a fresh parameter set. The draw order (E_i, E_o, gru_f, gru_b,
+    W_q, U_q_c, U_q_g, U_a_q, u_a_g) fixes every seeded run's numbers."""
+    a = {
+        "E_i": rng.normal(0.0, embed_init_stddev, size=(vocab_size, h)),
+        "E_o": np.eye(n_answers) if identity_eo else
+        rng.normal(0.0, embed_init_stddev, size=(n_answers, h)),
+        **_init_gru(h, rng, "gru_f"), **_init_gru(h, rng, "gru_b"),
+        "W_q": init_wq(h, rng), "U_q_c": glorot(rng, (h, 3 * h)),
+        "U_q_g": glorot(rng, (h, 2 * h)), "b_q_g": np.zeros(h),
+        "U_a_q": glorot(rng, (h, h)), "g_a_q": np.asarray(0.0),
+        "u_a_g": glorot(rng, (2 * h + 1,)), "b_a": np.asarray(0.0),
+    }
+    return make_params(a, h, vocab_size, n_answers, identity_eo)

@@ -10,7 +10,7 @@ wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .autograd import Tensor
 from .data import Dataset, Vocab
 from .exceptions import ConfigError, DataError
 from .hops import forward_pass
-from .model import ModelParams, init_params
+# benches/tracer.py patches the name train.init_params
+from .model import ModelParams, init_params, make_params
 
 
 @dataclass
@@ -48,10 +49,6 @@ class TrainConfig:
         if self.dev_subsample < 0:
             raise ConfigError(f"dev_subsample must be 0 (full dev set) or "
                               f"positive, got {self.dev_subsample}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def loss_from_scores(scores: Tensor, gold_pos: int) -> Tensor:
@@ -117,7 +114,7 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
     for ex in examples:
         fr = forward_pass(ex, params, dataset.vocab, hops,
                           ablate_query_gate=ablate_query_gate)
-        sym = fr.predicted_symbol
+        sym = ex.candidates[fr.prediction]
         preds.append(sym)
         correct += int(sym == ex.gold)
     return EvalResult(accuracy=correct / len(examples) if examples else 0.0,
@@ -135,37 +132,85 @@ def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
 
 
 @dataclass
-class TrainResult:
-    best_params: ModelParams
-    best_acc: float
-    best_step: int
-    best_epoch: int
-    final_params: ModelParams
-    metrics: list[dict]
-    epochs_run: int
-    optimizer: Adam
-    rng_state: dict
+class RunState:
+    """Run counters and schedule state: with the parameters and the Adam
+    moments, everything a resumed run needs to continue bit-exactly.
+    `best` is the parameter snapshot (name -> array) of the best dev
+    accuracy; `rng_state` is the training RNG's state when the run ended."""
+    step: int = 0
+    epochs_run: int = 0
     last_ckpt_acc: float | None = None
     prev_epoch_acc: float | None = None
+    best_acc: float = -1.0
+    best_step: int = 0
+    best_epoch: int = 0
+    rng_state: dict | None = None
+    best: dict[str, np.ndarray] | None = None
+
+    def record(self, acc: float, at_epoch_boundary: bool,
+               params: ModelParams) -> None:
+        """Take a dev measurement into the schedule state and, if it is the
+        best so far, snapshot `params`."""
+        self.last_ckpt_acc = acc
+        if at_epoch_boundary:
+            self.prev_epoch_acc = acc
+        if acc > self.best_acc:
+            self.best_acc, self.best_step = acc, self.step
+            self.best_epoch = self.epochs_run
+            self.best = {n: t.data.copy() for n, t in params.named()}
+
+    def to_checkpoint(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The scalars for the JSON header, and `best` as `best/<name>`
+        arrays."""
+        scalars = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "best"}
+        return scalars, {f"best/{n}": a for n, a in (self.best or {}).items()}
+
+    @classmethod
+    def from_checkpoint(cls, scalars: dict, arrays) -> "RunState":
+        best = {k[len("best/"):]: arrays[k] for k in arrays
+                if k.startswith("best/")}
+        return cls(**scalars, best=best or None)
 
 
-def _snapshot(params: ModelParams) -> dict:
-    return {n: t.data.copy() for n, t in params.named()}
+def schedule(state: RunState, acc: float,
+             at_epoch_boundary: bool) -> tuple[bool, bool]:
+    """(halve the learning rate, stop training) for a new dev measurement
+    `acc`, judged against the measurements recorded in `state`."""
+    halve = (state.last_ckpt_acc is not None and acc < state.last_ckpt_acc
+             and state.epochs_run >= 1)
+    stop = (at_epoch_boundary and state.prev_epoch_acc is not None
+            and acc < state.prev_epoch_acc)
+    return halve, stop
 
 
-def _restore(params: ModelParams, arrays: dict) -> None:
-    for n, t in params.named():
-        t.data[...] = arrays[n]
+@dataclass
+class TrainResult:
+    best_params: ModelParams
+    final_params: ModelParams
+    optimizer: Adam
+    metrics: list[dict]
+    state: RunState
+
+    @property
+    def best_acc(self) -> float:
+        return self.state.best_acc
+
+    @property
+    def epochs_run(self) -> int:
+        return self.state.epochs_run
 
 
 def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
-          evaluator=None, resume: dict | None = None) -> TrainResult:
+          evaluator=None, resume=None) -> TrainResult:
     """Run the full schedule. `evaluator(params) -> float` may be stubbed in
     tests; by default it is dev-set accuracy at the training hop count.
-    `resume` takes a bundle from `checkpoint.py` to continue a run."""
+    `resume` takes a loaded `last.ckpt` (`checkpoint.CheckpointBundle`) to
+    continue that run."""
     if not train_set.examples or not dev_set.examples:
         raise ConfigError("train and dev sets must be non-empty")
     vocab = train_set.vocab
+    dims = (config.h, vocab.size, vocab.n_answers, config.identity_eo)
 
     if evaluator is None:
         def evaluator(p):
@@ -173,66 +218,51 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
                             max_examples=config.dev_subsample).accuracy
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(config.h, vocab.size, vocab.n_answers, rng,
-                         identity_eo=config.identity_eo,
-                         embed_init_stddev=config.embed_init_stddev)
+    if resume is None:
+        state = RunState()
+        params = init_params(config.h, vocab.size, vocab.n_answers, rng,
+                             identity_eo=config.identity_eo,
+                             embed_init_stddev=config.embed_init_stddev)
+    else:
+        if resume.optimizer_state is None or resume.run is None:
+            raise ConfigError("checkpoint holds no optimizer or run state "
+                              "(a best.ckpt); resume from the run's last.ckpt")
+        if resume.vocab != vocab:
+            raise ConfigError("checkpoint vocab differs from the training "
+                              "data's; resume on the data the run used")
+        state = replace(resume.run)
+        params = make_params({n: t.data.copy() for n, t in
+                              resume.params.named()}, *dims)
+        rng.bit_generator.state = state.rng_state
     opt = Adam(list(params.trainable()), config.lr0)
-
-    step = 0
-    start_epoch = 0
-    last_ckpt_acc = None
-    prev_epoch_acc = None
-    best_acc = -1.0
-    best_arrays = None
-    best_step = best_epoch = 0
-    metrics: list[dict] = []
-
     if resume is not None:
-        _restore(params, resume["params"])
-        opt.load_state(resume["optimizer"])
-        meta = resume["meta"]
-        step = meta["step"]
-        start_epoch = meta["epoch"]
-        last_ckpt_acc = meta["last_ckpt_acc"]
-        prev_epoch_acc = meta["prev_epoch_acc"]
-        best_acc = meta["best_acc"]
-        best_step = meta["best_step"]
-        best_epoch = meta["best_epoch"]
-        best_arrays = resume.get("best_params")
-        rng.bit_generator.state = meta["rng_state"]
+        opt.load_state(resume.optimizer_state)
 
-    loss_sum = 0.0
-    loss_count = 0
+    metrics: list[dict] = []
+    window = [0.0, 0]  # summed training loss and examples since last eval
 
-    def checkpoint_eval(epochs_done: int) -> float:
-        nonlocal last_ckpt_acc, best_acc, best_arrays, best_step, best_epoch
-        nonlocal loss_sum, loss_count
+    def measure(at_epoch_boundary: bool) -> bool:
+        """Dev-evaluate, apply the schedule and log a metrics row. Returns
+        whether training stops."""
         acc = evaluator(params)
-        if (last_ckpt_acc is not None and acc < last_ckpt_acc
-                and epochs_done >= 1):
+        halve, stop = schedule(state, acc, at_epoch_boundary)
+        if halve:
             opt.lr /= 2.0
-        last_ckpt_acc = acc
-        if acc > best_acc:
-            best_acc = acc
-            best_arrays = _snapshot(params)
-            best_step = step
-            best_epoch = epochs_done
+        state.record(acc, at_epoch_boundary, params)
         metrics.append({
-            "step": step, "lr": opt.lr,
-            "train_loss": loss_sum / loss_count if loss_count else None,
+            "step": state.step, "lr": opt.lr,
+            "train_loss": window[0] / window[1] if window[1] else None,
             "dev_acc": acc,
         })
-        loss_sum = 0.0
-        loss_count = 0
-        return acc
+        window[:] = [0.0, 0]
+        return stop
 
-    epochs_run = start_epoch
-    for epoch in range(start_epoch, config.max_epochs):
+    for epoch in range(state.epochs_run, config.max_epochs):
         order = rng.permutation(len(train_set.examples))
         for start in range(0, len(order), config.batch_size):
             batch = [train_set.examples[int(i)]
                      for i in order[start:start + config.batch_size]]
-            step += 1
+            state.step += 1
             grads = {n: np.zeros_like(p.data) for n, p in params.trainable()}
             for ex in batch:
                 loss = example_loss(ex, params, vocab, config.hops,
@@ -242,28 +272,18 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
                 for n, p in params.trainable():
                     if p.grad is not None:  # e.g. query-update params at T=1
                         grads[n] += p.grad
-                loss_sum += float(loss.data)
-                loss_count += 1
+                window[0] += float(loss.data)
+                window[1] += 1
             for n in grads:
                 grads[n] /= len(batch)
             opt.step(grads)
-            if step % config.checkpoint_every == 0:
-                checkpoint_eval(epochs_done=epoch)
-        epochs_run = epoch + 1
-        epoch_acc = checkpoint_eval(epochs_done=epoch + 1)
-        if prev_epoch_acc is not None and epoch_acc < prev_epoch_acc:
-            prev_epoch_acc = epoch_acc
+            if state.step % config.checkpoint_every == 0:
+                measure(at_epoch_boundary=False)
+        state.epochs_run = epoch + 1
+        if measure(at_epoch_boundary=True):
             break
-        prev_epoch_acc = epoch_acc
 
-    best_params = init_params(config.h, vocab.size, vocab.n_answers,
-                              np.random.default_rng(0),
-                              identity_eo=config.identity_eo)
-    _restore(best_params, best_arrays if best_arrays is not None
-             else _snapshot(params))
-    return TrainResult(
-        best_params=best_params, best_acc=best_acc, best_step=best_step,
-        best_epoch=best_epoch, final_params=params, metrics=metrics,
-        epochs_run=epochs_run, optimizer=opt,
-        rng_state=rng.bit_generator.state,
-        last_ckpt_acc=last_ckpt_acc, prev_epoch_acc=prev_epoch_acc)
+    state.rng_state = rng.bit_generator.state
+    return TrainResult(best_params=make_params(state.best, *dims),
+                       final_params=params, optimizer=opt, metrics=metrics,
+                       state=state)

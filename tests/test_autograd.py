@@ -16,6 +16,11 @@ def triple_loop_matmul(a, b):
     return out
 
 
+def total(x):
+    """Sum of a vector's entries, as a dot product with ones."""
+    return ag.dot(x, ag.constant(np.ones(x.data.shape)))
+
+
 class TestMatmul:
     def test_identity(self):
         a = ag.constant(np.eye(2))
@@ -43,7 +48,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = ag.param(rng.normal(size=(3, 4)))
         v = ag.param(rng.normal(size=4))
-        err = ag.grad_check(lambda: ag.tsum(ag.tanh(ag.matmul(a, v))),
+        err = ag.grad_check(lambda: total(ag.tanh(ag.matmul(a, v))),
                             [a, v])
         assert err < 1e-6
 
@@ -161,7 +166,7 @@ class TestConcat:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = ag.param(np.arange(5.0))
-        ag.backward(ag.tsum(x))
+        ag.backward(total(x))
         assert np.array_equal(x.grad, np.ones(5))
 
     def test_sigmoid_dot_matches_fd(self):
@@ -173,7 +178,7 @@ class TestBackward:
 
     def test_second_backward_requires_accumulate_flag(self):
         x = ag.param(np.ones(3))
-        loss = ag.tsum(ag.mul(x, x))
+        loss = total(ag.mul(x, x))
         ag.backward(loss)
         with pytest.raises(RuntimeError):
             ag.backward(loss)
@@ -187,7 +192,7 @@ class TestBackward:
     def test_intermediate_grads_freed(self):
         x = ag.param(np.ones(3))
         mid = ag.tanh(x)
-        loss = ag.tsum(mid)
+        loss = total(mid)
         ag.backward(loss)
         assert mid.grad is None
         assert x.grad is not None
@@ -209,7 +214,7 @@ class TestGradCheckHarness:
             out.backward_fn = bw
             return out
 
-        assert ag.grad_check(lambda: ag.tsum(bad_square(w)), [w]) > 1e-2
+        assert ag.grad_check(lambda: total(bad_square(w)), [w]) > 1e-2
 
 
 def test_all_ops_composite_gradcheck():
@@ -233,8 +238,8 @@ def test_all_ops_composite_gradcheck():
         mixed = ag.add(ag.smul(gate, blend),
                        ag.mul(ag.one_minus(ag.sigmoid(v)), r0))
         cat = ag.concat([mixed, ag.reshape(ag.pick(mixed, 1), (1,)),
-                         ag.scale(ag.sub(r0, r1), 0.5)])
-        return ag.add(ag.logsumexp(cat), ag.smul(s, ag.tsum(ag.mul(cat, cat))))
+                         ag.smul(ag.constant(0.5), ag.sub(r0, r1))])
+        return ag.add(ag.logsumexp(cat), ag.smul(s, total(ag.mul(cat, cat))))
 
     assert ag.grad_check(f, [e, m, v, s], eps=1e-5) < 1e-6
 

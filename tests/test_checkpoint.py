@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hopqa.checkpoint import (CheckpointBundle, load_checkpoint,
-                              resume_bundle, save_checkpoint)
-from hopqa.data import SynthConfig, Vocab, generate_splits
+from hopqa.checkpoint import load_checkpoint, save_checkpoint
+from hopqa.data import SynthConfig, generate_splits
+from hopqa.exceptions import ConfigError
 from hopqa.model import init_params
-from hopqa.train import Adam, TrainConfig, evaluate
+from hopqa.train import Adam, RunState, TrainConfig, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,24 @@ class TestRoundTrip:
         assert bundle.vocab == vocab
         assert bundle.meta == {"note": "x", "dev_acc": 0.5}
         assert bundle.optimizer_state is None
+        assert bundle.run is None
+
+    def test_run_state_bit_exact(self, tiny, tmp_path):
+        config, params, vocab, opt = make_state(tiny)
+        run = RunState(step=7, epochs_run=2, last_ckpt_acc=0.25,
+                       prev_epoch_acc=None, best_acc=0.5, best_step=4,
+                       best_epoch=1,
+                       rng_state=np.random.default_rng(3).bit_generator.state)
+        run.record(0.75, True, params)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, config=config, params=params, vocab=vocab,
+                        optimizer=opt, run=run)
+        loaded = load_checkpoint(path).run
+        assert loaded.best.keys() == run.best.keys()
+        for name, a in run.best.items():
+            assert np.array_equal(loaded.best[name], a), name
+        loaded.best = run.best = None
+        assert loaded == run
 
     def test_identity_mode_preserved(self, tiny, tmp_path):
         config, params, vocab, opt = make_state(tiny, identity_eo=True)
@@ -110,9 +128,10 @@ class TestValidation:
             load_checkpoint(path)
 
     def test_resume_requires_optimizer(self, tiny, tmp_path):
+        tr, dev, _ = tiny
         config, params, vocab, _ = make_state(tiny, with_opt=False)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab)
         bundle = load_checkpoint(path)
-        with pytest.raises(ValueError, match="optimizer"):
-            resume_bundle(bundle)
+        with pytest.raises(ConfigError, match="optimizer.*last.ckpt"):
+            train(config, tr, dev, resume=bundle)

@@ -126,11 +126,42 @@ class TestTrain:
                      "--out", str(tmp_path / "a2")]) == 0
         assert main(["train", "--config", cfg2, "--data", data,
                      "--out", str(tmp_path / "b")]) == 0
-        resumed = load_checkpoint(tmp_path / "a2" / "last.ckpt")
-        straight = load_checkpoint(tmp_path / "b" / "last.ckpt")
-        for (n1, t1), (n2, t2) in zip(resumed.params.named(),
-                                      straight.params.named()):
-            assert np.array_equal(t1.data, t2.data), n1
+        for name in ("last.ckpt", "best.ckpt"):
+            resumed = load_checkpoint(tmp_path / "a2" / name)
+            straight = load_checkpoint(tmp_path / "b" / name)
+            for (n1, t1), (n2, t2) in zip(resumed.params.named(),
+                                          straight.params.named()):
+                assert np.array_equal(t1.data, t2.data), (name, n1)
+        assert ([resumed.meta[k] for k in ("dev_acc", "step", "epoch")]
+                == [straight.meta[k] for k in ("dev_acc", "step", "epoch")])
+
+    def test_resume_from_best_ckpt_exit_2(self, workdir, tmp_path, capsys):
+        assert main(["train", "--config", str(workdir / "train.json"),
+                     "--data", str(workdir / "data"),
+                     "--resume", str(workdir / "run" / "best.ckpt"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "last.ckpt" in capsys.readouterr().err
+
+    def test_resume_other_config_exit_2(self, workdir, tmp_path, capsys):
+        cfg = write_json(tmp_path / "h8.json", dict(TRAIN_CFG, h=8))
+        assert main(["train", "--config", cfg,
+                     "--data", str(workdir / "data"),
+                     "--resume", str(workdir / "run" / "last.ckpt"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "'E_i' has shape (17, 4), expected (17, 8)" in \
+            capsys.readouterr().err
+
+    def test_resume_other_dataset_exit_2(self, workdir, tmp_path, capsys):
+        """Data with another seed has a vocab of the same size but in
+        another order, so the shapes alone would let it resume."""
+        gen_cfg = write_json(tmp_path / "gen.json", dict(GEN_CFG, seed=12))
+        assert main(["gen", "--config", gen_cfg,
+                     "--out", str(tmp_path / "data")]) == 0
+        assert main(["train", "--config", str(workdir / "train.json"),
+                     "--data", str(tmp_path / "data"),
+                     "--resume", str(workdir / "run" / "last.ckpt"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "vocab" in capsys.readouterr().err
 
 
 class TestEval:

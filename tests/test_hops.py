@@ -3,7 +3,7 @@ import pytest
 
 from hopqa import autograd as ag
 from hopqa.exceptions import EmptySupportError
-from hopqa.hops import (answer_gate, eta_max_prob, init_answer, predict,
+from hopqa.hops import (HopRunResult, answer_gate, eta_max_prob, init_answer,
                         retrieve, run_hops, score_candidates, update_answer,
                         update_query)
 
@@ -238,11 +238,12 @@ class TestScoring:
         want = np.exp([1.0, -1.0, 0.0])
         want /= want.sum()
         assert np.allclose(probs.data, want, atol=1e-12)
-        assert predict(probs) == 0
+        assert HopRunResult(scores, probs, a).prediction == 0
 
     def test_tie_breaks_low_index(self):
-        _, probs = score_candidates(t(np.zeros(2)), t(np.ones((3, 2))))
-        assert predict(probs) == 0
+        a = t(np.zeros(2))
+        scores, probs = score_candidates(a, t(np.ones((3, 2))))
+        assert HopRunResult(scores, probs, a).prediction == 0
 
     def test_empty_candidates(self):
         with pytest.raises(EmptySupportError):

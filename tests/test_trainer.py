@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from hopqa import autograd as ag
 from hopqa.data import SynthConfig, generate_splits
 from hopqa.exceptions import ConfigError
-from hopqa.model import init_params
+from hopqa.model import init_params, make_params, param_shapes
 from hopqa.train import (Adam, TrainConfig, evaluate, example_loss,
                          loss_from_scores, train)
 
@@ -113,6 +115,48 @@ class TestInitStatistics:
         assert "E_o" in dict(p.named())
 
 
+class TestMakeParams:
+    def test_init_draws_pinned(self):
+        """Digest of every parameter's name, shape and bytes, recorded from
+        the code that drew and wrapped each tensor one by one: the draw
+        order E_i, E_o, gru_f, gru_b, W_q, U_q_c, U_q_g, U_a_q, u_a_g."""
+        digest = hashlib.sha256()
+        for identity_eo in (False, True):
+            p = init_params(5, 11, 4, np.random.default_rng(123),
+                            identity_eo=identity_eo, embed_init_stddev=0.3)
+            for name, t in p.named():
+                assert t.name == name
+                digest.update(name.encode())
+                digest.update(str(t.data.shape).encode())
+                digest.update(t.data.tobytes())
+        assert digest.hexdigest() == ("09309d8825837db9895b6a1e6774ba9a"
+                                      "9a3110a83e2062f4021072edd30ae729")
+
+    @pytest.mark.parametrize("identity_eo", [False, True])
+    def test_wraps_arrays_in_named_order(self, identity_eo):
+        p = init_params(4, 20, 5, np.random.default_rng(0),
+                        identity_eo=identity_eo)
+        arrays = {n: t.data for n, t in p.named()}
+        q = make_params(arrays, 4, 20, 5, identity_eo)
+        assert [n for n, _ in q.named()] == list(
+            param_shapes(4, 20, 5, identity_eo))
+        assert all(t.data is arrays[n] and t.is_param for n, t in q.named())
+
+    def test_wrong_shape_names_parameter_and_shapes(self):
+        arrays = {n: t.data for n, t in init_params(
+            4, 20, 5, np.random.default_rng(0)).named()}
+        with pytest.raises(ConfigError,
+                           match=r"'E_i' has shape \(20, 4\), expected "
+                                 r"\(20, 3\)"):
+            make_params(arrays, 3, 20, 5)
+        arrays["E_o"] = np.eye(5)  # the identity table needs identity_eo
+        with pytest.raises(ConfigError, match="'E_o'"):
+            make_params(arrays, 4, 20, 5)
+        del arrays["b_a"]
+        with pytest.raises(ConfigError, match="'b_a' missing"):
+            make_params(arrays, 4, 20, 5, identity_eo=True)
+
+
 class TestEvaluate:
     def test_deterministic(self, tiny_task):
         tr, dev, _ = tiny_task
@@ -198,7 +242,7 @@ class TestSchedule:
     def test_best_checkpoint_wins_not_last(self, tiny_task):
         res = self.run_scripted(tiny_task, [0.9, 0.2], max_epochs=2)
         assert res.best_acc == 0.9
-        assert res.best_epoch == 1
+        assert res.state.best_epoch == 1
         # best params were snapshotted before the second epoch ran
         assert any(not np.array_equal(a.data, b.data)
                    for (_, a), (_, b) in zip(res.best_params.named(),
