@@ -6,11 +6,13 @@ arrays). Round-trips are bit-exact (float64 arrays stored as-is)."""
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Vocab
+from .exceptions import DataError
 # benches/tracer.py patches the name checkpoint.init_params
 from .model import ModelParams, init_params, make_params  # noqa: F401
 from .train import Adam, RunState, TrainConfig
@@ -62,11 +64,17 @@ def save_checkpoint(path, *, config: TrainConfig, params: ModelParams,
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    with np.load(path, allow_pickle=False) as npz:
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
+        raise DataError(f"cannot read checkpoint {path}: {e}") from e
+    if not isinstance(npz, np.lib.npyio.NpzFile) or "header" not in npz.files:
+        raise DataError(f"{path} is not a checkpoint: no header array")
+    with npz:
         header = json.loads(str(npz["header"]))
         if header["version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version "
-                             f"{header['version']}")
+            raise DataError(f"{path}: unsupported checkpoint version "
+                            f"{header['version']}")
         config = TrainConfig(**header["config"])
         vocab = Vocab.from_dict(header["vocab"])
         params = make_params(

@@ -63,21 +63,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_split_file(path, vocab, loader):
+def _read(path, vocab, cbt: bool) -> Dataset:
+    """Read one dataset file, in the CBT layout or as canonical JSONL,
+    extending `vocab` (a new one when None)."""
     if not Path(path).exists():
         raise DataError(f"dataset file not found: {path}")
+    loader = load_cbt if cbt else load_canonical
     return loader(path, vocab=vocab, name=Path(path).stem)
 
 
 def _load_dir(data_dir, cbt: bool = False):
-    loader = load_cbt if cbt else load_canonical
     data_dir = Path(data_dir)
-    train_set = _load_split_file(data_dir / "train.jsonl", None, loader)
+    train_set = _read(data_dir / "train.jsonl", None, cbt)
     vocab = train_set.vocab
-    dev_set = _load_split_file(data_dir / "dev.jsonl", vocab, loader)
+    dev_set = _read(data_dir / "dev.jsonl", vocab, cbt)
     test_path = data_dir / "test.jsonl"
     if test_path.exists():
-        _load_split_file(test_path, vocab, loader)  # extend vocab only
+        _read(test_path, vocab, cbt)  # extend vocab only
     return train_set, dev_set
 
 
@@ -140,9 +142,22 @@ def _parse_sweep(spec: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _load_eval_dataset(path, vocab, cbt: bool):
-    loader = load_cbt if cbt else load_canonical
-    return _load_split_file(path, vocab, loader)
+def _read_for_checkpoint(path, bundle, cbt: bool) -> Dataset:
+    """Read a dataset to score with `bundle`. A file that adds tokens or
+    answer symbols has no parameter rows for them, and one without examples
+    has no accuracy: both are refused before anything is printed."""
+    vocab = bundle.vocab
+    n_tokens, n_answers = vocab.size, vocab.n_answers
+    dataset = _read(path, vocab, cbt)
+    new = list(dict.fromkeys(vocab.tokens[n_tokens:]
+                             + vocab.answer_tokens[n_answers:]))
+    if new:
+        raise DataError(
+            f"{path}: {len(new)} token(s) unknown to the checkpoint's vocab "
+            f"or answer symbols, e.g. {', '.join(map(repr, new[:5]))}")
+    if not dataset.examples:
+        raise DataError(f"{path}: no examples")
+    return dataset
 
 
 def _check_positive(args, *flags) -> None:
@@ -158,7 +173,7 @@ def cmd_eval(args) -> int:
     if args.hops is not None and args.hop_sweep:
         raise ConfigError("--hops and --hop-sweep cannot be combined")
     bundle = load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(args.data, bundle.vocab, args.cbt)
+    dataset = _read_for_checkpoint(args.data, bundle, args.cbt)
     hop_counts = _parse_sweep(args.hop_sweep) if args.hop_sweep \
         else [args.hops or bundle.config.hops]
     print("hops\taccuracy")
@@ -172,7 +187,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     _check_positive(args, "hops")
     bundle = load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(args.data, bundle.vocab, args.cbt)
+    dataset = _read_for_checkpoint(args.data, bundle, args.cbt)
     if not 0 <= args.example < len(dataset.examples):
         raise DataError(f"example index {args.example} out of range "
                         f"[0, {len(dataset.examples)})")

@@ -65,10 +65,6 @@ class Vocab:
         return self.token2id[SEPARATOR]
 
     @property
-    def blank_id(self) -> int:
-        return self.token2id[PLACEHOLDER]
-
-    @property
     def size(self) -> int:
         return len(self.tokens)
 
@@ -87,17 +83,14 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vocab":
-        v = cls.__new__(cls)
-        v.tokens = []
-        v.token2id = {}
-        v.answer_tokens = []
-        v._answer_row = {}
+        v = cls()
         for tok in d["tokens"]:
-            v.token2id[tok] = len(v.tokens)
-            v.tokens.append(tok)
+            v.add(tok)
         for tok in d["answer_tokens"]:
-            v._answer_row[v.token2id[tok]] = len(v.answer_tokens)
-            v.answer_tokens.append(tok)
+            v.register_answer(tok)
+        if v.to_dict() != d:
+            raise DataError("stored vocab is not a valid token table "
+                            "(duplicate, missing or reordered tokens)")
         return v
 
 
@@ -146,25 +139,29 @@ def chain_endpoints(facts, start: str, rels: list[str]) -> set[str]:
     return frontier
 
 
-def _render_example(facts, query_tokens, gold: str, vocab: Vocab) -> Example:
-    doc_tokens: list[str] = []
-    for a, r, b in facts:
-        doc_tokens.extend([a, r, b, PERIOD])
-    seen: list[str] = []
-    for a, _, b in facts:
-        for e in (a, b):
-            if e not in seen:
-                seen.append(e)
-    candidates = [vocab.add(t) for t in seen]
-    for t in seen:
+def make_example(vocab: Vocab, doc_tokens: list[str],
+                 query_tokens: list[str], cand_tokens: list[str], answer: str,
+                 where: str) -> Example:
+    """The one way tokens become an `Example`. Checks the record (errors are
+    prefixed with `where`), then registers the candidates as answer symbols
+    and maps the document and the query tokens, in that order, which fixes
+    every token id."""
+    if query_tokens.count(PLACEHOLDER) != 1:
+        raise DataError(f"{where}: query must contain exactly one "
+                        f"{PLACEHOLDER!r} token")
+    if not cand_tokens:
+        raise DataError(f"{where}: empty candidate list")
+    if answer not in cand_tokens:
+        raise DataError(f"{where}: answer {answer!r} not in candidates")
+    for t in cand_tokens:
         vocab.register_answer(t)
     doc = Document(symbols=[vocab.add(t) for t in doc_tokens],
-                   raw_tokens=doc_tokens)
+                   raw_tokens=list(doc_tokens))
     query = Document(symbols=[vocab.add(t) for t in query_tokens],
                      raw_tokens=list(query_tokens),
                      placeholder_pos=query_tokens.index(PLACEHOLDER) + 1)
-    return Example(document=doc, query=query, gold=vocab.id(gold),
-                   candidates=candidates)
+    return Example(document=doc, query=query, gold=vocab.id(answer),
+                   candidates=[vocab.id(t) for t in cand_tokens])
 
 
 def _gen_one(cfg: SynthConfig, pool: list[str], rels: list[str],
@@ -211,13 +208,18 @@ def _gen_one(cfg: SynthConfig, pool: list[str], rels: list[str],
             continue
         order = rng.permutation(len(facts))
         facts = [facts[int(i)] for i in order]
-        if length == 1:
-            q_rel = chain_rels[0]
-        else:
-            q_rel = "+".join(chain_rels)
-            vocab.add(q_rel)
-        query_tokens = [ents[0], q_rel, PLACEHOLDER]
-        return _render_example(facts, query_tokens, ents[-1], vocab)
+        doc_tokens: list[str] = []
+        for a, r, b in facts:
+            doc_tokens.extend([a, r, b, PERIOD])
+        seen: list[str] = []
+        for a, _, b in facts:
+            for e in (a, b):
+                if e not in seen:
+                    seen.append(e)
+        # the query names the chain's relations as one token: "r1", "r1+r3"
+        return make_example(vocab, doc_tokens,
+                            [ents[0], "+".join(chain_rels), PLACEHOLDER],
+                            seen, ents[-1], "synthetic example")
     raise ConfigError("could not sample a solvable example; config too tight")
 
 
@@ -231,7 +233,6 @@ def generate_splits(cfg: SynthConfig) -> tuple[Dataset, Dataset, Dataset]:
     for r in rels:
         vocab.add(r)
     for e in entities:
-        vocab.add(e)
         vocab.register_answer(e)
     order = rng.permutation(cfg.n_entities)
     entities = [entities[int(i)] for i in order]
@@ -284,29 +285,9 @@ def load_canonical(path, vocab: Vocab | None = None,
                 if key not in record:
                     raise ParseError(f"{path}:{lineno}: missing field "
                                      f"{key!r}")
-            query_tokens = record["query"]
-            if query_tokens.count(PLACEHOLDER) != 1:
-                raise DataError(f"{path}:{lineno}: query must contain exactly "
-                                f"one {PLACEHOLDER!r} token")
-            if not record["candidates"]:
-                raise DataError(f"{path}:{lineno}: empty candidate list")
-            if record["answer"] not in record["candidates"]:
-                raise DataError(f"{path}:{lineno}: answer "
-                                f"{record['answer']!r} not in candidates")
-            candidates = [vocab.id(t) if t in vocab.token2id else vocab.add(t)
-                          for t in record["candidates"]]
-            for t in record["candidates"]:
-                vocab.register_answer(t)
-            doc = Document(
-                symbols=[vocab.add(t) for t in record["document"]],
-                raw_tokens=list(record["document"]))
-            query = Document(
-                symbols=[vocab.add(t) for t in query_tokens],
-                raw_tokens=list(query_tokens),
-                placeholder_pos=query_tokens.index(PLACEHOLDER) + 1)
-            examples.append(Example(document=doc, query=query,
-                                    gold=vocab.id(record["answer"]),
-                                    candidates=candidates))
+            examples.append(make_example(
+                vocab, record["document"], record["query"],
+                record["candidates"], record["answer"], f"{path}:{lineno}"))
     return Dataset(name=name, examples=examples, vocab=vocab)
 
 
@@ -325,7 +306,6 @@ def load_cbt(path, vocab: Vocab | None = None, name: str = "cbt") -> Dataset:
     blocks = [b for b in content.split("\n\n") if b.strip()]
     if not blocks:
         warnings.warn(f"{path}: no passages found, returning empty dataset")
-        return Dataset(name=name, examples=examples, vocab=vocab)
     for pidx, block in enumerate(blocks):
         lines = [ln for ln in block.splitlines() if ln.strip()]
         if len(lines) != 21:
@@ -348,25 +328,10 @@ def load_cbt(path, vocab: Vocab | None = None, name: str = "cbt") -> Dataset:
             raise DataError(f"{path}: passage {pidx}: missing answer or "
                             f"candidate fields")
         answer, cand_field = fields[0], fields[-1]
-        cand_tokens = [c for c in cand_field.split("|") if c]
-        if not cand_tokens:
-            raise DataError(f"{path}: passage {pidx}: empty candidate list")
-        if answer not in cand_tokens:
-            raise DataError(f"{path}: passage {pidx}: answer {answer!r} not "
-                            f"among candidates")
         query_tokens = [PLACEHOLDER if t == CBT_PLACEHOLDER else t
                         for t in cloze.split()]
-        if query_tokens.count(PLACEHOLDER) != 1:
-            raise DataError(f"{path}: passage {pidx}: cloze sentence must "
-                            f"contain exactly one {CBT_PLACEHOLDER} token")
-        candidates = [vocab.add(t) for t in cand_tokens]
-        for t in cand_tokens:
-            vocab.register_answer(t)
-        doc = Document(symbols=[vocab.add(t) for t in doc_tokens],
-                       raw_tokens=doc_tokens)
-        query = Document(symbols=[vocab.add(t) for t in query_tokens],
-                         raw_tokens=query_tokens,
-                         placeholder_pos=query_tokens.index(PLACEHOLDER) + 1)
-        examples.append(Example(document=doc, query=query,
-                                gold=vocab.id(answer), candidates=candidates))
+        examples.append(make_example(
+            vocab, doc_tokens, query_tokens,
+            [c for c in cand_field.split("|") if c], answer,
+            f"{path}: passage {pidx}"))
     return Dataset(name=name, examples=examples, vocab=vocab)

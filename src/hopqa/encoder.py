@@ -192,17 +192,15 @@ def bigru_encode(embedded: Tensor, fwd_params: GRUParams,
                          bwd=gru_sequence(embedded, bwd_params, reverse=True))
 
 
-def embed_sequence(doc: Document, e_i: Tensor, dropout_rate: float,
-                   mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Look up input embeddings; in train mode apply inverted dropout."""
+def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
+                   rng: np.random.Generator | None = None) -> Tensor:
+    """Look up input embeddings; a positive rate applies inverted dropout."""
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigError(f"dropout rate {dropout_rate} not in [0, 1)")
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    emb = ag.gather_rows(e_i, doc.symbols)
-    if mode == "train" and dropout_rate > 0.0:
+    emb = ag.gather_rows(e_i, symbols)
+    if dropout_rate > 0.0:
         if rng is None:
-            raise ConfigError("train-mode dropout requires an rng")
+            raise ConfigError("dropout requires an rng")
         keep = (rng.random(emb.data.shape) >= dropout_rate)
         mask = keep.astype(emb.data.dtype) / (1.0 - dropout_rate)
         emb = ag.mul(emb, ag.constant(mask))

@@ -166,7 +166,7 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
 
 
 def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
-                 mode: str = "eval", dropout_rate: float = 0.0,
+                 dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None,
                  ablate_query_gate: bool = False,
                  force_answer_gate: float | None = None) -> HopRunResult:
@@ -179,7 +179,7 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
     """
     support = build_support(
         example, params, sep_id=vocab.sep_id, answer_row=vocab.answer_row,
-        dropout_rate=dropout_rate, mode=mode, rng=rng)
+        dropout_rate=dropout_rate, rng=rng)
     z_mat, y_i_mat, y_o_mat = stacked(support)
     cand_mat = ag.gather_rows(
         params.E_o, [vocab.answer_row(c) for c in example.candidates])

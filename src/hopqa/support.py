@@ -29,7 +29,6 @@ class SupportSet:
     `spans[k]`, whose answer is `answer_symbols[k]`."""
     spans: list[Span]
     answer_symbols: list[int]
-    candidates: list[int]
     z: Tensor  # (M, h) span queries
     y_i: Tensor  # (M, h) input embeddings of the answers
     y_o: Tensor  # (M, answer_dim) output embeddings of the answers
@@ -62,7 +61,7 @@ def extract_sois(doc: Document, candidates) -> list[Span]:
 
 
 def build_support(example: Example, params: ModelParams, *, sep_id: int,
-                  answer_row, dropout_rate: float = 0.0, mode: str = "eval",
+                  answer_row, dropout_rate: float = 0.0,
                   rng: np.random.Generator | None = None) -> SupportSet:
     """Encode document + separator + query once; build the support matrices
     and the initial query vector.
@@ -70,11 +69,8 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
     `answer_row` maps a vocab id to its row in the answer-symbol table.
     """
     doc, query = example.document, example.query
-    full = Document(
-        symbols=doc.symbols + [sep_id] + query.symbols,
-        raw_tokens=doc.raw_tokens + ["@sep"] + query.raw_tokens,
-    )
-    emb = embed_sequence(full, params.E_i, dropout_rate, mode, rng)
+    emb = embed_sequence(doc.symbols + [sep_id] + query.symbols, params.E_i,
+                         dropout_rate, rng)
     states = bigru_encode(emb, params.gru_f, params.gru_b)
 
     spans = extract_sois(doc, example.candidates)
@@ -84,7 +80,6 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
     zq = encode_span_queries(states, spans + [Span(q_pos, q_pos)], params.W_q)
     return SupportSet(
         spans=spans, answer_symbols=syms,
-        candidates=list(example.candidates),
         z=ag.gather_rows(zq, range(m)),
         y_i=ag.gather_rows(params.E_i, syms),
         y_o=ag.gather_rows(params.E_o, [answer_row(s) for s in syms]),

@@ -17,7 +17,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Vocab
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError
 from .hops import forward_pass
 # benches/tracer.py patches the name train.init_params
 from .model import ModelParams, init_params, make_params
@@ -99,8 +99,7 @@ class EvalResult:
 
 
 def evaluate(params: ModelParams, dataset: Dataset, hops: int,
-             max_examples: int = 0,
-             ablate_query_gate: bool = False) -> EvalResult:
+             max_examples: int = 0) -> EvalResult:
     """Deterministic accuracy (dropout off) on the first `max_examples`
     examples, or on all of them when it is 0."""
     if max_examples < 0:
@@ -112,8 +111,7 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
     preds = []
     correct = 0
     for ex in examples:
-        fr = forward_pass(ex, params, dataset.vocab, hops,
-                          ablate_query_gate=ablate_query_gate)
+        fr = forward_pass(ex, params, dataset.vocab, hops)
         sym = ex.candidates[fr.prediction]
         preds.append(sym)
         correct += int(sym == ex.gold)
@@ -122,12 +120,10 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
 
 
 def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
-                 mode: str = "eval", dropout: float = 0.0,
+                 dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
-    if example.gold not in example.candidates:
-        raise DataError("gold symbol missing from candidate set")
-    fr = forward_pass(example, params, vocab, hops, mode=mode,
-                      dropout_rate=dropout, rng=rng)
+    fr = forward_pass(example, params, vocab, hops, dropout_rate=dropout,
+                      rng=rng)
     return loss_from_scores(fr.scores, example.candidates.index(example.gold))
 
 
@@ -263,20 +259,16 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
             batch = [train_set.examples[int(i)]
                      for i in order[start:start + config.batch_size]]
             state.step += 1
-            grads = {n: np.zeros_like(p.data) for n, p in params.trainable()}
+            # frozen tensors too, so no gradient sum outlives its step
+            for _, p in params.named():
+                p.grad = np.zeros_like(p.data)
             for ex in batch:
                 loss = example_loss(ex, params, vocab, config.hops,
-                                    mode="train", dropout=config.dropout,
-                                    rng=rng)
-                ag.backward(loss)
-                for n, p in params.trainable():
-                    if p.grad is not None:  # e.g. query-update params at T=1
-                        grads[n] += p.grad
+                                    dropout=config.dropout, rng=rng)
+                ag.backward(loss, accumulate=True)
                 window[0] += float(loss.data)
                 window[1] += 1
-            for n in grads:
-                grads[n] /= len(batch)
-            opt.step(grads)
+            opt.step({n: p.grad / len(batch) for n, p in params.trainable()})
             if state.step % config.checkpoint_every == 0:
                 measure(at_epoch_boundary=False)
         state.epochs_run = epoch + 1

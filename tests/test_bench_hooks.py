@@ -1,9 +1,12 @@
 """The benchmark's tracer patches hopqa names where callers look them up.
 Entering and leaving its patch context here turns a renamed or deleted
-target into a failing test, not a benchmark whose every operation fails."""
+target into a failing test, not a benchmark whose every operation fails;
+one traced training example turns a changed signature into one too."""
 
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import hopqa.autograd as ag
 import hopqa.checkpoint as checkpoint
@@ -31,3 +34,19 @@ def test_tracer_patches_and_restores_every_target():
         during = [dict(vars(obj)) for obj in PATCHED]
     assert all(d != b for d, b in zip(during, before))
     assert [dict(vars(obj)) for obj in PATCHED] == before
+
+
+def test_traced_training_example_runs_clean():
+    tr, _, _ = data.generate_splits(data.SynthConfig(
+        chain_length=2, n_distractor_facts=2, n_examples=1, n_dev=1,
+        n_test=1, seed=0))
+    vocab = tr.vocab
+    params = model.init_params(4, vocab.size, vocab.n_answers,
+                               np.random.default_rng(0))
+    with tracer.Tracer({}).installed() as t:
+        loss = train.example_loss(tr.examples[0], params, vocab, 2,
+                                  dropout=0.2, rng=np.random.default_rng(1))
+        ag.backward(loss)
+    assert sum(t.errors.values()) == 0
+    assert {"encoder.embed_sequence", "support.build_support",
+            "hops.run_hops", "autograd.backward"} <= set(t.names)

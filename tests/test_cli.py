@@ -187,9 +187,49 @@ class TestEval:
                      "--data", str(workdir / "data" / "dev.jsonl"),
                      "--hop-sweep", "3..1"]) == 2
 
-    def test_missing_checkpoint_exit_1(self, workdir, capsys):
+    def test_missing_checkpoint_exit_2(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "nope.ckpt"),
-                     "--data", str(workdir / "data" / "dev.jsonl")]) == 1
+                     "--data", str(workdir / "data" / "dev.jsonl")]) == 2
+        assert "nope.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["text", "npz-without-header"])
+    def test_not_a_checkpoint_exit_2(self, workdir, tmp_path, capsys, kind):
+        ckpt = tmp_path / "bad.ckpt"
+        if kind == "text":
+            ckpt.write_text("not a checkpoint")
+        else:
+            with open(ckpt, "wb") as f:
+                np.savez(f, weights=np.zeros(3))
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workdir / "data" / "dev.jsonl")]) == 2
+        assert "bad.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("case", ["unseen-token", "new-candidate",
+                                      "no-examples"])
+    def test_input_checked_before_output(self, workdir, tmp_path, capsys,
+                                         command, case):
+        """A file the checkpoint has no embedding rows for, or one with
+        nothing to score, exits 2 before anything is printed."""
+        lines = (workdir / "data" / "dev.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        if case == "unseen-token":
+            record["document"] += ["zzz", "."]
+        elif case == "new-candidate":
+            record["candidates"].append(".")
+        data = tmp_path / "case.jsonl"
+        data.write_text("" if case == "no-examples"
+                        else json.dumps(record) + "\n")
+        argv = [command, "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                "--data", str(data)]
+        if command == "inspect":
+            argv += ["--example", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = {"unseen-token": "'zzz'", "new-candidate": "'.'",
+                "no-examples": "no examples"}[case]
+        assert want in captured.err
 
     def test_hops_with_hop_sweep_exit_2(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),

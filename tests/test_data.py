@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -323,7 +324,7 @@ class TestCbtAdapter:
 class TestVocab:
     def test_builtin_symbols(self):
         v = Vocab()
-        assert v.tokens[v.blank_id] == PLACEHOLDER
+        assert v.tokens == [PLACEHOLDER, "@sep"]
         assert v.tokens[v.sep_id] == "@sep"
 
     def test_answer_rows_are_dense(self):
@@ -346,3 +347,75 @@ class TestVocab:
         w = Vocab.from_dict(v.to_dict())
         assert v == w
         assert w.answer_row(w.id("world")) == 0
+
+    @pytest.mark.parametrize("tables", [
+        {"tokens": [PLACEHOLDER, "@sep", "a"], "answer_tokens": ["b"]},
+        {"tokens": [PLACEHOLDER, "@sep", "a", "a"], "answer_tokens": []},
+        {"tokens": ["@sep", PLACEHOLDER], "answer_tokens": []},
+    ])
+    def test_dict_rejects_inconsistent_tables(self, tables):
+        with pytest.raises(DataError):
+            Vocab.from_dict(tables)
+
+
+def input_digest(datasets) -> str:
+    """sha256 over what the input path produces: each dataset's vocab and
+    answer tables and, per example, symbols, raw tokens, placeholder
+    position, gold and candidates."""
+    h = hashlib.sha256()
+    for ds in datasets:
+        h.update(json.dumps([ds.vocab.tokens, ds.vocab.answer_tokens]).encode())
+        for ex in ds.examples:
+            h.update(json.dumps([
+                ex.document.symbols, ex.document.raw_tokens,
+                ex.query.symbols, ex.query.raw_tokens,
+                ex.query.placeholder_pos, ex.gold, ex.candidates]).encode())
+    return h.hexdigest()
+
+
+SYNTH_SHA256 = \
+    "4058ec8f39c35aa44450644a4c887b4f2c2547aac2fe72c07bbc8837ba3ff59a"
+CANONICAL_SHA256 = \
+    "1f86ed8cc16dc31b8a9928ba6d246f6955e83efd19fa6eeb17e2b58aed13c500"
+CBT_SHA256 = \
+    "84f3749858aaca11788c4e67ff81a03855f72295ca955acec189f9c8edc4dbd0"
+
+
+class TestInputPathPinned:
+    """Token ids, answer rows and example fields from all three readers,
+    pinned to digests recorded before the readers shared one example
+    constructor."""
+
+    def test_synthetic(self):
+        splits = generate_splits(SynthConfig(
+            chain_length=2, n_distractor_facts=3, n_examples=40, n_dev=10,
+            n_test=10, seed=5))
+        assert input_digest(splits) == SYNTH_SHA256
+
+    def test_canonical(self, tmp_path):
+        records = [
+            {"document": ["a", "likes", "b", ".", "b", "likes", "c", "."],
+             "query": ["a", "likes+likes", PLACEHOLDER],
+             "candidates": ["a", "b", "c"], "answer": "c"},
+            # a known non-answer token and an absent token as candidates
+            {"document": ["x", "knows", "likes", "."],
+             "query": [PLACEHOLDER, "knows", "likes"],
+             "candidates": ["likes", "x", "zz"], "answer": "zz"},
+            {"document": ["q", "w", "q"], "query": ["w", PLACEHOLDER],
+             "candidates": ["q", "q", "w"], "answer": "w"},
+        ]
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        first.write_text("".join(json.dumps(r) + "\n" for r in records))
+        second.write_text("".join(json.dumps(r) + "\n"
+                                  for r in reversed(records)))
+        a = load_canonical(first)
+        b = load_canonical(second, vocab=a.vocab)
+        c = load_canonical(second)
+        assert input_digest([a, b, c]) == CANONICAL_SHA256
+
+    def test_cbt(self, tmp_path):
+        path = tmp_path / "cbt.txt"
+        path.write_text(cbt_passage() + "\n\n" + cbt_passage(
+            answer="sun", cloze="The XXXXX rose over the sea .",
+            cands="sky|sun|filler|rose") + "\n")
+        assert input_digest([load_cbt(path)]) == CBT_SHA256

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hopqa import autograd as ag
-from hopqa.encoder import (Document, EncoderStates, Span, bigru_encode,
+from hopqa.encoder import (EncoderStates, Span, bigru_encode,
                            embed_sequence, encode_span_queries, gru_sequence,
                            gru_step, init_wq)
 from hopqa.exceptions import ConfigError
@@ -11,45 +11,39 @@ from hopqa.model import init_params
 from conftest import zero_gru
 
 
-def make_doc(ids):
-    return Document(symbols=list(ids), raw_tokens=[str(i) for i in ids])
-
-
 class TestEmbedSequence:
     def test_rate_zero_exact_lookup(self, rng):
         e = ag.param(rng.normal(size=(6, 3)))
-        doc = make_doc([1, 4, 2])
-        got = embed_sequence(doc, e, 0.0, "train", rng).data
+        got = embed_sequence([1, 4, 2], e, 0.0, rng).data
         assert np.array_equal(got, e.data[[1, 4, 2]])
 
-    def test_eval_mode_ignores_rate(self, rng):
+    def test_default_is_exact_lookup(self, rng):
         e = ag.param(rng.normal(size=(6, 3)))
-        doc = make_doc([0, 5])
-        got = embed_sequence(doc, e, 0.2, "eval").data
+        got = embed_sequence([0, 5], e).data
         assert np.array_equal(got, e.data[[0, 5]])
 
     def test_inverted_scaling_is_unbiased(self):
         rng = np.random.default_rng(42)
         e = ag.param(np.ones((1, 1)))
-        doc = make_doc([0])
         total = 0.0
         n = 100_000
         for _ in range(n):
-            total += embed_sequence(doc, e, 0.2, "train", rng).data.item()
+            total += embed_sequence([0], e, 0.2, rng).data.item()
         assert total / n == pytest.approx(1.0, abs=0.02)
 
     def test_bad_rate_rejected(self, rng):
-        doc = make_doc([0])
         e = ag.param(np.ones((1, 1)))
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                embed_sequence(doc, e, rate, "train", rng)
+                embed_sequence([0], e, rate, rng)
+        with pytest.raises(ConfigError, match="rng"):
+            embed_sequence([0], e, 0.2)
 
 
 class TestBigru:
     def test_single_token_uses_zero_initial_states(self, rng):
         params = init_params(4, 5, 2, rng)
-        emb = embed_sequence(make_doc([3]), params.E_i, 0.0, "eval")
+        emb = embed_sequence([3], params.E_i)
         states = bigru_encode(emb, params.gru_f, params.gru_b)
         assert states.n == 1
         assert np.array_equal(states.fwd.data[0], np.zeros(4))
@@ -79,13 +73,13 @@ class TestBigru:
     def test_gradients_match_finite_differences(self, rng):
         h, n = 4, 5
         params = init_params(h, 6, 2, rng)
-        doc = make_doc([1, 3, 5, 0, 2])
+        doc = [1, 3, 5, 0, 2]
         weight = rng.normal(size=h)
         gru_tensors = [t for _, t in params.gru_f.named("f")] + \
                       [t for _, t in params.gru_b.named("b")]
 
         def f():
-            emb = embed_sequence(doc, params.E_i, 0.0, "eval")
+            emb = embed_sequence(doc, params.E_i)
             states = bigru_encode(emb, params.gru_f, params.gru_b)
             return ag.dot(ag.take_row(states.fwd, n), ag.constant(weight))
 
@@ -96,7 +90,7 @@ class TestBigru:
         direction's weights and the embeddings get checked too."""
         h = 3
         params = init_params(h, 6, 2, rng)
-        doc = make_doc([1, 3, 5, 0, 2, 4])
+        doc = [1, 3, 5, 0, 2, 4]
         spans = [Span(3, 4), Span(1, 1), Span(2, 2), Span(6, 6)]
         weight = rng.normal(size=(len(spans), h))
         tensors = ([params.E_i, params.W_q]
@@ -104,7 +98,7 @@ class TestBigru:
                    + [t for _, t in params.gru_b.named("b")])
 
         def f():
-            emb = embed_sequence(doc, params.E_i, 0.0, "eval")
+            emb = embed_sequence(doc, params.E_i)
             states = bigru_encode(emb, params.gru_f, params.gru_b)
             z = encode_span_queries(states, spans, params.W_q)
             return ag.dot(ag.reshape(z, (-1,)),
@@ -161,7 +155,7 @@ class TestGruSequence:
 
     def test_one_node_per_direction(self, rng):
         params = init_params(3, 6, 2, rng)
-        emb = embed_sequence(make_doc([1, 2, 3, 4]), params.E_i, 0.0, "eval")
+        emb = embed_sequence([1, 2, 3, 4], params.E_i)
         states = bigru_encode(emb, params.gru_f, params.gru_b)
         assert states.fwd.parents[0] is emb
         assert states.bwd.parents[0] is emb
@@ -171,7 +165,7 @@ class TestGruSequence:
         """`fwd` row l is h^f_l; `bwd` row k is the state after k steps
         right-to-left, so h^b_l is row n+1-l, which span queries read."""
         params = init_params(3, 6, 2, rng)
-        emb = embed_sequence(make_doc([1, 2, 3]), params.E_i, 0.0, "eval")
+        emb = embed_sequence([1, 2, 3], params.E_i)
         states = bigru_encode(emb, params.gru_f, params.gru_b)
         fwd = step_chain(emb, params.gru_f, False)
         bwd = step_chain(emb, params.gru_b, True)
@@ -191,8 +185,7 @@ class TestGruSequence:
 
 def encoded(rng, n, h=3):
     params = init_params(h, 6, 2, rng)
-    emb = embed_sequence(make_doc(rng.integers(0, 6, size=n)), params.E_i,
-                         0.0, "eval")
+    emb = embed_sequence(list(rng.integers(0, 6, size=n)), params.E_i)
     return params, bigru_encode(emb, params.gru_f, params.gru_b)
 
 
