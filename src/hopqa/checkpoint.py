@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Vocab
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 # benches/tracer.py patches the name checkpoint.init_params
 from .model import ModelParams, init_params, make_params  # noqa: F401
 from .train import Adam, RunState, TrainConfig
@@ -71,18 +71,30 @@ def load_checkpoint(path) -> CheckpointBundle:
     if not isinstance(npz, np.lib.npyio.NpzFile) or "header" not in npz.files:
         raise DataError(f"{path} is not a checkpoint: no header array")
     with npz:
-        header = json.loads(str(npz["header"]))
+        try:
+            header = json.loads(str(npz["header"]))
+        except ValueError as e:
+            raise DataError(f"{path}: checkpoint header is not JSON: "
+                            f"{e}") from e
+        if not (isinstance(header, dict)
+                and {"version", "config", "vocab"} <= header.keys()):
+            raise DataError(f"{path}: checkpoint header lacks version, "
+                            f"config or vocab")
         if header["version"] != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version "
                             f"{header['version']}")
-        config = TrainConfig(**header["config"])
-        vocab = Vocab.from_dict(header["vocab"])
+        try:
+            config = TrainConfig(**header["config"])
+            vocab = Vocab.from_dict(header["vocab"])
+        except (TypeError, KeyError, ConfigError) as e:
+            raise DataError(f"{path}: bad checkpoint config or vocab: "
+                            f"{e}") from e
         params = make_params(
             {k[len("param/"):]: npz[k] for k in npz.files
              if k.startswith("param/")},
             config.h, vocab.size, vocab.n_answers, config.identity_eo)
         opt_state = None
-        if header["optimizer"] is not None:
+        if header.get("optimizer") is not None:
             opt_state = {
                 "t": header["optimizer"]["t"],
                 "lr": header["optimizer"]["lr"],
@@ -96,4 +108,4 @@ def load_checkpoint(path) -> CheckpointBundle:
             run = RunState.from_checkpoint(header["run"], npz)
     return CheckpointBundle(config=config, params=params, vocab=vocab,
                             optimizer_state=opt_state, run=run,
-                            meta=header["meta"])
+                            meta=header.get("meta", {}))

@@ -20,6 +20,7 @@ from .data import (Dataset, SynthConfig, generate_splits, load_canonical,
                    load_cbt, save_canonical)
 from .exceptions import ConfigError, DataError, ParseError
 from .hops import forward_pass
+from .support import extract_sois
 from .train import TrainConfig, evaluate, train
 
 
@@ -34,9 +35,12 @@ def _sha256(path) -> str:
 def _read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def cmd_gen(args) -> int:
@@ -195,6 +199,7 @@ def cmd_inspect(args) -> int:
     hops = args.hops or bundle.config.hops
     vocab = dataset.vocab
     fr = forward_pass(ex, bundle.params, vocab, hops)
+    positions = extract_sois(ex.document, ex.candidates)
     predicted = vocab.tokens[ex.candidates[fr.prediction]]
     gates = ", ".join(f"{t.g_a:.3f}" for t in fr.traces)
     print(f"example {args.example}: gold={vocab.tokens[ex.gold]} "
@@ -202,8 +207,8 @@ def cmd_inspect(args) -> int:
     for t in fr.traces:
         tops = np.argsort(t.alpha)[::-1][:5]
         desc = "  ".join(
-            f"{vocab.tokens[ex.document.symbols[t.spans[i][0] - 1]]}"
-            f"@{t.spans[i][0]}:{t.alpha[i]:.3f}" for i in tops)
+            f"{vocab.tokens[ex.document.symbols[positions[i] - 1]]}"
+            f"@{positions[i]}:{t.alpha[i]:.3f}" for i in tops)
         print(f"  hop {t.hop}: eta={t.eta:.3f} g_a={t.g_a:.3f} "
               f"g_q_mean={t.g_q_mean:.3f}  {desc}")
     if args.ablate_query_gate:
@@ -214,8 +219,12 @@ def cmd_inspect(args) -> int:
               f"(original {predicted})")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
+            # the trace format keeps one [l, l] span per support row
             for t in fr.traces:
-                f.write(json.dumps(t.to_record()) + "\n")
+                f.write(json.dumps({
+                    "hop": t.hop, "alpha": [float(a) for a in t.alpha],
+                    "spans": [[l, l] for l in positions], "g_a": t.g_a,
+                    "eta": t.eta, "g_q_mean": t.g_q_mean}) + "\n")
         print(f"trace written to {args.out}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,6 +101,18 @@ class Dataset:
     vocab: Vocab
 
 
+def check_field_types(config) -> None:
+    """Reject a config field whose value does not match its annotation: an
+    int field takes an int, a float field an int or a float, a bool field a
+    bool, and a bool is never taken as a number."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kinds = {"int": int, "float": (int, float), "bool": bool}[f.type]
+        if not isinstance(value, kinds) or (isinstance(value, bool)
+                                            and f.type != "bool"):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass
 class SynthConfig:
     n_entities: int = 20
@@ -113,6 +125,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.chain_length not in (1, 2, 3):
             raise ConfigError(f"chain_length must be 1, 2 or 3, got "
                               f"{self.chain_length}")
@@ -281,10 +294,20 @@ def load_canonical(path, vocab: Vocab | None = None,
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if not isinstance(record, dict):
+                raise ParseError(f"{path}:{lineno}: record is not an object")
             for key in ("document", "query", "candidates", "answer"):
                 if key not in record:
                     raise ParseError(f"{path}:{lineno}: missing field "
                                      f"{key!r}")
+            for key in ("document", "query", "candidates"):
+                if not (isinstance(record[key], list)
+                        and all(isinstance(t, str) for t in record[key])):
+                    raise ParseError(f"{path}:{lineno}: field {key!r} must "
+                                     f"be a list of strings")
+            if not isinstance(record["answer"], str):
+                raise ParseError(f"{path}:{lineno}: field 'answer' must be "
+                                 f"a string")
             examples.append(make_example(
                 vocab, record["document"], record["query"],
                 record["candidates"], record["answer"], f"{path}:{lineno}"))

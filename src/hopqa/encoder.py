@@ -1,8 +1,8 @@
-"""Embedding, bi-directional GRU encoding, and span-contextual query vectors.
+"""Embedding, bi-directional GRU encoding, and contextual query vectors.
 
-A span's query vector is built from the forward state just left of the span
-and the backward state just right of it, projected by a matrix initialized to
-near-[I; I] so it starts out as (roughly) the sum of the two boundary states.
+A token's query vector is built from the forward state just left of it and
+the backward state just right of it, projected by a matrix initialized to
+near-[I; I] so it starts out as (roughly) the sum of those two states.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ class Document:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
-class Span:
-    """1-based inclusive span [l_s, l_e]."""
-    l_s: int
-    l_e: int
-
-    def __post_init__(self):
-        if not 1 <= self.l_s <= self.l_e:
-            raise ValueError(f"invalid span ({self.l_s}, {self.l_e})")
-
-
 @dataclass
 class GRUParams:
     """One direction of the encoder. `b_z` is the update-gate bias."""
@@ -63,20 +52,6 @@ class GRUParams:
         for f in ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h",
                   "b_h"):
             yield f"{prefix}.{f}", getattr(self, f)
-
-
-@dataclass
-class EncoderStates:
-    """The two `(n+1, h)` state matrices of `gru_sequence`, each in its own
-    reading order. `fwd` row l is the forward state after position l (row 0
-    the zero initial state); `bwd` row n+1-l is the backward state after
-    reading position l right-to-left (row 0 the zero initial state)."""
-    fwd: Tensor
-    bwd: Tensor
-
-    @property
-    def n(self) -> int:
-        return self.fwd.data.shape[0] - 1
 
 
 # test reference for gru_sequence; benches/tracer.py patches encoder.gru_step
@@ -184,12 +159,17 @@ def gru_sequence(embedded: Tensor, p: GRUParams,
 
 
 def bigru_encode(embedded: Tensor, fwd_params: GRUParams,
-                 bwd_params: GRUParams) -> EncoderStates:
-    """Run both directions over an embedded sequence (one row per position)."""
+                 bwd_params: GRUParams) -> tuple[Tensor, Tensor]:
+    """Run both directions over an embedded sequence of n positions.
+
+    Returns `(h_f, h_b)`, two `(n+1, h)` state matrices in their own reading
+    order: `h_f` row l is the forward state after position l, `h_b` row n+1-l
+    the backward state after reading position l right-to-left; row 0 of each
+    is the zero initial state."""
     if embedded.data.shape[0] < 1:
         raise ValueError("cannot encode an empty sequence")
-    return EncoderStates(fwd=gru_sequence(embedded, fwd_params),
-                         bwd=gru_sequence(embedded, bwd_params, reverse=True))
+    return (gru_sequence(embedded, fwd_params),
+            gru_sequence(embedded, bwd_params, reverse=True))
 
 
 def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
@@ -207,22 +187,23 @@ def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
     return emb
 
 
-def encode_span_queries(states: EncoderStates, spans, w_q: Tensor) -> Tensor:
-    """Query vectors of many spans as one `(M, h)` tape node.
+def encode_span_queries(h_f: Tensor, h_b: Tensor, positions,
+                        w_q: Tensor) -> Tensor:
+    """Query vectors of many token positions as one `(M, h)` tape node.
 
-    Row k projects [h^f_{l_s-1}; h^b_{l_e+1}] of span k (outer context only)
-    by `w_q`. Spans that share a boundary read the same state row, so the
-    backward pass scatters with `np.add.at`.
+    `h_f`, `h_b` are the state matrices of `bigru_encode`. Row k projects
+    [h^f_{l-1}; h^b_{l+1}] of 1-based position l = positions[k] (outer context
+    only) by `w_q`. Positions that share a neighbour read the same state row,
+    so the backward pass scatters with `np.add.at`.
     """
-    n = states.n
-    for s in spans:
-        if s.l_e > n:
-            raise IndexError(f"span ({s.l_s}, {s.l_e}) exceeds sequence "
-                             f"length {n}")
-    h_f, h_b = states.fwd, states.bwd
+    n = h_f.data.shape[0] - 1
+    pos = np.asarray(positions, dtype=np.intp)
+    bad = pos[(pos < 1) | (pos > n)]
+    if bad.size:
+        raise IndexError(f"position {bad[0]} outside [1, {n}]")
     h = h_f.data.shape[1]
-    fi = np.fromiter((s.l_s - 1 for s in spans), dtype=np.intp)
-    bi = np.fromiter((n - s.l_e for s in spans), dtype=np.intp)
+    fi = pos - 1
+    bi = n - pos
     outer = np.concatenate((h_f.data[fi], h_b.data[bi]), axis=1)
     out = Tensor(outer @ w_q.data.T, parents=(h_f, h_b, w_q))
 

@@ -32,21 +32,10 @@ class Retrieved:
 @dataclass
 class HopTrace:
     hop: int
-    alpha: np.ndarray
-    spans: tuple[tuple[int, int], ...]  # one per support pair, shared by hops
+    alpha: np.ndarray  # one weight per support pair
     g_a: float
     eta: float
     g_q_mean: float
-
-    def to_record(self) -> dict:
-        return {
-            "hop": self.hop,
-            "alpha": [float(a) for a in self.alpha],
-            "spans": [[s, e] for s, e in self.spans],
-            "g_a": self.g_a,
-            "eta": self.eta,
-            "g_q_mean": self.g_q_mean,
-        }
 
 
 def retrieve(q: Tensor, z_mat: Tensor, y_i_mat: Tensor,
@@ -136,14 +125,11 @@ class HopRunResult:
 
 def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
              cand_mat: Tensor, params: ModelParams, hops: int, *,
-             spans: tuple[tuple[int, int], ...] | None = None,
              ablate_query_gate: bool = False,
              force_answer_gate: float | None = None) -> HopRunResult:
     """The retrieval/update cycle from stacked support matrices."""
     if hops < 1:
         raise ValueError("need at least one hop")
-    if spans is None:
-        spans = ((0, 0),) * z_mat.data.shape[0]
     q = q0
     a0 = init_answer(q0, params, ablate_query_gate=ablate_query_gate)
     a = a0
@@ -158,7 +144,7 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
         a = update_answer(a, g_a, r.y_o_tilde)
         q, g_q = update_query(q, r, params)
         traces.append(HopTrace(
-            hop=t + 1, alpha=r.alpha.data.copy(), spans=spans,
+            hop=t + 1, alpha=r.alpha.data.copy(),
             g_a=float(g_a.data), eta=float(eta.data),
             g_q_mean=float(np.mean(g_q.data))))
     scores, probs = score_candidates(a, cand_mat)
@@ -168,8 +154,7 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
 def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
                  dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None,
-                 ablate_query_gate: bool = False,
-                 force_answer_gate: float | None = None) -> HopRunResult:
+                 ablate_query_gate: bool = False) -> HopRunResult:
     """Encode one example and run the full retrieval cycle. The predicted
     symbol is `example.candidates[result.prediction]`.
 
@@ -185,6 +170,4 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
         params.E_o, [vocab.answer_row(c) for c in example.candidates])
     return run_hops(
         support.query_z, z_mat, y_i_mat, y_o_mat, cand_mat, params, hops,
-        spans=tuple((s.l_s, s.l_e) for s in support.spans),
-        ablate_query_gate=ablate_query_gate,
-        force_answer_gate=force_answer_gate)
+        ablate_query_gate=ablate_query_gate)

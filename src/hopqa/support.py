@@ -1,11 +1,11 @@
-"""Spans-of-interest and construction of the supporting (z, y) memory.
+"""Candidate occurrences and construction of the supporting (z, y) memory.
 
 Each occurrence of an answer candidate in the document becomes one support
 pair: a cloze query built from the occurrence's outer context plus the
 occurrence itself as the answer. The document and the query are encoded in a
 single pass, joined by a separator symbol, so the support pairs and the
 encoded query share one bi-GRU run. The memory is held as matrices, one pair
-per row: all span queries come from one `encode_span_queries` node and each
+per row: all pair queries come from one `encode_span_queries` node and each
 answer-embedding matrix from one row gather.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import (Document, Span, bigru_encode, embed_sequence,
+from .encoder import (Document, bigru_encode, embed_sequence,
                       encode_span_queries)
 from .exceptions import EmptySupportError
 from .model import ModelParams
@@ -26,17 +26,16 @@ from .model import ModelParams
 @dataclass
 class SupportSet:
     """M support pairs as matrices: row k of `z`, `y_i` and `y_o` belongs to
-    `spans[k]`, whose answer is `answer_symbols[k]`."""
-    spans: list[Span]
-    answer_symbols: list[int]
-    z: Tensor  # (M, h) span queries
+    the candidate occurrence at document position `positions[k]`."""
+    positions: list[int]
+    z: Tensor  # (M, h) position queries
     y_i: Tensor  # (M, h) input embeddings of the answers
     y_o: Tensor  # (M, answer_dim) output embeddings of the answers
     query_z: Tensor
 
     @property
     def m(self) -> int:
-        return len(self.spans)
+        return len(self.positions)
 
 
 @dataclass
@@ -53,11 +52,10 @@ class Example:
             raise ValueError("query has no placeholder position")
 
 
-def extract_sois(doc: Document, candidates) -> list[Span]:
-    """One single-token span per candidate occurrence, in document order."""
+def extract_sois(doc: Document, candidates) -> list[int]:
+    """1-based positions of the candidate occurrences, in document order."""
     cand = set(candidates)
-    return [Span(l, l) for l, sym in enumerate(doc.symbols, start=1)
-            if sym in cand]
+    return [l for l, sym in enumerate(doc.symbols, start=1) if sym in cand]
 
 
 def build_support(example: Example, params: ModelParams, *, sep_id: int,
@@ -71,15 +69,15 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
     doc, query = example.document, example.query
     emb = embed_sequence(doc.symbols + [sep_id] + query.symbols, params.E_i,
                          dropout_rate, rng)
-    states = bigru_encode(emb, params.gru_f, params.gru_b)
+    h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
 
-    spans = extract_sois(doc, example.candidates)
-    syms = [doc.symbols[s.l_s - 1] for s in spans]
+    positions = extract_sois(doc, example.candidates)
+    syms = [doc.symbols[l - 1] for l in positions]
     q_pos = len(doc) + 1 + query.placeholder_pos
-    m = len(spans)
-    zq = encode_span_queries(states, spans + [Span(q_pos, q_pos)], params.W_q)
+    m = len(positions)
+    zq = encode_span_queries(h_f, h_b, positions + [q_pos], params.W_q)
     return SupportSet(
-        spans=spans, answer_symbols=syms,
+        positions=positions,
         z=ag.gather_rows(zq, range(m)),
         y_i=ag.gather_rows(params.E_i, syms),
         y_o=ag.gather_rows(params.E_o, [answer_row(s) for s in syms]),

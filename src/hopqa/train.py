@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import Dataset, Vocab
+from .data import Dataset, Vocab, check_field_types
 from .exceptions import ConfigError
 from .hops import forward_pass
 # benches/tracer.py patches the name train.init_params
@@ -38,6 +38,7 @@ class TrainConfig:
     dev_subsample: int = 0  # 0 = evaluate the full dev set
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("h", "hops", "batch_size", "checkpoint_every",
                      "max_epochs"):
             if getattr(self, name) < 1:

@@ -43,10 +43,13 @@ def test_traced_training_example_runs_clean():
     vocab = tr.vocab
     params = model.init_params(4, vocab.size, vocab.n_answers,
                                np.random.default_rng(0))
+    ex = tr.examples[0]
     with tracer.Tracer({}).installed() as t:
-        loss = train.example_loss(tr.examples[0], params, vocab, 2,
+        loss = train.example_loss(ex, params, vocab, 2,
                                   dropout=0.2, rng=np.random.default_rng(1))
         ag.backward(loss)
     assert sum(t.errors.values()) == 0
+    occurrences = sum(s in ex.candidates for s in ex.document.symbols)
+    assert t.counts["support_pairs"] == occurrences > 0
     assert {"encoder.embed_sequence", "support.build_support",
             "hops.run_hops", "autograd.backward"} <= set(t.names)

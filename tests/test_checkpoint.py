@@ -127,6 +127,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_optional_header_keys(self, tiny, tmp_path):
+        """Only version, config and vocab are required; a header without
+        optimizer, run or meta loads as a checkpoint with none of them."""
+        config, params, vocab, _ = make_state(tiny, with_opt=False)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, config=config, params=params, vocab=vocab)
+        arrays = dict(np.load(path, allow_pickle=False))
+        header = json.loads(str(arrays["header"]))
+        for key in ("optimizer", "run", "meta"):
+            del header[key]
+        arrays["header"] = np.array(json.dumps(header))
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        bundle = load_checkpoint(path)
+        assert (bundle.optimizer_state, bundle.run, bundle.meta) == \
+            (None, None, {})
+        assert bundle.config == config and bundle.vocab == vocab
+
     def test_resume_requires_optimizer(self, tiny, tmp_path):
         tr, dev, _ = tiny
         config, params, vocab, _ = make_state(tiny, with_opt=False)

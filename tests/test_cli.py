@@ -85,6 +85,23 @@ class TestGen:
         assert main(["gen", "--config", gen_cfg,
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("field,value", [("n_examples", 3.5),
+                                             ("seed", "1"), ("n_dev", True)])
+    def test_non_integer_config_value_exit_2(self, tmp_path, capsys, field,
+                                             value):
+        gen_cfg = write_json(tmp_path / "gen.json",
+                             dict(GEN_CFG, **{field: value}))
+        assert main(["gen", "--config", gen_cfg,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"error: {field} must be int" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_not_object_exit_2(self, tmp_path, capsys):
+        gen_cfg = write_json(tmp_path / "gen.json", [1, 2])
+        assert main(["gen", "--config", gen_cfg, "--seed", "3",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_outputs_exist(self, workdir):
@@ -105,6 +122,20 @@ class TestTrain:
         assert main(["train", "--config", cfg,
                      "--data", str(workdir / "data"),
                      "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("h", 4.5, "int"), ("hops", 1.5, "int"), ("batch_size", "4", "int"),
+        ("max_epochs", True, "int"), ("identity_eo", "yes", "bool"),
+        ("lr0", "0.1", "float")])
+    def test_wrong_config_type_exit_2(self, workdir, tmp_path, capsys, field,
+                                      value, kind):
+        cfg = write_json(tmp_path / "bad.json",
+                         dict(TRAIN_CFG, **{field: value}))
+        assert main(["train", "--config", cfg,
+                     "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"error: {field} must be {kind}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_negative_dev_subsample_exit_2(self, workdir, tmp_path, capsys):
         assert main(["train", "--data", str(workdir / "data"),
@@ -203,6 +234,38 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt),
                      "--data", str(workdir / "data" / "dev.jsonl")]) == 2
         assert "bad.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["not-json", "not-object", "no-version",
+                                      "no-config", "no-vocab", "float-h",
+                                      "bad-vocab"])
+    def test_bad_checkpoint_header_exit_2(self, workdir, tmp_path, capsys,
+                                          case):
+        """A header that is not JSON, lacks a required key or holds a bad
+        config exits 2 naming the checkpoint, before any output."""
+        with np.load(workdir / "run" / "best.ckpt") as npz:
+            arrays = dict(npz)
+        rec = json.loads(str(arrays["header"]))
+        if case.startswith("no-"):
+            del rec[case[3:]]
+        if case == "float-h":
+            rec["config"]["h"] = 4.5
+        if case == "bad-vocab":
+            rec["vocab"] = {}
+        header = {"not-json": "{not json",
+                  "not-object": json.dumps(list(rec))}.get(case)
+        arrays["header"] = np.array(header or json.dumps(rec))
+        ckpt = tmp_path / "bad.ckpt"
+        with open(ckpt, "wb") as f:
+            np.savez(f, **arrays)
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workdir / "data" / "dev.jsonl")]) == 2
+        want = {"not-json": "checkpoint header is not JSON",
+                "float-h": "bad checkpoint config or vocab: h must be int",
+                "bad-vocab": "bad checkpoint config or vocab: 'tokens'"}.get(
+                    case, "checkpoint header lacks version, config or vocab")
+        captured = capsys.readouterr()
+        assert f"error: {ckpt}: {want}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     @pytest.mark.parametrize("case", ["unseen-token", "new-candidate",

@@ -56,6 +56,13 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(n_distractor_facts=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_examples", 3.5), ("n_entities", 20.0), ("chain_length", True),
+        ("seed", "0"), ("n_distractor_facts", None)])
+    def test_non_integer_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be int"):
+            SynthConfig(**{field: value})
+
 
 @pytest.fixture(scope="module")
 def small_splits():
@@ -272,6 +279,27 @@ class TestCanonicalValidation:
     def test_empty_candidates(self, tmp_path):
         path = self.write(tmp_path, [self.good_record(candidates=[])])
         with pytest.raises(DataError):
+            load_canonical(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("document", "a r b ."), ("document", ["a", 3, "b", "."]),
+        ("query", "a r " + PLACEHOLDER), ("candidates", "ab"),
+        ("candidates", ["a", ["b"]]), ("answer", ["b"]), ("answer", None)],
+        ids=["document-str", "document-int-token", "query-str",
+             "candidates-str", "candidates-nested", "answer-list",
+             "answer-null"])
+    def test_field_types(self, tmp_path, field, value):
+        """A string in place of a token list would load as characters."""
+        kind = "a string" if field == "answer" else "a list of strings"
+        path = self.write(tmp_path, [self.good_record(),
+                                     self.good_record(**{field: value})])
+        with pytest.raises(ParseError, match=rf"bad\.jsonl:2: field "
+                           rf"'{field}' must be {kind}"):
+            load_canonical(path)
+
+    def test_record_must_be_object(self, tmp_path):
+        path = self.write(tmp_path, ["[1, 2]"])
+        with pytest.raises(ParseError, match=r"bad\.jsonl:1: record is not"):
             load_canonical(path)
 
     def test_blank_lines_skipped(self, tmp_path):

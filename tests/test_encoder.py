@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hopqa import autograd as ag
-from hopqa.encoder import (EncoderStates, Span, bigru_encode,
-                           embed_sequence, encode_span_queries, gru_sequence,
-                           gru_step, init_wq)
+from hopqa.encoder import (bigru_encode, embed_sequence, encode_span_queries,
+                           gru_sequence, gru_step, init_wq)
 from hopqa.exceptions import ConfigError
 from hopqa.model import init_params
 
@@ -44,21 +43,21 @@ class TestBigru:
     def test_single_token_uses_zero_initial_states(self, rng):
         params = init_params(4, 5, 2, rng)
         emb = embed_sequence([3], params.E_i)
-        states = bigru_encode(emb, params.gru_f, params.gru_b)
-        assert states.n == 1
-        assert np.array_equal(states.fwd.data[0], np.zeros(4))
-        assert np.array_equal(states.bwd.data[0], np.zeros(4))
-        assert np.all(np.isfinite(states.fwd.data[1]))
+        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
+        assert h_f.data.shape == h_b.data.shape == (2, 4)
+        assert np.array_equal(h_f.data[0], np.zeros(4))
+        assert np.array_equal(h_b.data[0], np.zeros(4))
+        assert np.all(np.isfinite(h_f.data[1]))
 
     def test_zero_weights_update_bias_keeps_state_near_zero(self):
         h = 3
         gru = zero_gru(h)
         gru.b_z.data[...] = 1.0
         emb = ag.constant(np.ones((4, h)))
-        states = bigru_encode(emb, gru, zero_gru(h))
+        h_f, _ = bigru_encode(emb, gru, zero_gru(h))
         # update gate sigmoid(1) ~ 0.73 keeps the zero state; candidate is 0
         for l in range(1, 5):
-            assert np.allclose(states.fwd.data[l], 0.0)
+            assert np.allclose(h_f.data[l], 0.0)
 
     def test_hand_evaluated_single_step(self):
         # one token, all weights zero except candidate input path W_h = I
@@ -66,9 +65,9 @@ class TestBigru:
         gru = zero_gru(h)
         gru.W_h.data[...] = np.eye(h)
         x = np.array([[0.5, -1.0]])
-        states = bigru_encode(ag.constant(x), gru, zero_gru(h))
+        h_f, _ = bigru_encode(ag.constant(x), gru, zero_gru(h))
         # z = sigmoid(0) = 0.5, r = 0.5, c = tanh(x), h = 0.5*tanh(x)
-        assert np.allclose(states.fwd.data[1], 0.5 * np.tanh(x[0]))
+        assert np.allclose(h_f.data[1], 0.5 * np.tanh(x[0]))
 
     def test_gradients_match_finite_differences(self, rng):
         h, n = 4, 5
@@ -80,27 +79,28 @@ class TestBigru:
 
         def f():
             emb = embed_sequence(doc, params.E_i)
-            states = bigru_encode(emb, params.gru_f, params.gru_b)
-            return ag.dot(ag.take_row(states.fwd, n), ag.constant(weight))
+            h_f, _ = bigru_encode(emb, params.gru_f, params.gru_b)
+            return ag.dot(ag.take_row(h_f, n), ag.constant(weight))
 
         assert ag.grad_check(f, gru_tensors, eps=1e-4) < 1e-5
 
     def test_span_query_gradients_reach_both_directions(self, rng):
-        """A span query mixes h^f_{l_s-1} and h^b_{l_e+1}, so the backward
-        direction's weights and the embeddings get checked too."""
+        """A position's query mixes h^f_{l-1} and h^b_{l+1}, so the backward
+        direction's weights and the embeddings get checked too. Position 2
+        appears twice, so its rows scatter twice."""
         h = 3
         params = init_params(h, 6, 2, rng)
         doc = [1, 3, 5, 0, 2, 4]
-        spans = [Span(3, 4), Span(1, 1), Span(2, 2), Span(6, 6)]
-        weight = rng.normal(size=(len(spans), h))
+        positions = [4, 1, 2, 6, 2]
+        weight = rng.normal(size=(len(positions), h))
         tensors = ([params.E_i, params.W_q]
                    + [t for _, t in params.gru_f.named("f")]
                    + [t for _, t in params.gru_b.named("b")])
 
         def f():
             emb = embed_sequence(doc, params.E_i)
-            states = bigru_encode(emb, params.gru_f, params.gru_b)
-            z = encode_span_queries(states, spans, params.W_q)
+            h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
+            z = encode_span_queries(h_f, h_b, positions, params.W_q)
             return ag.dot(ag.reshape(z, (-1,)),
                           ag.constant(weight.reshape(-1)))
 
@@ -156,103 +156,105 @@ class TestGruSequence:
     def test_one_node_per_direction(self, rng):
         params = init_params(3, 6, 2, rng)
         emb = embed_sequence([1, 2, 3, 4], params.E_i)
-        states = bigru_encode(emb, params.gru_f, params.gru_b)
-        assert states.fwd.parents[0] is emb
-        assert states.bwd.parents[0] is emb
-        assert states.fwd.data.shape == states.bwd.data.shape == (5, 3)
+        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
+        assert h_f.parents[0] is emb
+        assert h_b.parents[0] is emb
+        assert h_f.data.shape == h_b.data.shape == (5, 3)
 
     def test_rows_follow_list_indexing(self, rng):
-        """`fwd` row l is h^f_l; `bwd` row k is the state after k steps
-        right-to-left, so h^b_l is row n+1-l, which span queries read."""
+        """`h_f` row l is h^f_l; `h_b` row k is the state after k steps
+        right-to-left, so h^b_l is row n+1-l, which position queries read."""
         params = init_params(3, 6, 2, rng)
         emb = embed_sequence([1, 2, 3], params.E_i)
-        states = bigru_encode(emb, params.gru_f, params.gru_b)
+        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
         fwd = step_chain(emb, params.gru_f, False)
         bwd = step_chain(emb, params.gru_b, True)
-        assert states.n == 3
+        assert h_f.data.shape[0] == 4
         for k in range(4):
-            assert np.allclose(states.fwd.data[k], fwd[k].data)
-            assert np.allclose(states.bwd.data[k], bwd[k].data)
+            assert np.allclose(h_f.data[k], fwd[k].data)
+            assert np.allclose(h_b.data[k], bwd[k].data)
         eye, zero = np.eye(3), np.zeros((3, 3))
         read_fwd = ag.param(np.concatenate([eye, zero], axis=1))
         read_bwd = ag.param(np.concatenate([zero, eye], axis=1))
         for l in range(1, 4):
-            z_f = encode_span_queries(states, [Span(l, 3)], read_fwd)
+            z_f = encode_span_queries(h_f, h_b, [l], read_fwd)
             assert np.allclose(z_f.data[0], fwd[l - 1].data)  # h^f_{l-1}
-            z_b = encode_span_queries(states, [Span(1, l)], read_bwd)
+            z_b = encode_span_queries(h_f, h_b, [l], read_bwd)
             assert np.allclose(z_b.data[0], bwd[3 - l].data)  # h^b_{l+1}
 
 
 def encoded(rng, n, h=3):
     params = init_params(h, 6, 2, rng)
     emb = embed_sequence(list(rng.integers(0, 6, size=n)), params.E_i)
-    return params, bigru_encode(emb, params.gru_f, params.gru_b)
+    return (params, *bigru_encode(emb, params.gru_f, params.gru_b))
 
 
 class TestSpanQuery:
     def test_identity_projection_sums_boundary_states(self, rng):
-        params, states = encoded(rng, 4)
+        params, h_f, h_b = encoded(rng, 4)
         params.W_q.data[...] = np.concatenate([np.eye(3), np.eye(3)], axis=1)
-        z = encode_span_queries(states, [Span(2, 3), Span(1, 1)], params.W_q)
-        assert np.allclose(z.data[0], states.fwd.data[1] + states.bwd.data[1])
-        assert np.allclose(z.data[1], states.fwd.data[0] + states.bwd.data[3])
+        z = encode_span_queries(h_f, h_b, [2, 1], params.W_q)
+        assert np.allclose(z.data[0], h_f.data[1] + h_b.data[2])
+        assert np.allclose(z.data[1], h_f.data[0] + h_b.data[3])
 
     def test_whole_document_span_is_zero(self, rng):
-        params, states = encoded(rng, 3)
-        z = encode_span_queries(states, [Span(1, 3)], params.W_q)
-        assert np.allclose(z.data, 0.0)
+        """The only position of a one-token sequence reads both zero initial
+        states."""
+        params, h_f, h_b = encoded(rng, 1)
+        z = encode_span_queries(h_f, h_b, [1], params.W_q)
+        assert np.array_equal(z.data, np.zeros((1, 3)))
 
     def test_out_of_range_span(self, rng):
-        params, states = encoded(rng, 2)
-        with pytest.raises(IndexError, match=r"span \(1, 3\)"):
-            encode_span_queries(states, [Span(1, 1), Span(1, 3)], params.W_q)
+        params, h_f, h_b = encoded(rng, 2)
+        for bad in (3, 0, -1):
+            with pytest.raises(IndexError, match=rf"position {bad} outside"):
+                encode_span_queries(h_f, h_b, [1, bad], params.W_q)
 
     def test_reads_only_boundary_states(self, rng):
-        """Perturbing every state except h^f_{l_s-1} and h^b_{l_e+1} of each
-        span leaves the span queries unchanged."""
+        """Perturbing every state except h^f_{l-1} and h^b_{l+1} of each
+        position leaves the position queries unchanged."""
         h, n = 3, 6
         w_q = ag.param(rng.normal(size=(h, 2 * h)))
-        states = EncoderStates(fwd=ag.constant(rng.normal(size=(n + 1, h))),
-                               bwd=ag.constant(rng.normal(size=(n + 1, h))))
-        spans = [Span(2, 4), Span(5, 5)]
-        base = encode_span_queries(states, spans, w_q).data.copy()
-        read_f = {s.l_s - 1 for s in spans}
-        read_b = {n + 1 - (s.l_e + 1) for s in spans}
+        h_f = ag.constant(rng.normal(size=(n + 1, h)))
+        h_b = ag.constant(rng.normal(size=(n + 1, h)))
+        positions = [2, 5]
+        base = encode_span_queries(h_f, h_b, positions, w_q).data.copy()
+        read_f = {l - 1 for l in positions}
+        read_b = {n + 1 - (l + 1) for l in positions}
         for k in range(n + 1):
             if k not in read_f:
-                states.fwd.data[k] += rng.normal(size=h)
+                h_f.data[k] += rng.normal(size=h)
             if k not in read_b:
-                states.bwd.data[k] += rng.normal(size=h)
-        assert np.array_equal(encode_span_queries(states, spans, w_q).data,
-                              base)
-        states.fwd.data[1] += 1.0
-        assert not np.allclose(encode_span_queries(states, spans, w_q).data,
-                               base)
+                h_b.data[k] += rng.normal(size=h)
+        assert np.array_equal(
+            encode_span_queries(h_f, h_b, positions, w_q).data, base)
+        h_f.data[1] += 1.0
+        assert not np.allclose(
+            encode_span_queries(h_f, h_b, positions, w_q).data, base)
 
 
-def span_query_chain(states, spans, w_q):
-    """Reference: per span, one `take_row` for each boundary state, a
-    `concat` and a `matmul` by `w_q`; the rows stacked."""
-    n = states.n
+def span_query_chain(h_f, h_b, positions, w_q):
+    """Reference: per position, one `take_row` for each neighbouring state,
+    a `concat` and a `matmul` by `w_q`; the rows stacked."""
+    n = h_f.data.shape[0] - 1
 
     def bwd_at(l):  # h^b_l, read right-to-left
-        return ag.take_row(states.bwd, n + 1 - l)
+        return ag.take_row(h_b, n + 1 - l)
 
     return ag.stack_rows([
-        ag.matmul(w_q, ag.concat([ag.take_row(states.fwd, s.l_s - 1),
-                                  bwd_at(s.l_e + 1)]))
-        for s in spans])
+        ag.matmul(w_q, ag.concat([ag.take_row(h_f, l - 1), bwd_at(l + 1)]))
+        for l in positions])
 
 
-def boundary_sharing_spans(rng, m, n):
-    """`m` spans over `n` positions. The first three are adjacent and share
-    forward rows (l_s = 2) and backward rows (l_e = 3); the rest are random,
-    so at m = 30 rows repeat further."""
-    spans = [Span(2, 2), Span(3, 3), Span(2, 3)][:m]
-    while len(spans) < m:
-        l_s = int(rng.integers(1, n + 1))
-        spans.append(Span(l_s, int(rng.integers(l_s, n + 1))))
-    return spans
+def row_sharing_positions(rng, m, n):
+    """`m` positions over `n` tokens. The first three repeat position 2, so
+    two rows read the same forward and backward rows; at m = 30 every
+    position 1..n follows, so every addressable state row is read, and
+    random positions fill the rest."""
+    positions = ([2, 3, 2] + list(range(1, n + 1)))[:m]
+    while len(positions) < m:
+        positions.append(int(rng.integers(1, n + 1)))
+    return positions
 
 
 class TestSpanQueries:
@@ -261,12 +263,12 @@ class TestSpanQueries:
     def test_matches_per_span_chain(self, m, h):
         rng = np.random.default_rng(10 * m + h)
         n = 12
-        states = EncoderStates(fwd=ag.param(rng.normal(size=(n + 1, h))),
-                               bwd=ag.param(rng.normal(size=(n + 1, h))))
+        h_f = ag.param(rng.normal(size=(n + 1, h)))
+        h_b = ag.param(rng.normal(size=(n + 1, h)))
         w_q = ag.param(rng.normal(size=(h, 2 * h)))
-        spans = boundary_sharing_spans(rng, m, n)
+        positions = row_sharing_positions(rng, m, n)
         weights = ag.constant(rng.normal(size=m * h))
-        tensors = [states.fwd, states.bwd, w_q]
+        tensors = [h_f, h_b, w_q]
 
         def values_and_grads(z):
             ag.backward(ag.dot(ag.reshape(z, (-1,)), weights))
@@ -275,22 +277,28 @@ class TestSpanQueries:
                 t.grad = None
             return z.data, grads
 
-        want, want_g = values_and_grads(span_query_chain(states, spans, w_q))
-        got, got_g = values_and_grads(encode_span_queries(states, spans, w_q))
+        want, want_g = values_and_grads(
+            span_query_chain(h_f, h_b, positions, w_q))
+        got, got_g = values_and_grads(
+            encode_span_queries(h_f, h_b, positions, w_q))
         assert got.shape == (m, h)
+        if m == 30:  # rows 0..n-1 of each matrix are addressable
+            for g in got_g[:2]:
+                assert np.all(np.any(g[:n] != 0.0, axis=1))
+                assert not np.any(g[n])
         assert np.max(np.abs(got - want)) < 1e-12
         for t, g1, g2 in zip(("fwd", "bwd", "W_q"), got_g, want_g):
             assert np.max(np.abs(g1 - g2)) < 1e-10, t
 
     def test_one_node_for_all_spans(self, rng):
-        params, states = encoded(rng, 5)
-        z = encode_span_queries(states, [Span(l, l) for l in range(1, 6)],
-                                params.W_q)
-        assert z.parents == (states.fwd, states.bwd, params.W_q)
+        params, h_f, h_b = encoded(rng, 5)
+        z = encode_span_queries(h_f, h_b, range(1, 6), params.W_q)
+        assert z.parents == (h_f, h_b, params.W_q)
 
     def test_no_spans(self, rng):
-        params, states = encoded(rng, 3)
-        assert encode_span_queries(states, [], params.W_q).data.shape == (0, 3)
+        params, h_f, h_b = encoded(rng, 3)
+        z = encode_span_queries(h_f, h_b, [], params.W_q)
+        assert z.data.shape == (0, 3)
 
 
 class TestInitWq:

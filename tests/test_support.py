@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from hopqa import autograd as ag
-from hopqa.encoder import (Document, Span, bigru_encode, embed_sequence,
-                           encode_span_queries)
+from hopqa.data import SynthConfig, generate_splits
+from hopqa.encoder import Document, bigru_encode, encode_span_queries
 from hopqa.exceptions import EmptySupportError
+from hopqa.hops import run_hops
 from hopqa.model import init_params
 from hopqa.support import Example, build_support, extract_sois, stacked
 
@@ -31,6 +34,11 @@ def news_example():
                    candidates=cands)
 
 
+def occurrence_symbols(ex, sup):
+    """The answer symbol of each support row: the token at its position."""
+    return [ex.document.symbols[l - 1] for l in sup.positions]
+
+
 def answer_row(sym):
     # candidate symbols double as their own answer rows in these tests
     return {T2I["Ukraine"]: 0, T2I["Germany"]: 1}[sym]
@@ -39,8 +47,7 @@ def answer_row(sym):
 class TestExtractSois:
     def test_every_occurrence_in_order(self):
         ex = news_example()
-        spans = extract_sois(ex.document, ex.candidates)
-        assert [(s.l_s, s.l_e) for s in spans] == [(4, 4), (5, 5), (8, 8)]
+        assert extract_sois(ex.document, ex.candidates) == [4, 5, 8]
 
     def test_empty_candidates(self):
         ex = news_example()
@@ -48,8 +55,7 @@ class TestExtractSois:
 
     def test_single_candidate_token_doc(self):
         doc = make_doc(["Ukraine"], T2I)
-        spans = extract_sois(doc, [T2I["Ukraine"]])
-        assert [(s.l_s, s.l_e) for s in spans] == [(1, 1)]
+        assert extract_sois(doc, [T2I["Ukraine"]]) == [1]
 
     def test_non_candidates_skipped(self):
         doc = make_doc(["scored", "against", "who", "?"], T2I)
@@ -65,22 +71,24 @@ class TestBuildSupport:
         sup = build_support(ex, self.params(), sep_id=T2I["@sep"],
                             answer_row=answer_row)
         assert sup.m == 3
-        assert sup.answer_symbols == [T2I["Ukraine"], T2I["Germany"],
-                                      T2I["Ukraine"]]
-        assert sup.spans == extract_sois(ex.document, ex.candidates)
+        assert occurrence_symbols(ex, sup) == [T2I["Ukraine"], T2I["Germany"],
+                                               T2I["Ukraine"]]
+        assert sup.positions == extract_sois(ex.document, ex.candidates)
 
     def test_cloze_consistency(self):
+        """Row k of `y_i` embeds the token at `positions[k]`."""
         ex = news_example()
-        sup = build_support(ex, self.params(), sep_id=T2I["@sep"],
-                            answer_row=answer_row)
-        for span, sym in zip(sup.spans, sup.answer_symbols, strict=True):
-            assert sym == ex.document.symbols[span.l_s - 1]
+        p = self.params()
+        sup = build_support(ex, p, sep_id=T2I["@sep"], answer_row=answer_row)
+        for y_i, l in zip(sup.y_i.data, sup.positions, strict=True):
+            assert np.array_equal(y_i, p.E_i.data[ex.document.symbols[l - 1]])
 
     def test_repeated_candidate_distinct_z_same_y(self):
         ex = news_example()
         sup = build_support(ex, self.params(), sep_id=T2I["@sep"],
                             answer_row=answer_row)
-        assert sup.answer_symbols[0] == sup.answer_symbols[2]
+        syms = occurrence_symbols(ex, sup)
+        assert syms[0] == syms[2]
         assert np.array_equal(sup.y_i.data[0], sup.y_i.data[2])
         assert np.array_equal(sup.y_o.data[0], sup.y_o.data[2])
         assert not np.allclose(sup.z.data[0], sup.z.data[2])
@@ -110,10 +118,10 @@ class TestBuildSupport:
         assert sup.m == 1
         # forward boundary state h^f_0 is exactly zero; z = 0 + h^b_2
         emb_ids = doc.symbols + [T2I["@sep"]] + query.symbols
-        states = bigru_encode(ag.gather_rows(p.E_i, emb_ids),
-                              p.gru_f, p.gru_b)
+        _, h_b = bigru_encode(ag.gather_rows(p.E_i, emb_ids), p.gru_f,
+                              p.gru_b)
         # h^b_2 is backward row n+1-2 = 2 of the n = 3 token sequence
-        assert np.allclose(sup.z.data[0], states.bwd.data[2])
+        assert np.allclose(sup.z.data[0], h_b.data[2])
 
     def test_query_occurrences_not_support(self):
         """Candidate tokens inside the query never become support pairs."""
@@ -124,7 +132,7 @@ class TestBuildSupport:
                      candidates=[T2I["Ukraine"], T2I["Germany"]])
         sup = build_support(ex, self.params(), sep_id=T2I["@sep"],
                             answer_row=answer_row)
-        assert sup.answer_symbols == [T2I["Ukraine"]]
+        assert sup.positions == [1]
         assert sup.z.data.shape == (1, 4)
 
     def test_query_z_reads_placeholder_span(self):
@@ -203,9 +211,10 @@ class TestSupportMatrices:
 class TestAnswerEmbeddings:
     def test_consistency_with_gather(self, rng):
         params = init_params(4, len(TOKENS), 2, rng)
-        sup = build_support(news_example(), params, sep_id=T2I["@sep"],
+        ex = news_example()
+        sup = build_support(ex, params, sep_id=T2I["@sep"],
                             answer_row=answer_row)
-        syms = sup.answer_symbols
+        syms = occurrence_symbols(ex, sup)
         assert np.array_equal(sup.y_i.data,
                               ag.gather_rows(params.E_i, syms).data)
         assert np.array_equal(sup.y_o.data,
@@ -249,13 +258,13 @@ class TestStacked:
         assert y_i.data.shape == (3, 4)
         assert y_o.data.shape == (3, 4)
         symbols = ex.document.symbols + [T2I["@sep"]] + ex.query.symbols
-        states = bigru_encode(ag.gather_rows(p.E_i, symbols), p.gru_f,
-                              p.gru_b)
+        h_f, h_b = bigru_encode(ag.gather_rows(p.E_i, symbols), p.gru_f,
+                                p.gru_b)
         q_pos = len(ex.document) + 1 + ex.query.placeholder_pos
-        for k, span in enumerate(sup.spans):
-            one = encode_span_queries(states, [span], p.W_q)
+        for k, l in enumerate(sup.positions):
+            one = encode_span_queries(h_f, h_b, [l], p.W_q)
             assert np.allclose(z.data[k], one.data[0], rtol=0, atol=1e-15)
-        one = encode_span_queries(states, [Span(q_pos, q_pos)], p.W_q)
+        one = encode_span_queries(h_f, h_b, [q_pos], p.W_q)
         assert np.allclose(sup.query_z.data, one.data[0], rtol=0, atol=1e-15)
 
     def test_empty_support_rejected(self, rng):
@@ -288,3 +297,39 @@ class TestExampleValidation:
         with pytest.raises(ValueError):
             Example(document=doc, query=query, gold=T2I["Ukraine"],
                     candidates=[T2I["Ukraine"]])
+
+
+L2_TASK = {"chain_length": 2, "n_distractor_facts": 2, "n_examples": 6,
+           "n_dev": 1, "n_test": 1, "seed": 3}
+LONG_TASK = {"chain_length": 3, "n_distractor_facts": 12, "n_entities": 60,
+             "n_examples": 3, "n_dev": 1, "n_test": 1, "seed": 4}
+# recorded from the code that addressed each support pair by a Span object
+SUPPORT_PIN_SHA256 = \
+    "a4d4d17322f49b6bb2dbdf328fbd314e277c62752ddb735c3ab3c5cb43d9323e"
+
+
+class TestSupportPin:
+    def test_support_and_hops_pinned(self):
+        """Support positions, the support matrices, the query vector, and
+        three hops' scores and attention weights, byte for byte, over
+        generated 2-hop examples (h=4) and 60-token documents with 30 support
+        pairs (h=8)."""
+        digest = hashlib.sha256()
+        for task, h in ((L2_TASK, 4), (LONG_TASK, 8)):
+            tr, _, _ = generate_splits(SynthConfig(**task))
+            vocab = tr.vocab
+            params = init_params(h, vocab.size, vocab.n_answers,
+                                 np.random.default_rng(h))
+            for ex in tr.examples:
+                sup = build_support(ex, params, sep_id=vocab.sep_id,
+                                    answer_row=vocab.answer_row)
+                cand_mat = ag.gather_rows(
+                    params.E_o, [vocab.answer_row(c) for c in ex.candidates])
+                res = run_hops(sup.query_z, sup.z, sup.y_i, sup.y_o,
+                               cand_mat, params, 3)
+                for a in (np.asarray(sup.positions, dtype=np.int64),
+                          sup.z.data, sup.y_i.data, sup.y_o.data,
+                          sup.query_z.data, res.scores.data,
+                          *(t.alpha for t in res.traces)):
+                    digest.update(a.tobytes())
+        assert digest.hexdigest() == SUPPORT_PIN_SHA256

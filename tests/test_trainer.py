@@ -263,6 +263,15 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 tiny_config(**kw)
 
+    @pytest.mark.parametrize("field,value,kind", [
+        ("h", 4.5, "int"), ("hops", 1.5, "int"), ("seed", "0", "int"),
+        ("checkpoint_every", True, "int"), ("dev_subsample", 0.0, "int"),
+        ("identity_eo", "yes", "bool"), ("identity_eo", 1, "bool"),
+        ("dropout", "0.2", "float"), ("lr0", True, "float")])
+    def test_wrong_types_rejected(self, field, value, kind):
+        with pytest.raises(ConfigError, match=f"{field} must be {kind}"):
+            tiny_config(**{field: value})
+
     def test_empty_dataset_rejected(self, tiny_task):
         tr, dev, _ = tiny_task
         from hopqa.data import Dataset
