@@ -5,7 +5,9 @@ arrays). Round-trips are bit-exact (float64 arrays stored as-is)."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -59,8 +61,19 @@ def save_checkpoint(path, *, config: TrainConfig, params: ModelParams,
         "meta": meta or {},
     }
     arrays["header"] = np.array(json.dumps(header))
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
+    # a crash mid-write leaves the previous file whole: write a sibling
+    # temporary file, then rename it over `path` in one step
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointBundle:

@@ -185,6 +185,10 @@ def cmd_eval(args) -> int:
         res = evaluate(bundle.params, dataset, hops,
                        max_examples=args.limit or 0)
         print(f"{hops}\t{res.accuracy:.4f}")
+    if res.abstained:
+        print(f"abstained: {res.abstained} of {len(res.predictions)} "
+              f"examples have no support pair (no candidate occurs in the "
+              f"document) and count as wrong", file=sys.stderr)
     return 0
 
 
@@ -198,8 +202,11 @@ def cmd_inspect(args) -> int:
     ex = dataset.examples[args.example]
     hops = args.hops or bundle.config.hops
     vocab = dataset.vocab
-    fr = forward_pass(ex, bundle.params, vocab, hops)
     positions = extract_sois(ex.document, ex.candidates)
+    if not positions:
+        raise DataError(f"example {args.example} has no support pair: none "
+                        f"of its candidates occurs in its document")
+    fr = forward_pass(ex, bundle.params, vocab, hops)
     predicted = vocab.tokens[ex.candidates[fr.prediction]]
     gates = ", ".join(f"{t.g_a:.3f}" for t in fr.traces)
     print(f"example {args.example}: gold={vocab.tokens[ex.gold]} "

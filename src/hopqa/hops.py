@@ -18,7 +18,7 @@ from .autograd import Tensor
 from .exceptions import EmptySupportError
 from .model import ModelParams
 # keep `stacked` a module-level name: benches/tracer.py patches hops.stacked
-from .support import Example, build_support, stacked
+from .support import Example, build_support, build_support_batch, stacked
 
 
 @dataclass
@@ -171,3 +171,47 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
     return run_hops(
         support.query_z, z_mat, y_i_mat, y_o_mat, cand_mat, params, hops,
         ablate_query_gate=ablate_query_gate)
+
+
+def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row softmax over the True entries; a row must hold at least one."""
+    x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def forward_batch(examples, positions, params: ModelParams, vocab,
+                  hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """`forward_pass` without dropout or tape for B examples, given each
+    one's `extract_sois` positions (none may be empty). Returns the
+    `(B, K)` candidate scores and probabilities, K the largest candidate
+    count, with -inf scores and zero probabilities on the pads. Every
+    softmax is masked, every gate a `(B, .)` gemm."""
+    sb = build_support_batch(examples, positions, params,
+                             sep_id=vocab.sep_id,
+                             answer_row=vocab.answer_row)
+    p, sig = params, ag.stable_sigmoid
+    h = p.h
+    q = sb.query_z
+    if p.identity_eo:
+        a0 = np.zeros((len(examples), p.answer_dim))
+    else:
+        a0 = sig(p.g_a_q.data) * (q @ p.U_a_q.data.T)
+    a = a0
+    for _ in range(hops):
+        alpha = _masked_softmax((sb.memory[..., :h] @ q[..., None])[..., 0],
+                                sb.mask)
+        r = (alpha[:, None] @ sb.memory)[:, 0]
+        z_t, y_i_t, y_o_t = r[:, :h], r[:, h:2 * h], r[:, 2 * h:]
+        eta = _masked_softmax((sb.cand @ y_o_t[..., None])[..., 0],
+                              sb.cand_mask).max(axis=1, keepdims=True)
+        mid = np.zeros_like(q) if p.identity_eo else a0 * y_o_t
+        g_a = sig(np.concatenate((q * z_t, mid, eta), axis=1)
+                  @ p.u_a_g.data + p.b_a.data)
+        a = a + g_a[:, None] * y_o_t
+        q_c = np.tanh(np.concatenate((q, y_i_t, z_t), axis=1) @ p.U_q_c.data.T)
+        g_q = sig(np.concatenate((q, z_t), axis=1) @ p.U_q_g.data.T
+                  + p.b_q_g.data)
+        q = g_q * q + (1.0 - g_q) * q_c
+    scores = np.where(sb.cand_mask, (sb.cand @ a[..., None])[..., 0], -np.inf)
+    return scores, _masked_softmax(scores, sb.cand_mask)

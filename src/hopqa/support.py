@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import (Document, bigru_encode, embed_sequence,
+from .encoder import (Document, bigru_encode, bigru_states, embed_sequence,
                       encode_span_queries)
 from .exceptions import EmptySupportError
 from .model import ModelParams
@@ -82,6 +82,62 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
         y_i=ag.gather_rows(params.E_i, syms),
         y_o=ag.gather_rows(params.E_o, [answer_row(s) for s in syms]),
         query_z=ag.take_row(zq, m))
+
+
+@dataclass
+class SupportBatch:
+    """Tape-free support memories of B examples, padded to the largest
+    support (M) and candidate (K) counts; pad rows are real rows of the
+    tables and carry False in their mask."""
+    memory: np.ndarray  # (B, M, 2h + answer_dim): rows [z | y_i | y_o]
+    mask: np.ndarray  # (B, M)
+    query_z: np.ndarray  # (B, h)
+    cand: np.ndarray  # (B, K, answer_dim) candidate output embeddings
+    cand_mask: np.ndarray  # (B, K)
+
+
+def _padded(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Index lists as a zero-padded `(B, max length)` array and its mask."""
+    width = max(map(len, rows))
+    idx = np.zeros((len(rows), width), dtype=np.intp)
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for b, r in enumerate(rows):
+        idx[b, :len(r)] = r
+        mask[b, :len(r)] = True
+    return idx, mask
+
+
+def build_support_batch(examples, positions, params: ModelParams, *,
+                        sep_id: int, answer_row) -> SupportBatch:
+    """`build_support` without dropout or tape for B examples, given each
+    one's `extract_sois` positions. Raises `EmptySupportError` for an
+    example without support: its all-pad row has no softmax."""
+    if not all(positions):
+        raise EmptySupportError("support set is empty")
+    seqs = [ex.document.symbols + [sep_id] + ex.query.symbols
+            for ex in examples]
+    H = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
+    # column 0 holds the placeholder's position, pads read position 1
+    pos, mask = _padded([[len(ex.document) + 1 + ex.query.placeholder_pos]
+                         + p for ex, p in zip(examples, positions)])
+    pos[~mask] = 1
+    # [h^f_{l-1}; h^b_{l+1}] of every position in one gather, as in
+    # `encode_span_queries`
+    rows = np.stack((pos - 1, np.array([[len(s)] for s in seqs]) - pos), 2)
+    outer = H[[0, 1], rows, np.arange(len(seqs))[:, None, None]]
+    zq = (outer.reshape(-1, 2 * params.h) @ params.W_q.data.T).reshape(
+        *pos.shape, params.h)
+    syms = [[ex.document.symbols[l - 1] for l in p]
+            for ex, p in zip(examples, positions)]
+    y_i, _ = _padded(syms)
+    y_o, _ = _padded([[answer_row(s) for s in r] for r in syms])
+    cand, cand_mask = _padded([[answer_row(c) for c in ex.candidates]
+                               for ex in examples])
+    return SupportBatch(
+        memory=np.concatenate((zq[:, 1:], params.E_i.data[y_i],
+                               params.E_o.data[y_o]), axis=2),
+        mask=mask[:, 1:], query_z=zq[:, 0], cand=params.E_o.data[cand],
+        cand_mask=cand_mask)
 
 
 def stacked(support: SupportSet) -> tuple[Tensor, Tensor, Tensor]:

@@ -53,3 +53,20 @@ def test_traced_training_example_runs_clean():
     assert t.counts["support_pairs"] == occurrences > 0
     assert {"encoder.embed_sequence", "support.build_support",
             "hops.run_hops", "autograd.backward"} <= set(t.names)
+
+
+def test_traced_evaluate_runs_clean():
+    """The batched evaluator under the tracer: no error and one
+    `eval_examples` count per example scored."""
+    _, dev, _ = data.generate_splits(data.SynthConfig(
+        chain_length=2, n_distractor_facts=2, n_examples=1, n_dev=5,
+        n_test=1, seed=0))
+    vocab = dev.vocab
+    params = model.init_params(4, vocab.size, vocab.n_answers,
+                               np.random.default_rng(0), identity_eo=True)
+    with tracer.Tracer({}).installed() as t:
+        res = train.evaluate(params, dev, 2, max_examples=4)
+    assert sum(t.errors.values()) == 0
+    assert len(res.predictions) == 4
+    assert t.counts["eval_examples"] == 4
+    assert "train.evaluate" in t.names

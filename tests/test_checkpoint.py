@@ -112,6 +112,38 @@ class TestRoundTrip:
         assert before.predictions == after.predictions
 
 
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tiny, tmp_path, monkeypatch):
+        """`np.savez` raising after it wrote part of the arrays leaves the
+        previous checkpoint byte-identical and no temporary file behind."""
+        config, params, vocab, opt = make_state(tiny)
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, config=config, params=params, vocab=vocab)
+        old = path.read_bytes()
+        real_savez = np.savez
+
+        def savez_then_fail(f, **arrays):
+            real_savez(f, **dict(list(arrays.items())[:3]))
+            assert f.tell() > 0
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, config=config, params=params, vocab=vocab,
+                            optimizer=opt)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+    def test_overwrite_replaces_whole_file(self, tiny, tmp_path):
+        config, params, vocab, opt = make_state(tiny)
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, config=config, params=params, vocab=vocab)
+        save_checkpoint(str(path), config=config, params=params, vocab=vocab,
+                        optimizer=opt)
+        assert load_checkpoint(path).optimizer_state["t"] == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
+
+
 class TestValidation:
     def test_unsupported_version(self, tiny, tmp_path):
         config, params, vocab, _ = make_state(tiny, with_opt=False)

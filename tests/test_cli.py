@@ -34,6 +34,15 @@ def write_json(path, obj):
     return str(path)
 
 
+def no_support_record(line: str) -> str:
+    """A JSONL record with every candidate occurrence dropped from its
+    document, so it has no support pair."""
+    record = json.loads(line)
+    record["document"] = [t for t in record["document"]
+                          if t not in record["candidates"]]
+    return json.dumps(record)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Generated data plus one trained run, shared across CLI tests."""
@@ -294,6 +303,33 @@ class TestEval:
                 "no-examples": "no examples"}[case]
         assert want in captured.err
 
+    def test_no_support_example_abstains(self, workdir, tmp_path, capsys):
+        """An example none of whose candidates occurs in its document is
+        counted wrong; stdout keeps its table and stderr names the count."""
+        lines = (workdir / "data" / "dev.jsonl").read_text().splitlines()
+        data = tmp_path / "holes.jsonl"
+        data.write_text("\n".join([no_support_record(lines[0])]
+                                  + lines[:4]) + "\n")
+        scored = tmp_path / "scored.jsonl"
+        scored.write_text("\n".join(lines[:4]) + "\n")
+        ckpt = str(workdir / "run" / "best.ckpt")
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(scored),
+                     "--hop-sweep", "1..2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        accs = [float(l.split("\t")[1])
+                for l in captured.out.splitlines()[1:]]
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(data),
+                     "--hop-sweep", "1..2"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "hops\taccuracy"
+        assert [l.split("\t")[0] for l in lines[1:]] == ["1", "2"]
+        for line, acc in zip(lines[1:], accs):
+            assert float(line.split("\t")[1]) == pytest.approx(acc * 4 / 5,
+                                                                abs=1e-4)
+        assert "abstained: 1 of 5 examples" in captured.err
+
     def test_hops_with_hop_sweep_exit_2(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl"),
@@ -371,6 +407,17 @@ class TestInspect:
                      "--data", str(workdir / "data" / "dev.jsonl"),
                      "--example", "0", "--hops", hops]) == 2
         assert "--hops must be at least 1" in capsys.readouterr().err
+
+    def test_no_support_example_exit_2(self, workdir, tmp_path, capsys):
+        lines = (workdir / "data" / "dev.jsonl").read_text().splitlines()
+        data = tmp_path / "holes.jsonl"
+        data.write_text(lines[0] + "\n" + no_support_record(lines[1]) + "\n")
+        assert main(["inspect",
+                     "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(data), "--example", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "example 1 has no support pair" in captured.err
 
     def test_example_out_of_range_exit_2(self, workdir, capsys):
         assert main(["inspect",
