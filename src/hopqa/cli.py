@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (Dataset, SynthConfig, generate_splits, load_canonical,
-                   load_cbt, save_canonical)
+from .data import (Dataset, SynthConfig, generate_splits, load_dataset,
+                   save_canonical)
 from .exceptions import ConfigError, DataError, ParseError
 from .hops import forward_pass
 from .support import extract_sois
@@ -43,6 +43,17 @@ def _read_json(path) -> dict:
     return cfg
 
 
+def _make_out(path) -> Path:
+    """Create the output directory before any work, so a path that cannot
+    be one fails before the run rather than after it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e}") from e
+    return out
+
+
 def cmd_gen(args) -> int:
     cfg_dict = _read_json(args.config) if args.config else {}
     if args.seed is not None:
@@ -51,8 +62,7 @@ def cmd_gen(args) -> int:
         cfg = SynthConfig(**cfg_dict)
     except TypeError as e:
         raise ConfigError(f"bad generator config: {e}") from e
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     splits = generate_splits(cfg)
     files = {}
     for ds in splits:
@@ -67,46 +77,44 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _read(path, vocab, cbt: bool) -> Dataset:
-    """Read one dataset file, in the CBT layout or as canonical JSONL,
-    extending `vocab` (a new one when None)."""
-    if not Path(path).exists():
-        raise DataError(f"dataset file not found: {path}")
-    loader = load_cbt if cbt else load_canonical
-    return loader(path, vocab=vocab, name=Path(path).stem)
+def _read(path, vocab) -> Dataset:
+    """Read one dataset file in whichever layout it holds (see
+    `data.load_dataset`), extending `vocab` (a new one when None)."""
+    try:
+        return load_dataset(path, vocab=vocab, name=Path(path).stem)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read dataset {path}: {e}") from e
 
 
-def _load_dir(data_dir, cbt: bool = False):
+def _load_dir(data_dir):
     data_dir = Path(data_dir)
-    train_set = _read(data_dir / "train.jsonl", None, cbt)
+    train_set = _read(data_dir / "train.jsonl", None)
     vocab = train_set.vocab
-    dev_set = _read(data_dir / "dev.jsonl", vocab, cbt)
+    dev_set = _read(data_dir / "dev.jsonl", vocab)
     test_path = data_dir / "test.jsonl"
     if test_path.exists():
-        _read(test_path, vocab, cbt)  # extend vocab only
+        _read(test_path, vocab)  # extend vocab only
     return train_set, dev_set
 
 
 def cmd_train(args) -> int:
-    cfg_dict = _read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    if args.identity_eo:
-        cfg_dict["identity_eo"] = True
-    if args.dev_subsample is not None:
-        cfg_dict["dev_subsample"] = args.dev_subsample
-    try:
-        config = TrainConfig(**cfg_dict)
-    except TypeError as e:
-        raise ConfigError(f"bad training config: {e}") from e
-
-    train_set, dev_set = _load_dir(args.data, cbt=args.cbt)
     resume = load_checkpoint(args.resume) if args.resume else None
+    if args.config:
+        try:
+            config = TrainConfig(**_read_json(args.config))
+        except TypeError as e:
+            raise ConfigError(f"bad training config: {e}") from e
+    else:  # a resumed run's own config, else the defaults
+        config = resume.config if resume else TrainConfig()
+
+    train_set, dev_set = _load_dir(args.data)
+    out = _make_out(args.out)
     result = train(config, train_set, dev_set, resume=resume)
     state = result.state
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if result.skipped:
+        print(f"skipped: {result.skipped} of {len(train_set.examples)} "
+              f"training examples have no support pair (no candidate occurs "
+              f"in the document)", file=sys.stderr)
     save_checkpoint(out / "best.ckpt", config=config,
                     params=result.best_params, vocab=train_set.vocab,
                     meta={"dev_acc": state.best_acc, "step": state.best_step,
@@ -125,6 +133,7 @@ def cmd_train(args) -> int:
                      for p in sorted(data_dir.glob("*.jsonl"))},
         "checkpoints": {"best": _sha256(out / "best.ckpt"),
                         "last": _sha256(out / "last.ckpt")},
+        "skipped": result.skipped,
         "metrics": result.metrics,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
@@ -146,13 +155,13 @@ def _parse_sweep(spec: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _read_for_checkpoint(path, bundle, cbt: bool) -> Dataset:
+def _read_for_checkpoint(path, bundle) -> Dataset:
     """Read a dataset to score with `bundle`. A file that adds tokens or
     answer symbols has no parameter rows for them, and one without examples
     has no accuracy: both are refused before anything is printed."""
     vocab = bundle.vocab
     n_tokens, n_answers = vocab.size, vocab.n_answers
-    dataset = _read(path, vocab, cbt)
+    dataset = _read(path, vocab)
     new = list(dict.fromkeys(vocab.tokens[n_tokens:]
                              + vocab.answer_tokens[n_answers:]))
     if new:
@@ -177,7 +186,7 @@ def cmd_eval(args) -> int:
     if args.hops is not None and args.hop_sweep:
         raise ConfigError("--hops and --hop-sweep cannot be combined")
     bundle = load_checkpoint(args.checkpoint)
-    dataset = _read_for_checkpoint(args.data, bundle, args.cbt)
+    dataset = _read_for_checkpoint(args.data, bundle)
     hop_counts = _parse_sweep(args.hop_sweep) if args.hop_sweep \
         else [args.hops or bundle.config.hops]
     print("hops\taccuracy")
@@ -195,7 +204,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     _check_positive(args, "hops")
     bundle = load_checkpoint(args.checkpoint)
-    dataset = _read_for_checkpoint(args.data, bundle, args.cbt)
+    dataset = _read_for_checkpoint(args.data, bundle)
     if not 0 <= args.example < len(dataset.examples):
         raise DataError(f"example index {args.example} out of range "
                         f"[0, {len(dataset.examples)})")
@@ -253,14 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True, help="directory with "
                    "train.jsonl/dev.jsonl")
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--identity-eo", action="store_true",
-                   help="freeze output embeddings to the identity "
-                   "(attention-sum scoring)")
-    t.add_argument("--dev-subsample", type=int, default=None)
-    t.add_argument("--resume", help="continue from a last.ckpt")
-    t.add_argument("--cbt", action="store_true",
-                   help="read datasets in CBT plain-text layout")
+    t.add_argument("--resume", help="continue from a last.ckpt, under its "
+                   "own config unless --config is given")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -269,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--hops", type=int, default=None)
     e.add_argument("--hop-sweep", help="inclusive range a..b")
     e.add_argument("--limit", type=int, default=None)
-    e.add_argument("--cbt", action="store_true")
     e.set_defaults(func=cmd_eval)
 
     i = sub.add_parser("inspect", help="dump per-hop attention traces")
@@ -279,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--hops", type=int, default=None)
     i.add_argument("--ablate-query-gate", action="store_true")
     i.add_argument("--out", help="write the trace as JSON lines")
-    i.add_argument("--cbt", action="store_true")
     i.set_defaults(func=cmd_inspect)
     return p
 

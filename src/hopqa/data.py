@@ -358,3 +358,14 @@ def load_cbt(path, vocab: Vocab | None = None, name: str = "cbt") -> Dataset:
             [c for c in cand_field.split("|") if c], answer,
             f"{path}: passage {pidx}"))
     return Dataset(name=name, examples=examples, vocab=vocab)
+
+
+def load_dataset(path, vocab: Vocab | None = None,
+                 name: str = "dataset") -> Dataset:
+    """Read `path` with `load_cbt` when its first non-blank line starts with
+    "1 " (the CBT layout's numbered first line), else with `load_canonical`,
+    which reports a malformed record as `path:line`."""
+    with open(path, encoding="utf-8") as f:
+        first = next((ln for ln in f if ln.strip()), "")
+    loader = load_cbt if first.startswith("1 ") else load_canonical
+    return loader(path, vocab=vocab, name=name)

@@ -10,7 +10,7 @@ wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -208,6 +208,8 @@ class TrainResult:
     optimizer: Adam
     metrics: list[dict]
     state: RunState
+    # training examples with no support pair, left out of every epoch
+    skipped: int
 
     @property
     def best_acc(self) -> float:
@@ -223,9 +225,17 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
     """Run the full schedule. `evaluator(params) -> float` may be stubbed in
     tests; by default it is dev-set accuracy at the training hop count.
     `resume` takes a loaded `last.ckpt` (`checkpoint.CheckpointBundle`) to
-    continue that run."""
+    continue that run under the same config (`max_epochs` may differ).
+    Training examples with no support pair (no candidate occurs in the
+    document) have no loss; they are left out and counted."""
     if not train_set.examples or not dev_set.examples:
         raise ConfigError("train and dev sets must be non-empty")
+    examples = [ex for ex in train_set.examples
+                if extract_sois(ex.document, ex.candidates)]
+    if not examples:
+        raise ConfigError(f"none of the {len(train_set.examples)} training "
+                          f"examples has a support pair: no candidate "
+                          f"occurs in its document")
     vocab = train_set.vocab
     dims = (config.h, vocab.size, vocab.n_answers, config.identity_eo)
 
@@ -250,6 +260,13 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
         state = replace(resume.run)
         params = make_params({n: t.data.copy() for n, t in
                               resume.params.named()}, *dims)
+        old, new = asdict(resume.config), asdict(config)
+        drift = [f"{k} {old[k]!r} -> {new[k]!r}" for k in new
+                 if k != "max_epochs" and new[k] != old[k]]
+        if drift:
+            raise ConfigError(f"config differs from the checkpoint's: "
+                              f"{', '.join(drift)}; a resumed run keeps its "
+                              f"config, only max_epochs may change")
         rng.bit_generator.state = state.rng_state
     opt = Adam(list(params.trainable()), config.lr0)
     if resume is not None:
@@ -275,9 +292,9 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
         return stop
 
     for epoch in range(state.epochs_run, config.max_epochs):
-        order = rng.permutation(len(train_set.examples))
+        order = rng.permutation(len(examples))
         for start in range(0, len(order), config.batch_size):
-            batch = [train_set.examples[int(i)]
+            batch = [examples[int(i)]
                      for i in order[start:start + config.batch_size]]
             state.step += 1
             # frozen tensors too, so no gradient sum outlives its step
@@ -299,4 +316,5 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
     state.rng_state = rng.bit_generator.state
     return TrainResult(best_params=make_params(state.best, *dims),
                        final_params=params, optimizer=opt, metrics=metrics,
-                       state=state)
+                       state=state,
+                       skipped=len(train_set.examples) - len(examples))

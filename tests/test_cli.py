@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hopqa import cli
 from hopqa.checkpoint import load_checkpoint, save_checkpoint
-from hopqa.cli import main
+from hopqa.cli import build_parser, main
 from hopqa.model import init_params
 
 GEN_CFG = {"n_entities": 12, "n_relations": 2, "chain_length": 1,
@@ -105,6 +106,14 @@ class TestGen:
         assert f"error: {field} must be int" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_out_is_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        gen_cfg = write_json(tmp_path / "gen.json", GEN_CFG)
+        assert main(["gen", "--config", gen_cfg, "--out", str(out)]) == 2
+        assert f"cannot create output directory {out}" in \
+            capsys.readouterr().err
+
     def test_config_not_object_exit_2(self, tmp_path, capsys):
         gen_cfg = write_json(tmp_path / "gen.json", [1, 2])
         assert main(["gen", "--config", gen_cfg, "--seed", "3",
@@ -147,8 +156,9 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     def test_negative_dev_subsample_exit_2(self, workdir, tmp_path, capsys):
-        assert main(["train", "--data", str(workdir / "data"),
-                     "--dev-subsample", "-7",
+        cfg = write_json(tmp_path / "neg.json",
+                         dict(TRAIN_CFG, dev_subsample=-7))
+        assert main(["train", "--config", cfg, "--data", str(workdir / "data"),
                      "--out", str(tmp_path / "run")]) == 2
         assert "dev_subsample" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -189,6 +199,47 @@ class TestTrain:
                      "--resume", str(workdir / "run" / "last.ckpt"),
                      "--out", str(tmp_path / "run")]) == 2
         assert "'E_i' has shape (17, 4), expected (17, 8)" in \
+            capsys.readouterr().err
+
+    def test_resume_config_drift_exit_2(self, workdir, tmp_path, capsys):
+        """Every changed field but max_epochs is named; the checkpoint's Adam
+        state would otherwise keep its own learning rate unseen."""
+        cfg = write_json(tmp_path / "drift.json", dict(
+            TRAIN_CFG, hops=3, batch_size=2, dropout=0.5, lr0=0.5,
+            max_epochs=5))
+        assert main(["train", "--config", cfg,
+                     "--data", str(workdir / "data"),
+                     "--resume", str(workdir / "run" / "last.ckpt"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert ("config differs from the checkpoint's: hops 1 -> 3, "
+                "lr0 0.001 -> 0.5, batch_size 4 -> 2, dropout 0.0 -> 0.5;"
+                in err)
+        assert "max_epochs 2" not in err
+
+    def test_resume_without_config_uses_checkpoint_config(self, workdir,
+                                                          tmp_path, capsys):
+        """No --config: the run continues under the config in last.ckpt,
+        not the TrainConfig defaults (h=256)."""
+        last = workdir / "run" / "last.ckpt"
+        assert main(["train", "--data", str(workdir / "data"),
+                     "--resume", str(last),
+                     "--out", str(tmp_path / "run")]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"] == load_checkpoint(last).config.__dict__
+        assert manifest["config"]["h"] == TRAIN_CFG["h"]
+
+    def test_out_is_file_exit_2_before_training(self, workdir, tmp_path,
+                                                capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["train", "--config", str(workdir / "train.json"),
+                     "--data", str(workdir / "data"),
+                     "--out", str(out)]) == 2
+        assert calls == []
+        assert f"cannot create output directory {out}" in \
             capsys.readouterr().err
 
     def test_resume_other_dataset_exit_2(self, workdir, tmp_path, capsys):
@@ -330,6 +381,18 @@ class TestEval:
                                                                 abs=1e-4)
         assert "abstained: 1 of 5 examples" in captured.err
 
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_data_directory_exit_2(self, workdir, capsys, command):
+        data = workdir / "data"
+        argv = [command, "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                "--data", str(data)]
+        if command == "inspect":
+            argv += ["--example", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot read dataset {data}" in captured.err
+
     def test_hops_with_hop_sweep_exit_2(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl"),
@@ -424,3 +487,62 @@ class TestInspect:
                      "--checkpoint", str(workdir / "run" / "best.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl"),
                      "--example", "999"]) == 2
+
+
+CBT_CANDIDATES = ["mat", "dog", "hat", "sun"]
+
+
+def cbt_passage(answer: str, support: bool = True) -> str:
+    """A passage in the CBT layout: 20 numbered context lines, then the
+    cloze line with answer and candidates. Its context names every
+    candidate unless `support` is False."""
+    lines = [f"{i} the {CBT_CANDIDATES[i % 4]} was here ." if support
+             else f"{i} nothing was here ." for i in range(1, 21)]
+    lines.append(f"21 the XXXXX was here .\t{answer}\t\t"
+                 + "|".join(CBT_CANDIDATES))
+    return "\n".join(lines)
+
+
+def test_cbt_data_dir_end_to_end(tmp_path, capsys):
+    """A data dir in the CBT layout, one of whose passages has no support
+    pair, trains, evaluates and inspects with no format flag."""
+    data = tmp_path / "cbt"
+    data.mkdir()
+    train_passages = [cbt_passage(CBT_CANDIDATES[i % 4]) for i in range(7)]
+    train_passages.insert(3, cbt_passage("dog", support=False))
+    (data / "train.jsonl").write_text("\n\n".join(train_passages) + "\n")
+    (data / "dev.jsonl").write_text("\n\n".join(
+        cbt_passage(a) for a in CBT_CANDIDATES) + "\n")
+    cfg = write_json(tmp_path / "train.json", TRAIN_CFG)
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", str(data),
+                 "--out", str(run)]) == 0
+    captured = capsys.readouterr()
+    assert ("skipped: 1 of 8 training examples have no support pair"
+            in captured.err)
+    assert json.loads((run / "manifest.json").read_text())["skipped"] == 1
+    ckpt = str(run / "best.ckpt")
+    assert main(["eval", "--checkpoint", ckpt,
+                 "--data", str(data / "train.jsonl")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "hops\taccuracy"
+    assert "abstained: 1 of 8 examples" in captured.err
+    assert main(["inspect", "--checkpoint", ckpt,
+                 "--data", str(data / "dev.jsonl"), "--example", "0"]) == 0
+    assert "hop 1:" in capsys.readouterr().out
+
+
+def test_readme_cli_lines_parse():
+    """Every `hopqa ...` line of README's CLI block is a valid command, so a
+    removed flag cannot linger in the docs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    commands = [line.split() for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("hopqa ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {' '.join(words)}")

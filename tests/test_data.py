@@ -6,7 +6,7 @@ import pytest
 
 from hopqa.data import (PLACEHOLDER, Dataset, SynthConfig, Vocab,
                         chain_endpoints, generate_splits, load_canonical,
-                        load_cbt, save_canonical)
+                        load_cbt, load_dataset, save_canonical)
 from hopqa.exceptions import ConfigError, DataError, ParseError
 
 
@@ -347,6 +347,45 @@ class TestCbtAdapter:
         with pytest.warns(UserWarning):
             ds = load_cbt(path)
         assert ds.examples == []
+
+
+class TestLoadDataset:
+    """The layout is read off the file: a numbered first line is CBT,
+    anything else canonical JSONL."""
+
+    def test_cbt_layout_detected(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text("\n\n" + cbt_passage() + "\n\n" + cbt_passage(
+            answer="dog", cloze="A XXXXX barked loudly .") + "\n")
+        ds = load_dataset(path, name="train")
+        ref = load_cbt(path)
+        assert ds.name == "train" and len(ds.examples) == 2
+        assert ds.vocab == ref.vocab
+        assert [ex.candidates for ex in ds.examples] == \
+            [ex.candidates for ex in ref.examples]
+
+    def test_canonical_detected(self, tmp_path):
+        train, _, _ = generate_splits(SynthConfig(
+            n_examples=4, n_dev=1, n_test=1, seed=2))
+        path = tmp_path / "train.jsonl"
+        save_canonical(train, path)
+        assert load_dataset(path).vocab == load_canonical(path).vocab
+
+    def test_malformed_jsonl_keeps_line_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"document": ["a"]}\n{not json\n')
+        with pytest.raises(ParseError, match=r"bad\.jsonl:1: missing field"):
+            load_dataset(path)
+        path.write_text("\n" + json.dumps(
+            {"document": ["b"], "query": [PLACEHOLDER], "candidates": ["b"],
+             "answer": "b"}) + "\n1 not json\n")
+        with pytest.raises(ParseError, match=r"bad\.jsonl:3: invalid JSON"):
+            load_dataset(path)
+
+    def test_empty_file_is_empty_dataset(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        assert load_dataset(path).examples == []
 
 
 class TestVocab:

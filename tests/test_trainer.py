@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopqa import autograd as ag
-from hopqa.data import SynthConfig, generate_splits
+from hopqa.data import Dataset, SynthConfig, generate_splits, make_example
 from hopqa.exceptions import ConfigError
 from hopqa.model import init_params, make_params, param_shapes
 from hopqa.train import (Adam, TrainConfig, evaluate, example_loss,
@@ -278,6 +278,40 @@ class TestConfigValidation:
         empty = Dataset(name="empty", examples=[], vocab=tr.vocab)
         with pytest.raises(ConfigError):
             train(tiny_config(), empty, dev)
+
+
+def without_support(ex, vocab):
+    """`ex` with every candidate occurrence dropped from its document, so it
+    has no support pair."""
+    cands = [vocab.tokens[c] for c in ex.candidates]
+    return make_example(vocab, [t for t in ex.document.raw_tokens
+                                if t not in cands],
+                        ex.query.raw_tokens, cands, vocab.tokens[ex.gold],
+                        "no-support example")
+
+
+class TestNoSupport:
+    def test_example_skipped_and_counted(self, tiny_task):
+        """An example with no support pair is left out before the first
+        epoch: the run is the one on the other examples, bit for bit."""
+        tr, dev, _ = tiny_task
+        holed = Dataset(name="holed", vocab=tr.vocab, examples=[
+            without_support(tr.examples[0], tr.vocab)] + tr.examples)
+        ref = train(tiny_config(max_epochs=2), tr, dev)
+        res = train(tiny_config(max_epochs=2), holed, dev)
+        assert (ref.skipped, res.skipped) == (0, 1)
+        assert res.metrics == ref.metrics
+        for (name, a), (_, b) in zip(ref.final_params.named(),
+                                     res.final_params.named()):
+            assert np.array_equal(a.data, b.data), name
+
+    def test_no_trainable_example_rejected(self, tiny_task):
+        tr, dev, _ = tiny_task
+        holed = Dataset(name="holed", vocab=tr.vocab, examples=[
+            without_support(ex, tr.vocab) for ex in tr.examples[:3]])
+        with pytest.raises(ConfigError, match="none of the 3 training "
+                           "examples has a support pair"):
+            train(tiny_config(), holed, dev)
 
 
 class TestEndToEndSmoke:
