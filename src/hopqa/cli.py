@@ -20,7 +20,6 @@ from .data import (Dataset, SynthConfig, generate_splits, load_dataset,
                    save_canonical)
 from .exceptions import ConfigError, DataError, ParseError
 from .hops import forward_pass
-from .support import extract_sois
 from .train import TrainConfig, evaluate, train
 
 
@@ -108,8 +107,17 @@ def cmd_train(args) -> int:
         config = resume.config if resume else TrainConfig()
 
     train_set, dev_set = _load_dir(args.data)
-    out = _make_out(args.out)
-    result = train(config, train_set, dev_set, resume=resume)
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    _make_out(out)
+    try:
+        result = train(config, train_set, dev_set, resume=resume)
+    except BaseException:
+        # a refused or failed run leaves no directory it created; those
+        # are still empty, deepest first, and nothing else is touched
+        for d in made:
+            d.rmdir()
+        raise
     state = result.state
     if result.skipped:
         print(f"skipped: {result.skipped} of {len(train_set.examples)} "
@@ -211,11 +219,22 @@ def cmd_inspect(args) -> int:
     ex = dataset.examples[args.example]
     hops = args.hops or bundle.config.hops
     vocab = dataset.vocab
-    positions = extract_sois(ex.document, ex.candidates)
-    if not positions:
+    if not ex.positions:
         raise DataError(f"example {args.example} has no support pair: none "
                         f"of its candidates occurs in its document")
     fr = forward_pass(ex, bundle.params, vocab, hops)
+    if args.out:  # before any output, so a bad path prints nothing
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                # the trace format keeps one [l, l] span per support row
+                for t in fr.traces:
+                    f.write(json.dumps({
+                        "hop": t.hop, "alpha": [float(a) for a in t.alpha],
+                        "spans": [[l, l] for l in ex.positions],
+                        "g_a": t.g_a, "eta": t.eta,
+                        "g_q_mean": t.g_q_mean}) + "\n")
+        except OSError as e:
+            raise ConfigError(f"cannot write trace {args.out}: {e}") from e
     predicted = vocab.tokens[ex.candidates[fr.prediction]]
     gates = ", ".join(f"{t.g_a:.3f}" for t in fr.traces)
     print(f"example {args.example}: gold={vocab.tokens[ex.gold]} "
@@ -223,8 +242,8 @@ def cmd_inspect(args) -> int:
     for t in fr.traces:
         tops = np.argsort(t.alpha)[::-1][:5]
         desc = "  ".join(
-            f"{vocab.tokens[ex.document.symbols[positions[i] - 1]]}"
-            f"@{positions[i]}:{t.alpha[i]:.3f}" for i in tops)
+            f"{vocab.tokens[ex.document.symbols[ex.positions[i] - 1]]}"
+            f"@{ex.positions[i]}:{t.alpha[i]:.3f}" for i in tops)
         print(f"  hop {t.hop}: eta={t.eta:.3f} g_a={t.g_a:.3f} "
               f"g_q_mean={t.g_q_mean:.3f}  {desc}")
     if args.ablate_query_gate:
@@ -234,13 +253,6 @@ def cmd_inspect(args) -> int:
               f"{vocab.tokens[ex.candidates[fr2.prediction]]} "
               f"(original {predicted})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            # the trace format keeps one [l, l] span per support row
-            for t in fr.traces:
-                f.write(json.dumps({
-                    "hop": t.hop, "alpha": [float(a) for a in t.alpha],
-                    "spans": [[l, l] for l in positions], "g_a": t.g_a,
-                    "eta": t.eta, "g_q_mean": t.g_q_mean}) + "\n")
         print(f"trace written to {args.out}")
     return 0
 

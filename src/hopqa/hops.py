@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .exceptions import EmptySupportError
 from .model import ModelParams
 # keep `stacked` a module-level name: benches/tracer.py patches hops.stacked
 from .support import Example, build_support, build_support_batch, stacked
@@ -40,8 +39,6 @@ class HopTrace:
 
 def retrieve(q: Tensor, z_mat: Tensor, y_i_mat: Tensor,
              y_o_mat: Tensor) -> Retrieved:
-    if z_mat.data.shape[0] == 0:
-        raise EmptySupportError("retrieval over empty support")
     alpha = ag.softmax(ag.matmul(z_mat, q))
     return Retrieved(
         alpha=alpha,
@@ -78,8 +75,6 @@ def eta_max_prob(y_o_tilde: Tensor, cand_mat: Tensor) -> tuple[Tensor, int]:
     """Highest candidate probability if the retrieved answer embedding were
     final. Gradient flows through the attained maximizer; ties break to the
     lowest candidate index."""
-    if cand_mat.data.shape[0] == 0:
-        raise EmptySupportError("no answer candidates")
     probs = ag.softmax(ag.matmul(cand_mat, y_o_tilde))
     idx = int(np.argmax(probs.data))
     return ag.pick(probs, idx), idx
@@ -103,8 +98,6 @@ def update_answer(a: Tensor, g_a: Tensor, y_o_tilde: Tensor) -> Tensor:
 
 def score_candidates(a: Tensor, cand_mat: Tensor) -> tuple[Tensor, Tensor]:
     """Inner-product scores and their softmax over the candidate set."""
-    if cand_mat.data.shape[0] == 0:
-        raise EmptySupportError("no answer candidates")
     scores = ag.matmul(cand_mat, a)
     return scores, ag.softmax(scores)
 
@@ -180,15 +173,14 @@ def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward_batch(examples, positions, params: ModelParams, vocab,
+def forward_batch(examples, params: ModelParams, vocab,
                   hops: int) -> tuple[np.ndarray, np.ndarray]:
-    """`forward_pass` without dropout or tape for B examples, given each
-    one's `extract_sois` positions (none may be empty). Returns the
+    """`forward_pass` without dropout or tape for B examples, none of them
+    without support (`Example.positions` empty). Returns the
     `(B, K)` candidate scores and probabilities, K the largest candidate
     count, with -inf scores and zero probabilities on the pads. Every
     softmax is masked, every gate a `(B, .)` gemm."""
-    sb = build_support_batch(examples, positions, params,
-                             sep_id=vocab.sep_id,
+    sb = build_support_batch(examples, params, sep_id=vocab.sep_id,
                              answer_row=vocab.answer_row)
     p, sig = params, ag.stable_sigmoid
     h = p.h

@@ -11,7 +11,7 @@ answer-embedding matrix from one row gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,22 +40,23 @@ class SupportSet:
 
 @dataclass
 class Example:
+    """`positions` is derived, not passed: the 1-based positions of the
+    candidate occurrences in the document, in document order, one per
+    support pair. An example with none has no support."""
     document: Document
     query: Document
     gold: int
     candidates: list[int]
+    positions: list[int] = field(init=False)
 
     def __post_init__(self):
         if self.gold not in self.candidates:
             raise ValueError("gold symbol missing from candidate set")
         if self.query.placeholder_pos is None:
             raise ValueError("query has no placeholder position")
-
-
-def extract_sois(doc: Document, candidates) -> list[int]:
-    """1-based positions of the candidate occurrences, in document order."""
-    cand = set(candidates)
-    return [l for l, sym in enumerate(doc.symbols, start=1) if sym in cand]
+        cand = set(self.candidates)
+        self.positions = [l for l, sym in enumerate(self.document.symbols,
+                                                    start=1) if sym in cand]
 
 
 def build_support(example: Example, params: ModelParams, *, sep_id: int,
@@ -71,7 +72,7 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
                          dropout_rate, rng)
     h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
 
-    positions = extract_sois(doc, example.candidates)
+    positions = example.positions
     syms = [doc.symbols[l - 1] for l in positions]
     q_pos = len(doc) + 1 + query.placeholder_pos
     m = len(positions)
@@ -107,19 +108,19 @@ def _padded(rows) -> tuple[np.ndarray, np.ndarray]:
     return idx, mask
 
 
-def build_support_batch(examples, positions, params: ModelParams, *,
-                        sep_id: int, answer_row) -> SupportBatch:
-    """`build_support` without dropout or tape for B examples, given each
-    one's `extract_sois` positions. Raises `EmptySupportError` for an
-    example without support: its all-pad row has no softmax."""
-    if not all(positions):
+def build_support_batch(examples, params: ModelParams, *, sep_id: int,
+                        answer_row) -> SupportBatch:
+    """`build_support` without dropout or tape for B examples. Raises
+    `EmptySupportError` for an example without support: its all-pad row has
+    no softmax."""
+    if not all(ex.positions for ex in examples):
         raise EmptySupportError("support set is empty")
     seqs = [ex.document.symbols + [sep_id] + ex.query.symbols
             for ex in examples]
     H = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
     # column 0 holds the placeholder's position, pads read position 1
     pos, mask = _padded([[len(ex.document) + 1 + ex.query.placeholder_pos]
-                         + p for ex, p in zip(examples, positions)])
+                         + ex.positions for ex in examples])
     pos[~mask] = 1
     # [h^f_{l-1}; h^b_{l+1}] of every position in one gather, as in
     # `encode_span_queries`
@@ -127,8 +128,8 @@ def build_support_batch(examples, positions, params: ModelParams, *,
     outer = H[[0, 1], rows, np.arange(len(seqs))[:, None, None]]
     zq = (outer.reshape(-1, 2 * params.h) @ params.W_q.data.T).reshape(
         *pos.shape, params.h)
-    syms = [[ex.document.symbols[l - 1] for l in p]
-            for ex, p in zip(examples, positions)]
+    syms = [[ex.document.symbols[l - 1] for l in ex.positions]
+            for ex in examples]
     y_i, _ = _padded(syms)
     y_o, _ = _padded([[answer_row(s) for s in r] for r in syms])
     cand, cand_mask = _padded([[answer_row(c) for c in ex.candidates]

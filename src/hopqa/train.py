@@ -21,7 +21,6 @@ from .exceptions import ConfigError
 from .hops import forward_batch, forward_pass
 # benches/tracer.py patches the name train.init_params
 from .model import ModelParams, init_params, make_params
-from .support import extract_sois
 
 
 @dataclass
@@ -124,13 +123,11 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
     examples = dataset.examples
     if max_examples:
         examples = examples[:max_examples]
-    positions = [extract_sois(ex.document, ex.candidates) for ex in examples]
-    scored = [i for i, p in enumerate(positions) if p]
+    scored = [i for i, ex in enumerate(examples) if ex.positions]
     preds: list[int | None] = [None] * len(examples)
     for start in range(0, len(scored), EVAL_CHUNK):
         chunk = scored[start:start + EVAL_CHUNK]
-        _, probs = forward_batch([examples[i] for i in chunk],
-                                 [positions[i] for i in chunk], params,
+        _, probs = forward_batch([examples[i] for i in chunk], params,
                                  dataset.vocab, hops)
         for i, k in zip(chunk, probs.argmax(axis=1)):
             preds[i] = examples[i].candidates[k]
@@ -230,8 +227,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
     document) have no loss; they are left out and counted."""
     if not train_set.examples or not dev_set.examples:
         raise ConfigError("train and dev sets must be non-empty")
-    examples = [ex for ex in train_set.examples
-                if extract_sois(ex.document, ex.candidates)]
+    examples = [ex for ex in train_set.examples if ex.positions]
     if not examples:
         raise ConfigError(f"none of the {len(train_set.examples)} training "
                           f"examples has a support pair: no candidate "

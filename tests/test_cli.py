@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hopqa.train as train_module
 from hopqa import cli
 from hopqa.checkpoint import load_checkpoint, save_checkpoint
 from hopqa.cli import build_parser, main
+from hopqa.data import load_dataset
 from hopqa.model import init_params
+from hopqa.train import TrainConfig, evaluate, example_loss
 
 GEN_CFG = {"n_entities": 12, "n_relations": 2, "chain_length": 1,
            "n_distractor_facts": 1, "n_examples": 16, "n_dev": 8,
@@ -242,6 +245,33 @@ class TestTrain:
         assert f"cannot create output directory {out}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["left", "left/deeper"])
+    def test_refused_run_leaves_no_out_dir(self, workdir, tmp_path, capsys,
+                                           out):
+        """`--out` is created before `train()` can refuse the run; every
+        directory the command created goes again."""
+        cfg = write_json(tmp_path / "drift.json", dict(TRAIN_CFG, hops=3))
+        assert main(["train", "--config", cfg,
+                     "--data", str(workdir / "data"),
+                     "--resume", str(workdir / "run" / "last.ckpt"),
+                     "--out", str(tmp_path / "runs" / out)]) == 2
+        assert "config differs from the checkpoint's" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_refused_run_keeps_existing_out_dir(self, workdir, tmp_path,
+                                                capsys):
+        out = tmp_path / "existing"
+        out.mkdir()
+        cfg = write_json(tmp_path / "drift.json", dict(TRAIN_CFG, hops=3))
+        assert main(["train", "--config", cfg,
+                     "--data", str(workdir / "data"),
+                     "--resume", str(workdir / "run" / "last.ckpt"),
+                     "--out", str(out)]) == 2
+        assert "config differs from the checkpoint's" in \
+            capsys.readouterr().err
+        assert out.is_dir()
+
     def test_resume_other_dataset_exit_2(self, workdir, tmp_path, capsys):
         """Data with another seed has a vocab of the same size but in
         another order, so the shapes alone would let it resume."""
@@ -456,6 +486,17 @@ class TestInspect:
         assert [r["spans"] for r in rows] == [[[1, 1], [3, 3], [5, 5],
                                                [7, 7]]] * 3
 
+    def test_out_is_directory_exit_2(self, workdir, tmp_path, capsys):
+        """A trace path that cannot be written is refused before any
+        output."""
+        assert main(["inspect",
+                     "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "data" / "dev.jsonl"),
+                     "--example", "0", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write trace {tmp_path}" in captured.err
+
     def test_ablation_prints_both(self, workdir, capsys):
         assert main(["inspect",
                      "--checkpoint", str(workdir / "run" / "best.ckpt"),
@@ -487,6 +528,43 @@ class TestInspect:
                      "--checkpoint", str(workdir / "run" / "best.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl"),
                      "--example", "999"]) == 2
+
+
+def test_no_support_examples_agree(workdir, tmp_path, capsys, monkeypatch):
+    """`train()` leaves out, `evaluate()` abstains on and `inspect` refuses
+    exactly the examples whose `positions` is empty."""
+    lines = (workdir / "data" / "dev.jsonl").read_text().splitlines()[:6]
+    data = tmp_path / "holes.jsonl"
+    data.write_text("".join((no_support_record(l) if i in (1, 4) else l)
+                            + "\n" for i, l in enumerate(lines)))
+    ckpt = str(workdir / "run" / "best.ckpt")
+    bundle = load_checkpoint(ckpt)
+    dataset = load_dataset(data, vocab=bundle.vocab, name="holes")
+    empty = [i for i, ex in enumerate(dataset.examples) if not ex.positions]
+    assert empty == [1, 4]
+
+    index = {id(ex): i for i, ex in enumerate(dataset.examples)}
+    trained = []
+
+    def spy(example, *args, **kwargs):
+        trained.append(index[id(example)])
+        return example_loss(example, *args, **kwargs)
+
+    monkeypatch.setattr(train_module, "example_loss", spy)
+    res = train_module.train(TrainConfig(**dict(TRAIN_CFG, max_epochs=1)),
+                             dataset, dataset, evaluator=lambda p: 0.0)
+    assert res.skipped == len(empty)
+    assert sorted(trained) == [i for i in range(6) if i not in empty]
+
+    ev = evaluate(bundle.params, dataset, 1)
+    assert ev.abstained == len(empty)
+    assert [i for i, p in enumerate(ev.predictions) if p is None] == empty
+
+    refused = [i for i in range(6)
+               if main(["inspect", "--checkpoint", ckpt, "--data", str(data),
+                        "--example", str(i)]) == 2]
+    assert refused == empty
+    assert capsys.readouterr().err.count("has no support pair") == 2
 
 
 CBT_CANDIDATES = ["mat", "dog", "hat", "sun"]

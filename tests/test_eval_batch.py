@@ -16,7 +16,7 @@ from hopqa.encoder import Document, bigru_encode, bigru_states
 from hopqa.exceptions import EmptySupportError
 from hopqa.hops import forward_batch, forward_pass
 from hopqa.model import init_params
-from hopqa.support import Example, extract_sois
+from hopqa.support import Example
 
 TOL = 1e-12
 
@@ -60,8 +60,8 @@ def spied_evaluate(monkeypatch, params, dataset, hops, **kw):
     scored and the score matrix it returned."""
     calls = []
 
-    def spy(examples, positions, *args):
-        out = forward_batch(examples, positions, *args)
+    def spy(examples, *args):
+        out = forward_batch(examples, *args)
         calls.append((examples, out[0]))
         return out
 
@@ -145,8 +145,7 @@ class TestAbstention:
         examples = list(mixed.examples[:40])
         for i in (0, 33):
             examples[i] = no_support(examples[i], vocab)
-            assert extract_sois(examples[i].document,
-                                examples[i].candidates) == []
+            assert examples[i].positions == []
         data = Dataset(name="holes", examples=examples, vocab=vocab)
         params = params_for(data, 4, True)
         res, calls = spied_evaluate(monkeypatch, params, data, 2)
@@ -176,9 +175,8 @@ class TestAbstention:
         ex = no_support(mixed.examples[0], mixed.vocab)
         good = mixed.examples[1]
         with pytest.raises(EmptySupportError):
-            forward_batch([good, ex],
-                          [extract_sois(good.document, good.candidates), []],
-                          params_for(mixed, 4, False), mixed.vocab, 1)
+            forward_batch([good, ex], params_for(mixed, 4, False),
+                          mixed.vocab, 1)
 
 
 def test_hops_must_be_positive(mixed):

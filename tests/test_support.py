@@ -9,7 +9,7 @@ from hopqa.encoder import Document, bigru_encode, encode_span_queries
 from hopqa.exceptions import EmptySupportError
 from hopqa.hops import run_hops
 from hopqa.model import init_params
-from hopqa.support import Example, build_support, extract_sois, stacked
+from hopqa.support import Example, build_support, stacked
 
 
 def make_doc(tokens, token2id, placeholder=None):
@@ -44,22 +44,27 @@ def answer_row(sym):
     return {T2I["Ukraine"]: 0, T2I["Germany"]: 1}[sym]
 
 
-class TestExtractSois:
-    def test_every_occurrence_in_order(self):
-        ex = news_example()
-        assert extract_sois(ex.document, ex.candidates) == [4, 5, 8]
+def example_on(doc, candidates):
+    """An example over `doc` with the news query; the first candidate is
+    gold."""
+    query = make_doc(["Germany", "played", "against", "@blank"], T2I,
+                     placeholder="@blank")
+    return Example(document=doc, query=query, gold=candidates[0],
+                   candidates=candidates)
 
-    def test_empty_candidates(self):
-        ex = news_example()
-        assert extract_sois(ex.document, []) == []
+
+class TestPositions:
+    def test_every_occurrence_in_order(self):
+        assert news_example().positions == [4, 5, 8]
 
     def test_single_candidate_token_doc(self):
         doc = make_doc(["Ukraine"], T2I)
-        assert extract_sois(doc, [T2I["Ukraine"]]) == [1]
+        assert example_on(doc, [T2I["Ukraine"]]).positions == [1]
 
     def test_non_candidates_skipped(self):
         doc = make_doc(["scored", "against", "who", "?"], T2I)
-        assert extract_sois(doc, [T2I["Ukraine"], T2I["Germany"]]) == []
+        assert example_on(doc, [T2I["Ukraine"], T2I["Germany"]]).positions \
+            == []
 
 
 class TestBuildSupport:
@@ -73,7 +78,7 @@ class TestBuildSupport:
         assert sup.m == 3
         assert occurrence_symbols(ex, sup) == [T2I["Ukraine"], T2I["Germany"],
                                                T2I["Ukraine"]]
-        assert sup.positions == extract_sois(ex.document, ex.candidates)
+        assert sup.positions == ex.positions == [4, 5, 8]
 
     def test_cloze_consistency(self):
         """Row k of `y_i` embeds the token at `positions[k]`."""
