@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREADS
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (Dataset, SynthConfig, generate_splits, load_dataset,
                    save_canonical)
@@ -142,6 +143,7 @@ def cmd_train(args) -> int:
         "checkpoints": {"best": _sha256(out / "best.ckpt"),
                         "last": _sha256(out / "last.ckpt")},
         "skipped": result.skipped,
+        "blas_threads": BLAS_THREADS,
         "metrics": result.metrics,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:

@@ -172,6 +172,43 @@ def bigru_encode(embedded: Tensor, fwd_params: GRUParams,
             gru_sequence(embedded, bwd_params, reverse=True))
 
 
+def _stacked_weights(dirs):
+    """Both directions' weights stacked on a leading axis: input
+    projections `(2, h_in, 3h)` as `[W_z | W_r | W_h]`, biases `(2, 1, 3h)`,
+    and the recurrent maps `(2, h, 2h)` and `(2, h, h)` applied to row
+    states on the right."""
+    w = np.stack([np.concatenate((p.W_z.data, p.W_r.data, p.W_h.data), axis=1)
+                  for p in dirs])
+    bias = np.stack([np.concatenate((p.b_z.data, p.b_r.data, p.b_h.data))
+                     for p in dirs])[:, None]
+    u_zr = np.stack([np.concatenate((p.U_z.data, p.U_r.data)).T for p in dirs])
+    u_h = np.stack([p.U_h.data.T for p in dirs])
+    return w, bias, u_zr, u_h
+
+
+def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
+                keep: bool = False):
+    """Both directions of B left-aligned sequences, n steps each.
+
+    `x_at(k)` is step k's input projection `(2, B, 3h)`, bias included.
+    Returns the `(2, n+1, B, h)` states and, when `keep`, the saved z/r
+    gates `(2, n, B, 2h)` and candidates `(2, n, B, h)` that BPTT needs."""
+    h = u_h.shape[-1]
+    H = np.zeros((2, n + 1, B, h))
+    ZR = np.empty((2, n, B, 2 * h)) if keep else None
+    C = np.empty((2, n, B, h)) if keep else None
+    for k in range(n):
+        hp = H[:, k]
+        x = x_at(k)
+        zr = ag.stable_sigmoid(x[..., :2 * h] + hp @ u_zr)
+        z = zr[..., :h]
+        c = np.tanh(x[..., 2 * h:] + (zr[..., h:] * hp) @ u_h)
+        H[:, k + 1] = z * hp + (1.0 - z) * c
+        if keep:
+            ZR[:, k], C[:, k] = zr, c
+    return H, ZR, C
+
+
 def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
                  bwd_params: GRUParams) -> np.ndarray:
     """Tape-free `bigru_encode` of B token-id sequences at once.
@@ -188,14 +225,7 @@ def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
     for b, s in enumerate(seqs):
         ids[0, :len(s), b] = s
         ids[1, :len(s), b] = s[::-1]
-    h = e_i.shape[1]
-    dirs = (fwd_params, bwd_params)
-    w = np.stack([np.concatenate((p.W_z.data, p.W_r.data, p.W_h.data), axis=1)
-                  for p in dirs])
-    bias = np.stack([np.concatenate((p.b_z.data, p.b_r.data, p.b_h.data))
-                     for p in dirs])[:, None]
-    u_zr = np.stack([np.concatenate((p.U_z.data, p.U_r.data)).T for p in dirs])
-    u_h = np.stack([p.U_h.data.T for p in dirs])
+    w, bias, u_zr, u_h = _stacked_weights((fwd_params, bwd_params))
     # each distinct token's input projection, (2, tokens, 3h), gathered per
     # step: projecting every (step, sequence) up front holds a (2, n, B, 3h)
     # array, which raised peak RSS at h=256 and ran slower there
@@ -203,15 +233,71 @@ def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
     ids = ids.reshape(2, n, len(seqs))
     xw = e_i[tokens] @ w + bias
     d = np.arange(2)[:, None]
-    H = np.zeros((2, n + 1, len(seqs), h))
-    for k in range(n):
-        hp = H[:, k]
-        x = xw[d, ids[:, k]]
-        zr = ag.stable_sigmoid(x[..., :2 * h] + hp @ u_zr)
-        z = zr[..., :h]
-        c = np.tanh(x[..., 2 * h:] + (zr[..., h:] * hp) @ u_h)
-        H[:, k + 1] = z * hp + (1.0 - z) * c
-    return H
+    return _recurrence(lambda k: xw[d, ids[:, k]], n, len(seqs), u_zr,
+                       u_h)[0]
+
+
+def bigru_batch(embedded, fwd_params: GRUParams,
+                bwd_params: GRUParams) -> Tensor:
+    """`bigru_states` of B embedded sequences as one tape node.
+
+    `embedded` holds B `(n_b, h_in)` tensors, the `embed_sequence` outputs
+    of each sequence. The node's `(2, n+1, B, h)` data is laid out as
+    `bigru_states`'; `column_span_queries` reads one sequence's column of
+    it. The backward pass runs BPTT for both directions and the whole batch
+    at once, over saved gate values, and leaves each weight gradient to one
+    gemm. Pad steps receive no gradient, so they add exact zeros.
+    """
+    lens = [e.data.shape[0] for e in embedded]
+    n, B = max(lens), len(embedded)
+    dirs = (fwd_params, bwd_params)
+    X = np.zeros((2, n, B, embedded[0].data.shape[1]))
+    for b, e in enumerate(embedded):
+        X[0, :lens[b], b] = e.data
+        X[1, :lens[b], b] = e.data[::-1]
+    w, bias, u_zr, u_h = _stacked_weights(dirs)
+    XW = (X.reshape(2, n * B, -1) @ w + bias).reshape(2, n, B, -1)
+    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, u_zr, u_h, keep=True)
+    out = Tensor(H, parents=(*embedded, *(t for p in dirs for _, t in
+                                           p.named(""))))
+
+    def bw(G):
+        h = u_h.shape[-1]
+        # gate derivatives that do not depend on the carried gradient
+        Hp, Z, R = H[:, :-1], ZR[..., :h], ZR[..., h:]
+        f_z = (Hp - C) * Z * (1.0 - Z)
+        f_c = (1.0 - Z) * (1.0 - C * C)
+        f_r = Hp * R * (1.0 - R)
+        u_zr_t, u_h_t = u_zr.transpose(0, 2, 1), u_h.transpose(0, 2, 1)
+        DA = np.empty((2, n, B, 3 * h))  # (da_z, da_r, da_c) per step
+        dh = np.zeros((2, B, h))
+        for k in reversed(range(n)):
+            g = G[:, k + 1] + dh
+            da = DA[:, k]
+            np.multiply(g, f_z[:, k], out=da[..., :h])
+            drh = np.multiply(g, f_c[:, k], out=da[..., 2 * h:]) @ u_h_t
+            np.multiply(drh, f_r[:, k], out=da[..., h:2 * h])
+            dh = g * Z[:, k] + drh * R[:, k] + da[..., :2 * h] @ u_zr_t
+        del f_z, f_c, f_r
+        # one gemm per weight gradient, over every (step, sequence) row
+        DA = DA.reshape(2, n * B, 3 * h)
+        Hp, R = Hp.reshape(2, n * B, h), R.reshape(2, n * B, h)
+        dX = np.empty_like(X)
+        for d, p in enumerate(dirs):
+            da, hp, x = DA[d], Hp[d], X[d].reshape(n * B, -1)
+            p.U_z.grad += da[:, :h].T @ hp
+            p.U_r.grad += da[:, h:2 * h].T @ hp
+            p.U_h.grad += da[:, 2 * h:].T @ (R[d] * hp)
+            for i, (wt, bt) in enumerate(((p.W_z, p.b_z), (p.W_r, p.b_r),
+                                          (p.W_h, p.b_h))):
+                blk = slice(i * h, (i + 1) * h)
+                wt.grad += x.T @ da[:, blk]
+                bt.grad += da[:, blk].sum(axis=0)
+            dX[d] = (da @ w[d].T).reshape(n, B, -1)
+        for b, e in enumerate(embedded):
+            e.grad += dX[0, :lens[b], b] + dX[1, lens[b] - 1::-1, b]
+    out.backward_fn = bw
+    return out
 
 
 def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
@@ -229,33 +315,53 @@ def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
     return emb
 
 
+def _neighbours(positions, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """State rows `(l - 1, n - l)` of `h_f` and `h_b` that 1-based position
+    l of an n-token sequence reads: the states just outside it."""
+    pos = np.asarray(positions, dtype=np.intp)
+    bad = pos[(pos < 1) | (pos > n)]
+    if bad.size:
+        raise IndexError(f"position {bad[0]} outside [1, {n}]")
+    return pos - 1, n - pos
+
+
+def _span_query_node(src_f: Tensor, f_rows, src_b: Tensor, b_rows,
+                     w_q: Tensor) -> Tensor:
+    """`[src_f[f_rows] ; src_b[b_rows]] @ w_q.T` as one tape node. Positions
+    that share a neighbour read the same state row, so the backward pass
+    scatters with `np.add.at`."""
+    h = w_q.data.shape[0]
+    outer = np.concatenate((src_f.data[f_rows], src_b.data[b_rows]), axis=1)
+    out = Tensor(outer @ w_q.data.T, parents=(src_f, src_b, w_q))
+
+    def bw(g):
+        w_q.grad += g.T @ outer
+        d_outer = g @ w_q.data
+        np.add.at(src_f.grad, f_rows, d_outer[:, :h])
+        np.add.at(src_b.grad, b_rows, d_outer[:, h:])
+    out.backward_fn = bw
+    return out
+
+
 def encode_span_queries(h_f: Tensor, h_b: Tensor, positions,
                         w_q: Tensor) -> Tensor:
     """Query vectors of many token positions as one `(M, h)` tape node.
 
     `h_f`, `h_b` are the state matrices of `bigru_encode`. Row k projects
     [h^f_{l-1}; h^b_{l+1}] of 1-based position l = positions[k] (outer context
-    only) by `w_q`. Positions that share a neighbour read the same state row,
-    so the backward pass scatters with `np.add.at`.
+    only) by `w_q`.
     """
-    n = h_f.data.shape[0] - 1
-    pos = np.asarray(positions, dtype=np.intp)
-    bad = pos[(pos < 1) | (pos > n)]
-    if bad.size:
-        raise IndexError(f"position {bad[0]} outside [1, {n}]")
-    h = h_f.data.shape[1]
-    fi = pos - 1
-    bi = n - pos
-    outer = np.concatenate((h_f.data[fi], h_b.data[bi]), axis=1)
-    out = Tensor(outer @ w_q.data.T, parents=(h_f, h_b, w_q))
+    fi, bi = _neighbours(positions, h_f.data.shape[0] - 1)
+    return _span_query_node(h_f, fi, h_b, bi, w_q)
 
-    def bw(g):
-        w_q.grad += g.T @ outer
-        d_outer = g @ w_q.data
-        np.add.at(h_f.grad, fi, d_outer[:, :h])
-        np.add.at(h_b.grad, bi, d_outer[:, h:])
-    out.backward_fn = bw
-    return out
+
+def column_span_queries(states: Tensor, b: int, n: int, positions,
+                        w_q: Tensor) -> Tensor:
+    """`encode_span_queries` of sequence b, n tokens long, read from column
+    b of a `bigru_batch` node; the backward pass scatters into that
+    column's gradient only."""
+    fi, bi = _neighbours(positions, n)
+    return _span_query_node(states, (0, fi, b), states, (1, bi, b), w_q)
 
 
 def init_wq(h: int, rng: np.random.Generator,

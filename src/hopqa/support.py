@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import (Document, bigru_encode, bigru_states, embed_sequence,
-                      encode_span_queries)
+from .encoder import (Document, bigru_batch, bigru_encode, bigru_states,
+                      column_span_queries, embed_sequence, encode_span_queries)
 from .exceptions import EmptySupportError
 from .model import ModelParams
 
@@ -58,31 +58,54 @@ class Example:
         self.positions = [l for l, sym in enumerate(self.document.symbols,
                                                     start=1) if sym in cand]
 
+    def encoder_input(self, sep_id: int) -> list[int]:
+        """The token ids the biGRU reads: document, separator, query."""
+        return self.document.symbols + [sep_id] + self.query.symbols
+
 
 def build_support(example: Example, params: ModelParams, *, sep_id: int,
                   answer_row, dropout_rate: float = 0.0,
-                  rng: np.random.Generator | None = None) -> SupportSet:
+                  rng: np.random.Generator | None = None,
+                  encoded: tuple[Tensor, int] | None = None) -> SupportSet:
     """Encode document + separator + query once; build the support matrices
     and the initial query vector.
 
     `answer_row` maps a vocab id to its row in the answer-symbol table.
+    `encoded`, a `(states, b)` pair, reads the encoding from column b of a
+    `bigru_batch` node (see `encode_batch`) instead of running the biGRU
+    here; dropout then belongs to that node's inputs.
     """
     doc, query = example.document, example.query
-    emb = embed_sequence(doc.symbols + [sep_id] + query.symbols, params.E_i,
-                         dropout_rate, rng)
-    h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
-
     positions = example.positions
     syms = [doc.symbols[l - 1] for l in positions]
     q_pos = len(doc) + 1 + query.placeholder_pos
     m = len(positions)
-    zq = encode_span_queries(h_f, h_b, positions + [q_pos], params.W_q)
+    if encoded is None:
+        emb = embed_sequence(example.encoder_input(sep_id), params.E_i,
+                             dropout_rate, rng)
+        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
+        zq = encode_span_queries(h_f, h_b, positions + [q_pos], params.W_q)
+    else:
+        states, b = encoded
+        zq = column_span_queries(states, b, len(doc) + 1 + len(query),
+                                 positions + [q_pos], params.W_q)
     return SupportSet(
         positions=positions,
         z=ag.gather_rows(zq, range(m)),
         y_i=ag.gather_rows(params.E_i, syms),
         y_o=ag.gather_rows(params.E_o, [answer_row(s) for s in syms]),
         query_z=ag.take_row(zq, m))
+
+
+def encode_batch(examples, params: ModelParams, *, sep_id: int,
+                 dropout_rate: float = 0.0,
+                 rng: np.random.Generator | None = None) -> Tensor:
+    """The biGRU of B examples as one `bigru_batch` node, column b for
+    `examples[b]`. Each example's embedding and dropout mask are drawn in
+    order, so the RNG stream is the one B `build_support` calls draw."""
+    return bigru_batch([embed_sequence(ex.encoder_input(sep_id), params.E_i,
+                                       dropout_rate, rng)
+                        for ex in examples], params.gru_f, params.gru_b)
 
 
 @dataclass
@@ -115,8 +138,7 @@ def build_support_batch(examples, params: ModelParams, *, sep_id: int,
     no softmax."""
     if not all(ex.positions for ex in examples):
         raise EmptySupportError("support set is empty")
-    seqs = [ex.document.symbols + [sep_id] + ex.query.symbols
-            for ex in examples]
+    seqs = [ex.encoder_input(sep_id) for ex in examples]
     H = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
     # column 0 holds the placeholder's position, pads read position 1
     pos, mask = _padded([[len(ex.document) + 1 + ex.query.placeholder_pos]

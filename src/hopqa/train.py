@@ -11,6 +11,7 @@ wins.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .exceptions import ConfigError
 from .hops import forward_batch, forward_pass
 # benches/tracer.py patches the name train.init_params
 from .model import ModelParams, init_params, make_params
+from .support import encode_batch
 
 
 @dataclass
@@ -68,18 +70,32 @@ class Adam:
         self.v = {n: np.zeros_like(p.data) for n, p in self.params}
 
     def step(self, grads: dict) -> None:
+        """One update in place. A non-finite gradient anywhere refuses the
+        whole step before any parameter, moment or `t` changes."""
+        for name, _ in self.params:
+            if not np.all(np.isfinite(grads[name])):
+                raise RuntimeError(f"non-finite gradient for parameter "
+                                   f"{name!r}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in self.params:
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise RuntimeError(f"non-finite gradient for parameter "
-                                   f"{name!r}")
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            # the operations of
+            #   m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
+            #   p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+            # in their order, so every value is bit-identical to it, with
+            # two scratch arrays in place of its temporaries
+            tmp, upd = np.empty_like(m), np.empty_like(m)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=tmp)
+            v *= b2
+            np.multiply(1 - b2, g, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            np.sqrt(np.divide(v, 1 - b2 ** self.t, out=tmp), out=tmp)
+            tmp += self.eps
+            np.divide(m, 1 - b1 ** self.t, out=upd)
+            upd *= self.lr
+            p.data -= np.divide(upd, tmp, out=upd)
 
     def state_dict(self) -> dict:
         return {"t": self.t, "lr": self.lr,
@@ -97,6 +113,12 @@ class Adam:
 # scoring 128 dev examples in one batch raised peak RSS from 109 to 128 MiB;
 # batches of 32 stayed at the training peak.
 EVAL_CHUNK = 32
+# Training examples per `encode_batch` node and per backward pass; their
+# tapes are alive together until it runs, about 2 MB per example at h=256.
+# Peak RSS of the train-h256 benchmark (2 cores, one BLAS thread): 111.2 MiB
+# with chunks of 8, 128.9 with 16, 164.7 with whole minibatches of 32,
+# against 111.7 for one tape per example.
+TRAIN_CHUNK = 8
 
 
 @dataclass
@@ -139,10 +161,26 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
 
 def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
                  dropout: float = 0.0,
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None,
+                 encoded: tuple[Tensor, int] | None = None) -> Tensor:
+    """Cross-entropy of one example. `encoded` is its column of an
+    `encode_batch` node; dropout was applied when that node was built, so
+    `dropout` and `rng` go unused."""
     fr = forward_pass(example, params, vocab, hops, dropout_rate=dropout,
-                      rng=rng)
+                      rng=rng, encoded=encoded)
     return loss_from_scores(fr.scores, example.candidates.index(example.gold))
+
+
+def chunk_losses(chunk, params: ModelParams, vocab: Vocab, hops: int, *,
+                 dropout: float = 0.0,
+                 rng: np.random.Generator | None = None) -> list[Tensor]:
+    """`example_loss` of every example of `chunk`, their biGRU run as one
+    `encode_batch` node: the same losses, and the same dropout draws in the
+    same order, as one `example_loss` call per example."""
+    states = encode_batch(chunk, params, sep_id=vocab.sep_id,
+                          dropout_rate=dropout, rng=rng)
+    return [example_loss(ex, params, vocab, hops, encoded=(states, b))
+            for b, ex in enumerate(chunk)]
 
 
 @dataclass
@@ -296,13 +334,19 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
             # frozen tensors too, so no gradient sum outlives its step
             for _, p in params.named():
                 p.grad = np.zeros_like(p.data)
-            for ex in batch:
-                loss = example_loss(ex, params, vocab, config.hops,
-                                    dropout=config.dropout, rng=rng)
-                ag.backward(loss, accumulate=True)
-                window[0] += float(loss.data)
-                window[1] += 1
-            opt.step({n: p.grad / len(batch) for n, p in params.trainable()})
+            for c in range(0, len(batch), TRAIN_CHUNK):
+                losses = chunk_losses(batch[c:c + TRAIN_CHUNK], params,
+                                      vocab, config.hops,
+                                      dropout=config.dropout, rng=rng)
+                ag.backward(reduce(ag.add, losses), accumulate=True)
+                for loss in losses:
+                    window[0] += float(loss.data)
+                window[1] += len(losses)
+                # free this chunk's tape before the next chunk builds its own
+                del losses, loss
+            for _, p in params.trainable():
+                p.grad /= len(batch)
+            opt.step({n: p.grad for n, p in params.trainable()})
             if state.step % config.checkpoint_every == 0:
                 measure(at_epoch_boundary=False)
         state.epochs_run = epoch + 1

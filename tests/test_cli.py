@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopqa
 import hopqa.train as train_module
 from hopqa import cli
 from hopqa.checkpoint import load_checkpoint, save_checkpoint
@@ -624,3 +628,46 @@ def test_readme_cli_lines_parse():
             parser.parse_args(words[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {' '.join(words)}")
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def train_in_subprocess(workdir, out, **blas_env):
+    """`hopqa train` in a fresh interpreter whose environment holds no BLAS
+    variable but `blas_env`; returns the BLAS variables it saw once
+    `hopqa.cli` was imported, and the run's manifest."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas_env)
+    env["PYTHONPATH"] = str(Path(hopqa.__file__).resolve().parents[1])
+    code = ("import json, os, sys\n"
+            "from hopqa.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_VARS}}}))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "train",
+         "--config", str(workdir / "train.json"),
+         "--data", str(workdir / "data"), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    return seen, json.loads((out / "manifest.json").read_text())
+
+
+def test_blas_threads_pinned_to_one(workdir, tmp_path):
+    """With no BLAS variable set, importing hopqa sets each to 1 before
+    numpy loads, and the manifest says hopqa set them."""
+    seen, manifest = train_in_subprocess(workdir, tmp_path / "run")
+    assert seen == dict.fromkeys(BLAS_VARS, "1")
+    assert manifest["blas_threads"] == {
+        k: {"value": "1", "set_by": "hopqa"} for k in BLAS_VARS}
+
+
+def test_blas_threads_user_value_kept(workdir, tmp_path):
+    seen, manifest = train_in_subprocess(workdir, tmp_path / "run",
+                                         OPENBLAS_NUM_THREADS="2")
+    assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+    assert manifest["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": {"value": "2", "set_by": "user"},
+        "OMP_NUM_THREADS": {"value": "1", "set_by": "hopqa"},
+        "MKL_NUM_THREADS": {"value": "1", "set_by": "hopqa"}}

@@ -83,6 +83,53 @@ class TestAdam:
         with pytest.raises(RuntimeError, match="w"):
             opt.step({"w": np.array([1.0, np.nan])})
 
+    def test_refused_step_changes_nothing(self):
+        """A non-finite gradient in a later parameter refuses the whole
+        step: no parameter, moment or step count moves, earlier parameters
+        included."""
+        a = ag.param(np.array([1.0, 1.0]), name="a")
+        b = ag.param(np.array([2.0, 2.0]), name="b")
+        opt = Adam([("a", a), ("b", b)], lr=0.1)
+        opt.step({"a": np.array([0.5, -1.0]), "b": np.array([1.0, 3.0])})
+        before = opt.state_dict()
+        values = [a.data.copy(), b.data.copy()]
+        with pytest.raises(RuntimeError, match="'b'"):
+            opt.step({"a": np.array([1.0, 1.0]),
+                      "b": np.array([np.nan, 1.0])})
+        assert np.array_equal(a.data, values[0])
+        assert np.array_equal(b.data, values[1])
+        after = opt.state_dict()
+        assert (after["t"], after["lr"]) == (before["t"], before["lr"]) \
+            == (1, 0.1)
+        for key in ("m", "v"):
+            for name in ("a", "b"):
+                assert np.array_equal(after[key][name], before[key][name])
+
+    def test_in_place_step_is_the_formula_bit_for_bit(self, rng):
+        """The in-place update runs the textbook update's operations in
+        their order, so every value is bit-identical to it."""
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        shapes = {"w": (3, 4), "s": ()}
+        params = {n: ag.param(np.asarray(rng.normal(size=s)), name=n)
+                  for n, s in shapes.items()}
+        opt = Adam(list(params.items()), lr=lr)
+        want = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        for t in range(1, 6):
+            grads = {n: np.asarray(rng.normal(size=s))
+                     for n, s in shapes.items()}
+            opt.step(grads)
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                want[n] = want[n] - lr * (m[n] / (1 - b1 ** t)) / (
+                    np.sqrt(v[n] / (1 - b2 ** t)) + eps)
+        for n, p in params.items():
+            assert np.array_equal(p.data, want[n]), n
+            assert np.array_equal(opt.m[n], m[n]), n
+            assert np.array_equal(opt.v[n], v[n]), n
+
 
 class TestInitStatistics:
     def test_embedding_stddev(self):
