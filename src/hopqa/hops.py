@@ -5,6 +5,10 @@ retrieved pair, decide via a scalar gate how much of the retrieved answer
 embedding to accumulate, and gate per dimension whether to keep the old query
 or adopt the blended update. After T hops the accumulated answer
 representation is scored against the candidate embeddings.
+
+`run_hops` records the whole cycle as one tape node with a hand-written
+backward; `tests/hop_oracle.py` builds it op by op as the reference.
+`forward_batch` is the same cycle over B examples, with no tape.
 """
 
 from __future__ import annotations
@@ -15,17 +19,10 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .exceptions import DimensionError, EmptySupportError
 from .model import ModelParams
 # keep `stacked` a module-level name: benches/tracer.py patches hops.stacked
 from .support import Example, build_support, build_support_batch, stacked
-
-
-@dataclass
-class Retrieved:
-    alpha: Tensor
-    z_tilde: Tensor
-    y_i_tilde: Tensor
-    y_o_tilde: Tensor
 
 
 @dataclass
@@ -35,71 +32,6 @@ class HopTrace:
     g_a: float
     eta: float
     g_q_mean: float
-
-
-def retrieve(q: Tensor, z_mat: Tensor, y_i_mat: Tensor,
-             y_o_mat: Tensor) -> Retrieved:
-    alpha = ag.softmax(ag.matmul(z_mat, q))
-    return Retrieved(
-        alpha=alpha,
-        z_tilde=ag.matmul(ag.transpose(z_mat), alpha),
-        y_i_tilde=ag.matmul(ag.transpose(y_i_mat), alpha),
-        y_o_tilde=ag.matmul(ag.transpose(y_o_mat), alpha),
-    )
-
-
-def update_query(q: Tensor, retrieved: Retrieved,
-                 params: ModelParams) -> tuple[Tensor, Tensor]:
-    """Returns (q_next, gate). Gate at 1 keeps the old query."""
-    q_cand = ag.tanh(ag.matmul(
-        params.U_q_c, ag.concat([q, retrieved.y_i_tilde, retrieved.z_tilde])))
-    gate = ag.sigmoid(ag.add(
-        ag.matmul(params.U_q_g, ag.concat([q, retrieved.z_tilde])),
-        params.b_q_g))
-    q_next = ag.add(ag.mul(gate, q), ag.mul(ag.one_minus(gate), q_cand))
-    return q_next, gate
-
-
-def init_answer(q0: Tensor, params: ModelParams,
-                ablate_query_gate: bool = False) -> Tensor:
-    """Gated linear transform of the initial query. In identity output-
-    embedding mode the answer lives in candidate-index space and the query
-    contributes nothing, so the init is a zero vector (the gate is treated
-    as fully closed)."""
-    if params.identity_eo or ablate_query_gate:
-        return ag.zeros(params.answer_dim)
-    return ag.smul(ag.sigmoid(params.g_a_q), ag.matmul(params.U_a_q, q0))
-
-
-def eta_max_prob(y_o_tilde: Tensor, cand_mat: Tensor) -> tuple[Tensor, int]:
-    """Highest candidate probability if the retrieved answer embedding were
-    final. Gradient flows through the attained maximizer; ties break to the
-    lowest candidate index."""
-    probs = ag.softmax(ag.matmul(cand_mat, y_o_tilde))
-    idx = int(np.argmax(probs.data))
-    return ag.pick(probs, idx), idx
-
-
-def answer_gate(q: Tensor, z_tilde: Tensor, a0: Tensor, y_o_tilde: Tensor,
-                eta: Tensor, params: ModelParams) -> Tensor:
-    """Scalar accumulation gate over [q ⊙ z̃ ; a0 ⊙ ỹ^o ; η]."""
-    if params.identity_eo:
-        # a0 is zero in candidate-index space; its block stays a zero h-vector
-        mid = ag.zeros(params.h)
-    else:
-        mid = ag.mul(a0, y_o_tilde)
-    gate_in = ag.concat([ag.mul(q, z_tilde), mid, ag.reshape(eta, (1,))])
-    return ag.sigmoid(ag.add(ag.dot(params.u_a_g, gate_in), params.b_a))
-
-
-def update_answer(a: Tensor, g_a: Tensor, y_o_tilde: Tensor) -> Tensor:
-    return ag.add(a, ag.smul(g_a, y_o_tilde))
-
-
-def score_candidates(a: Tensor, cand_mat: Tensor) -> tuple[Tensor, Tensor]:
-    """Inner-product scores and their softmax over the candidate set."""
-    scores = ag.matmul(cand_mat, a)
-    return scores, ag.softmax(scores)
 
 
 @dataclass
@@ -120,28 +52,119 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
              cand_mat: Tensor, params: ModelParams, hops: int, *,
              ablate_query_gate: bool = False,
              force_answer_gate: float | None = None) -> HopRunResult:
-    """The retrieval/update cycle from stacked support matrices."""
+    """The retrieval/update cycle from stacked support matrices, as one tape
+    node: the candidate scores. Its forward runs every hop in plain numpy;
+    its backward sweeps the hops in reverse, writing into `q0`, the four
+    matrices and the hop parameters. `answer` carries no gradient."""
     if hops < 1:
         raise ValueError("need at least one hop")
-    q = q0
-    a0 = init_answer(q0, params, ablate_query_gate=ablate_query_gate)
-    a = a0
-    traces = []
+    p, sig = params, ag.stable_sigmoid
+    h, d = p.h, p.answer_dim
+    q, Z, Y_i, Y_o, C = (t.data for t in (q0, z_mat, y_i_mat, y_o_mat,
+                                          cand_mat))
+    m, k = len(Z), len(C)
+    bad = [f"{n} {x.shape} (want {w})" for n, x, w in (
+        ("q0", q, (h,)), ("Z", Z, (m, h)), ("Y_i", Y_i, (m, h)),
+        ("Y_o", Y_o, (m, d)), ("candidates", C, (k, d))) if x.shape != w]
+    if bad:
+        raise DimensionError(f"run_hops inputs: {', '.join(bad)}")
+    if m == 0 or k == 0:
+        raise EmptySupportError(f"run_hops over {m} support pairs and {k} "
+                                f"candidates")
+    use_a0 = not (p.identity_eo or ablate_query_gate)
+    if use_a0:
+        s0, v0 = sig(p.g_a_q.data), p.U_a_q.data @ q
+        a0 = s0 * v0
+    else:
+        a0 = np.zeros(d)
+    # the expressions of the per-op hop loop in their order, so every value
+    # is bit-identical to it
+    a, saved, traces = a0, [], []
     for t in range(hops):
-        r = retrieve(q, z_mat, y_i_mat, y_o_mat)
-        eta, _ = eta_max_prob(r.y_o_tilde, cand_mat)
+        s = Z @ q
+        e = np.exp(s - np.max(s))
+        alpha = e / np.sum(e)
+        z_t, y_i_t, y_o_t = Z.T @ alpha, Y_i.T @ alpha, Y_o.T @ alpha
+        s = C @ y_o_t
+        e = np.exp(s - np.max(s))
+        pc = e / np.sum(e)
+        j = int(np.argmax(pc))  # eta = pc[j]; a tie goes to the lowest j
         if force_answer_gate is None:
-            g_a = answer_gate(q, r.z_tilde, a0, r.y_o_tilde, eta, params)
+            mid = np.zeros(h) if p.identity_eo else a0 * y_o_t
+            x_a = np.concatenate([q * z_t, mid, pc[j:j + 1]])
+            g_a = sig(np.dot(p.u_a_g.data, x_a) + p.b_a.data)
         else:
-            g_a = ag.constant(np.asarray(force_answer_gate))
-        a = update_answer(a, g_a, r.y_o_tilde)
-        q, g_q = update_query(q, r, params)
-        traces.append(HopTrace(
-            hop=t + 1, alpha=r.alpha.data.copy(),
-            g_a=float(g_a.data), eta=float(eta.data),
-            g_q_mean=float(np.mean(g_q.data))))
-    scores, probs = score_candidates(a, cand_mat)
-    return HopRunResult(scores=scores, probs=probs, answer=a, traces=traces)
+            x_a, g_a = None, np.asarray(force_answer_gate, dtype=np.float64)
+        a = a + g_a * y_o_t
+        x_c, x_g = np.concatenate([q, y_i_t, z_t]), np.concatenate([q, z_t])
+        q_c = np.tanh(p.U_q_c.data @ x_c)
+        g_q = sig(p.U_q_g.data @ x_g + p.b_q_g.data)
+        saved.append((q, alpha, z_t, y_o_t, pc, j, x_a, g_a, x_c, x_g, q_c,
+                      g_q))
+        traces.append(HopTrace(hop=t + 1, alpha=alpha, g_a=float(g_a),
+                               eta=float(pc[j]), g_q_mean=float(np.mean(g_q))))
+        q = g_q * q + (1.0 - g_q) * q_c
+
+    def bw(g):
+        cand_mat.grad += np.outer(g, a)
+        d_a, d_q, d_a0 = C.T @ g, np.zeros(h), np.zeros(d)
+        rows, gate_rows = [], []
+        for t in reversed(range(hops)):
+            q, alpha, z_t, y_o_t, pc, j, x_a, g_a, x_c, x_g, q_c, g_q = saved[t]
+            # query update; d_q is zero at the last hop
+            d_c = d_q * (1.0 - g_q) * (1.0 - q_c * q_c)
+            d_g = (d_q * q - d_q * q_c) * g_q * (1.0 - g_q)
+            dx_c, dx_g = p.U_q_c.data.T @ d_c, p.U_q_g.data.T @ d_g
+            d_q = d_q * g_q + dx_c[:h] + dx_g[:h]
+            d_z = dx_c[2 * h:] + dx_g[h:]
+            # answer update and gate
+            d_yo = d_a * g_a
+            if x_a is not None:
+                d_ga = np.dot(d_a, y_o_t) * g_a * (1.0 - g_a)
+                dx_a = d_ga * p.u_a_g.data
+                d_q += dx_a[:h] * z_t
+                d_z += dx_a[:h] * q
+                if not p.identity_eo:
+                    d_a0 += dx_a[h:2 * h] * y_o_t
+                    d_yo += dx_a[h:2 * h] * a0
+                d_p = np.zeros(k)
+                d_p[j] = dx_a[-1]
+                d_p = pc * (d_p - dx_a[-1] * pc[j])
+                cand_mat.grad += np.outer(d_p, y_o_t)
+                d_yo += C.T @ d_p
+                gate_rows.append((x_a, d_ga))
+            # retrieval
+            d_al = Z @ d_z + Y_i @ dx_c[h:2 * h] + Y_o @ d_yo
+            d_s = alpha * (d_al - np.dot(d_al, alpha))
+            d_q += Z.T @ d_s
+            rows.append((alpha, q, x_c, x_g, d_z, dx_c[h:2 * h], d_yo, d_s,
+                         d_c, d_g))
+        A, Q, X_c, X_g, D_z, D_yi, D_yo, D_s, D_c, D_g = map(np.stack,
+                                                            zip(*rows))
+        z_mat.grad += A.T @ D_z + D_s.T @ Q
+        y_i_mat.grad += A.T @ D_yi
+        y_o_mat.grad += A.T @ D_yo
+        p.U_q_c.grad += D_c.T @ X_c
+        p.U_q_g.grad += D_g.T @ X_g
+        p.b_q_g.grad += D_g.sum(axis=0)
+        if gate_rows:
+            X_a, D_a = map(np.stack, zip(*gate_rows))
+            p.u_a_g.grad += D_a @ X_a
+            p.b_a.grad += D_a.sum()
+        d_a0 += d_a
+        if use_a0:
+            p.g_a_q.grad += np.dot(d_a0, v0) * s0 * (1.0 - s0)
+            p.U_a_q.grad += np.outer(d_a0 * s0, q0.data)
+            d_q += p.U_a_q.data.T @ (d_a0 * s0)
+        q0.grad += d_q
+
+    used = [p.U_q_c, p.U_q_g, p.b_q_g]
+    used += [p.U_a_q, p.g_a_q] if use_a0 else []
+    used += [p.u_a_g, p.b_a] if force_answer_gate is None else []
+    scores = Tensor(C @ a, parents=(q0, z_mat, y_i_mat, y_o_mat, cand_mat,
+                                    *used), backward_fn=bw)
+    return HopRunResult(scores=scores, probs=ag.softmax(scores),
+                        answer=ag.constant(a), traces=traces)
 
 
 def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,

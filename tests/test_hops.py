@@ -3,11 +3,11 @@ import pytest
 
 from hopqa import autograd as ag
 from hopqa.exceptions import EmptySupportError
-from hopqa.hops import (HopRunResult, answer_gate, eta_max_prob, init_answer,
-                        retrieve, run_hops, score_candidates, update_answer,
-                        update_query)
+from hopqa.hops import HopRunResult, run_hops
 
 from conftest import hand_params
+from hop_oracle import (answer_gate, eta_max_prob, init_answer, retrieve,
+                        score_candidates, update_answer, update_query)
 
 
 def t(x):
