@@ -76,6 +76,21 @@ def save_checkpoint(path, *, config: TrainConfig, params: ModelParams,
         raise
 
 
+def _arrays(npz, path, prefix: str, shapes: dict) -> dict[str, np.ndarray]:
+    """The `<prefix>/<name>` array of every name in `shapes`; a missing one
+    or a wrong shape is a `DataError` naming the file and the array."""
+    out = {}
+    for name, shape in shapes.items():
+        key = f"{prefix}/{name}"
+        if key not in npz.files:
+            raise DataError(f"{path}: checkpoint lacks array {key}")
+        out[name] = npz[key]
+        if out[name].shape != shape:
+            raise DataError(f"{path}: checkpoint array {key} has shape "
+                            f"{out[name].shape}, expected {shape}")
+    return out
+
+
 def load_checkpoint(path) -> CheckpointBundle:
     try:
         npz = np.load(path, allow_pickle=False)
@@ -106,19 +121,24 @@ def load_checkpoint(path) -> CheckpointBundle:
             {k[len("param/"):]: npz[k] for k in npz.files
              if k.startswith("param/")},
             config.h, vocab.size, vocab.n_answers, config.identity_eo)
+        # the Adam moments and the best-dev snapshot are checked here, so a
+        # damaged resumable checkpoint is refused before any training
+        trainable = {n: t.data.shape for n, t in params.trainable()}
         opt_state = None
         if header.get("optimizer") is not None:
             opt_state = {
                 "t": header["optimizer"]["t"],
                 "lr": header["optimizer"]["lr"],
-                "m": {name: npz[f"adam_m/{name}"].copy()
-                      for name, _ in params.trainable()},
-                "v": {name: npz[f"adam_v/{name}"].copy()
-                      for name, _ in params.trainable()},
+                "m": _arrays(npz, path, "adam_m", trainable),
+                "v": _arrays(npz, path, "adam_v", trainable),
             }
         run = None
         if header.get("run") is not None:
-            run = RunState.from_checkpoint(header["run"], npz)
+            best = None
+            if any(k.startswith("best/") for k in npz.files):
+                best = _arrays(npz, path, "best",
+                               {n: t.data.shape for n, t in params.named()})
+            run = RunState(**header["run"], best=best)
     return CheckpointBundle(config=config, params=params, vocab=vocab,
                             optimizer_state=opt_state, run=run,
                             meta=header.get("meta", {}))

@@ -1,5 +1,9 @@
 """Embedding, bi-directional GRU encoding, and contextual query vectors.
 
+`bigru_encode` runs both directions over B embedded sequences as one tape
+node, one column per sequence; a lone sequence is a batch of one.
+`bigru_states` is the same recurrence on token ids, without a tape.
+
 A token's query vector is built from the forward state just left of it and
 the backward state just right of it, projected by a matrix initialized to
 near-[I; I] so it starts out as (roughly) the sum of those two states.
@@ -54,7 +58,7 @@ class GRUParams:
             yield f"{prefix}.{f}", getattr(self, f)
 
 
-# test reference for gru_sequence; benches/tracer.py patches encoder.gru_step
+# test reference for bigru_encode; benches/tracer.py patches encoder.gru_step
 def gru_step(xz: Tensor, xr: Tensor, xh: Tensor, l: int, h_prev: Tensor,
              p: GRUParams) -> Tensor:
     """One recurrence step as a single fused tape node.
@@ -91,85 +95,6 @@ def gru_step(xz: Tensor, xr: Tensor, xh: Tensor, l: int, h_prev: Tensor,
         p.b_h.grad += da_c
     out.backward_fn = bw
     return out
-
-
-def gru_sequence(embedded: Tensor, p: GRUParams,
-                 reverse: bool = False) -> Tensor:
-    """One direction over the whole sequence as a single tape node.
-
-    Returns the `(n+1, h)` state matrix in reading order: row 0 is the zero
-    initial state, row k the state after k steps (right-to-left when
-    `reverse`). Same recurrence as `gru_step`; the backward pass runs BPTT
-    over saved gate values and leaves every weight gradient to one gemm.
-    """
-    x = embedded.data[::-1] if reverse else embedded.data
-    n = x.shape[0]
-    h = p.U_z.data.shape[0]
-    xzr = np.concatenate((x @ p.W_z.data + p.b_z.data,
-                          x @ p.W_r.data + p.b_r.data), axis=1)
-    xc = x @ p.W_h.data + p.b_h.data
-    u_zr = np.concatenate((p.U_z.data, p.U_r.data))
-    u_h = p.U_h.data
-    H = np.zeros((n + 1, h))
-    ZR = np.empty((n, 2 * h))
-    C = np.empty((n, h))
-    for hp, h_next, xzr_k, xc_k, zr_k, c in zip(H, H[1:], xzr, xc, ZR, C):
-        zr_k[:] = zr = ag.stable_sigmoid(xzr_k + u_zr @ hp)
-        z = zr[:h]
-        np.tanh(xc_k + u_h @ (zr[h:] * hp), out=c)
-        np.add(z * hp, (1.0 - z) * c, out=h_next)
-    out = Tensor(H, parents=(embedded, p.W_z, p.U_z, p.b_z, p.W_r, p.U_r,
-                             p.b_r, p.W_h, p.U_h, p.b_h))
-
-    def bw(G):
-        # gate derivatives that do not depend on the carried gradient
-        Hp, Z, R = H[:-1], ZR[:, :h], ZR[:, h:]
-        f_z = (Hp - C) * Z * (1.0 - Z)
-        f_c = (1.0 - Z) * (1.0 - C * C)
-        f_r = Hp * R * (1.0 - R)
-        u_zr_t = np.concatenate((p.U_z.data, p.U_r.data)).T
-        u_h_t = p.U_h.data.T
-        DA = np.empty((n, 3 * h))  # (da_z, da_r, da_c) per step
-        dh = np.zeros(h)
-        for g_k, fz, fc, fr, z, r, da_z, da_r, da_c, da_zr in zip(
-                G[:0:-1], f_z[::-1], f_c[::-1], f_r[::-1], Z[::-1], R[::-1],
-                DA[::-1, :h], DA[::-1, h:2 * h], DA[::-1, 2 * h:],
-                DA[::-1, :2 * h]):
-            g = g_k + dh
-            np.multiply(g, fz, out=da_z)
-            drh = u_h_t @ np.multiply(g, fc, out=da_c)
-            np.multiply(drh, fr, out=da_r)
-            dh = g * z + drh * r + u_zr_t @ da_zr
-        dU_zr = DA[:, :2 * h].T @ Hp
-        p.U_z.grad += dU_zr[:h]
-        p.U_r.grad += dU_zr[h:]
-        p.U_h.grad += DA[:, 2 * h:].T @ (R * Hp)
-        if reverse:
-            DA = DA[::-1]
-        db = DA.sum(axis=0)
-        dW = embedded.data.T @ DA
-        for i, (w, b) in enumerate(((p.W_z, p.b_z), (p.W_r, p.b_r),
-                                    (p.W_h, p.b_h))):
-            blk = slice(i * h, (i + 1) * h)
-            b.grad += db[blk]
-            w.grad += dW[:, blk]
-            embedded.grad += DA[:, blk] @ w.data.T
-    out.backward_fn = bw
-    return out
-
-
-def bigru_encode(embedded: Tensor, fwd_params: GRUParams,
-                 bwd_params: GRUParams) -> tuple[Tensor, Tensor]:
-    """Run both directions over an embedded sequence of n positions.
-
-    Returns `(h_f, h_b)`, two `(n+1, h)` state matrices in their own reading
-    order: `h_f` row l is the forward state after position l, `h_b` row n+1-l
-    the backward state after reading position l right-to-left; row 0 of each
-    is the zero initial state."""
-    if embedded.data.shape[0] < 1:
-        raise ValueError("cannot encode an empty sequence")
-    return (gru_sequence(embedded, fwd_params),
-            gru_sequence(embedded, bwd_params, reverse=True))
 
 
 def _stacked_weights(dirs):
@@ -211,15 +136,8 @@ def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
 
 def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
                  bwd_params: GRUParams) -> np.ndarray:
-    """Tape-free `bigru_encode` of B token-id sequences at once.
-
-    Returns a `(2, n+1, B, h)` array, n the longest length: `[0, k, b]` is
-    the forward state of sequence b after its first k tokens and `[1, k, b]`
-    the backward state after its last k tokens, the rows `h_f[k]` and
-    `h_b[k]` of `bigru_encode` on that sequence alone. Each direction reads
-    its sequence left-aligned (the backward one reversed per sequence), so
-    padding only follows the states a sequence's own positions read.
-    """
+    """The states of `bigru_encode` for B token-id sequences, without a
+    tape: the same `(2, n+1, B, h)` layout and recurrence."""
     n = max(map(len, seqs))
     ids = np.zeros((2, n, len(seqs)), dtype=np.intp)
     for b, s in enumerate(seqs):
@@ -237,18 +155,25 @@ def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
                        u_h)[0]
 
 
-def bigru_batch(embedded, fwd_params: GRUParams,
-                bwd_params: GRUParams) -> Tensor:
-    """`bigru_states` of B embedded sequences as one tape node.
+def bigru_encode(embedded, fwd_params: GRUParams,
+                 bwd_params: GRUParams) -> Tensor:
+    """Both directions over B embedded sequences as one tape node.
 
     `embedded` holds B `(n_b, h_in)` tensors, the `embed_sequence` outputs
-    of each sequence. The node's `(2, n+1, B, h)` data is laid out as
-    `bigru_states`'; `column_span_queries` reads one sequence's column of
-    it. The backward pass runs BPTT for both directions and the whole batch
-    at once, over saved gate values, and leaves each weight gradient to one
-    gemm. Pad steps receive no gradient, so they add exact zeros.
+    of each sequence. The node's data is a `(2, n+1, B, h)` array, n the
+    longest length: `[0, k, b]` is the forward state of sequence b after
+    its first k tokens and `[1, k, b]` the backward state after its last k
+    tokens; row 0 is the zero initial state. Each direction reads its
+    sequence left-aligned (the backward one reversed per sequence), so
+    padding only follows the states a sequence's own positions read;
+    `column_span_queries` reads one sequence's column. The backward pass
+    runs BPTT for both directions and the whole batch at once, over saved
+    gate values, and leaves each weight gradient to one gemm. Pad steps
+    receive no gradient, so they add exact zeros.
     """
     lens = [e.data.shape[0] for e in embedded]
+    if min(lens) < 1:
+        raise ValueError("cannot encode an empty sequence")
     n, B = max(lens), len(embedded)
     dirs = (fwd_params, bwd_params)
     X = np.zeros((2, n, B, embedded[0].data.shape[1]))
@@ -315,53 +240,33 @@ def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
     return emb
 
 
-def _neighbours(positions, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """State rows `(l - 1, n - l)` of `h_f` and `h_b` that 1-based position
-    l of an n-token sequence reads: the states just outside it."""
+def column_span_queries(states: Tensor, b: int, n: int, positions,
+                        w_q: Tensor) -> Tensor:
+    """Query vectors of many token positions of sequence b, n tokens long,
+    as one `(M, h)` tape node reading column b of a `bigru_encode` node.
+
+    Row k projects [h^f_{l-1}; h^b_{l+1}] of 1-based position
+    l = positions[k] (outer context only) by `w_q`: the states just outside
+    it, rows `l - 1` and `n - l` of the two directions. Positions that share
+    a neighbour read the same state row, so the backward pass scatters with
+    `np.add.at`, into column b's gradient only.
+    """
     pos = np.asarray(positions, dtype=np.intp)
     bad = pos[(pos < 1) | (pos > n)]
     if bad.size:
         raise IndexError(f"position {bad[0]} outside [1, {n}]")
-    return pos - 1, n - pos
-
-
-def _span_query_node(src_f: Tensor, f_rows, src_b: Tensor, b_rows,
-                     w_q: Tensor) -> Tensor:
-    """`[src_f[f_rows] ; src_b[b_rows]] @ w_q.T` as one tape node. Positions
-    that share a neighbour read the same state row, so the backward pass
-    scatters with `np.add.at`."""
+    f_rows, b_rows = (0, pos - 1, b), (1, n - pos, b)
     h = w_q.data.shape[0]
-    outer = np.concatenate((src_f.data[f_rows], src_b.data[b_rows]), axis=1)
-    out = Tensor(outer @ w_q.data.T, parents=(src_f, src_b, w_q))
+    outer = np.concatenate((states.data[f_rows], states.data[b_rows]), axis=1)
+    out = Tensor(outer @ w_q.data.T, parents=(states, w_q))
 
     def bw(g):
         w_q.grad += g.T @ outer
         d_outer = g @ w_q.data
-        np.add.at(src_f.grad, f_rows, d_outer[:, :h])
-        np.add.at(src_b.grad, b_rows, d_outer[:, h:])
+        np.add.at(states.grad, f_rows, d_outer[:, :h])
+        np.add.at(states.grad, b_rows, d_outer[:, h:])
     out.backward_fn = bw
     return out
-
-
-def encode_span_queries(h_f: Tensor, h_b: Tensor, positions,
-                        w_q: Tensor) -> Tensor:
-    """Query vectors of many token positions as one `(M, h)` tape node.
-
-    `h_f`, `h_b` are the state matrices of `bigru_encode`. Row k projects
-    [h^f_{l-1}; h^b_{l+1}] of 1-based position l = positions[k] (outer context
-    only) by `w_q`.
-    """
-    fi, bi = _neighbours(positions, h_f.data.shape[0] - 1)
-    return _span_query_node(h_f, fi, h_b, bi, w_q)
-
-
-def column_span_queries(states: Tensor, b: int, n: int, positions,
-                        w_q: Tensor) -> Tensor:
-    """`encode_span_queries` of sequence b, n tokens long, read from column
-    b of a `bigru_batch` node; the backward pass scatters into that
-    column's gradient only."""
-    fi, bi = _neighbours(positions, n)
-    return _span_query_node(states, (0, fi, b), states, (1, bi, b), w_q)
 
 
 def init_wq(h: int, rng: np.random.Generator,

@@ -4,9 +4,11 @@ Each occurrence of an answer candidate in the document becomes one support
 pair: a cloze query built from the occurrence's outer context plus the
 occurrence itself as the answer. The document and the query are encoded in a
 single pass, joined by a separator symbol, so the support pairs and the
-encoded query share one bi-GRU run. The memory is held as matrices, one pair
-per row: all pair queries come from one `encode_span_queries` node and each
-answer-embedding matrix from one row gather.
+encoded query share one bi-GRU run: one column of a `bigru_encode` node,
+which training builds for a chunk of examples and `build_support` alone for
+one. The memory is held as matrices, one pair per row: all pair queries come
+from one `column_span_queries` node and each answer-embedding matrix from one
+row gather.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import (Document, bigru_batch, bigru_encode, bigru_states,
-                      column_span_queries, embed_sequence, encode_span_queries)
+from .encoder import (Document, bigru_encode, bigru_states,
+                      column_span_queries, embed_sequence)
 from .exceptions import EmptySupportError
 from .model import ModelParams
 
@@ -71,9 +73,9 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
     and the initial query vector.
 
     `answer_row` maps a vocab id to its row in the answer-symbol table.
-    `encoded`, a `(states, b)` pair, reads the encoding from column b of a
-    `bigru_batch` node (see `encode_batch`) instead of running the biGRU
-    here; dropout then belongs to that node's inputs.
+    `encoded`, a `(states, b)` pair, reads the encoding from column b of an
+    `encode_batch` node; dropout then belongs to that node's inputs.
+    Without it the example is encoded here, as a batch of one.
     """
     doc, query = example.document, example.query
     positions = example.positions
@@ -81,14 +83,11 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
     q_pos = len(doc) + 1 + query.placeholder_pos
     m = len(positions)
     if encoded is None:
-        emb = embed_sequence(example.encoder_input(sep_id), params.E_i,
-                             dropout_rate, rng)
-        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
-        zq = encode_span_queries(h_f, h_b, positions + [q_pos], params.W_q)
-    else:
-        states, b = encoded
-        zq = column_span_queries(states, b, len(doc) + 1 + len(query),
-                                 positions + [q_pos], params.W_q)
+        encoded = encode_batch([example], params, sep_id=sep_id,
+                               dropout_rate=dropout_rate, rng=rng), 0
+    states, b = encoded
+    zq = column_span_queries(states, b, len(doc) + 1 + len(query),
+                             positions + [q_pos], params.W_q)
     return SupportSet(
         positions=positions,
         z=ag.gather_rows(zq, range(m)),
@@ -100,12 +99,12 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
 def encode_batch(examples, params: ModelParams, *, sep_id: int,
                  dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
-    """The biGRU of B examples as one `bigru_batch` node, column b for
+    """The biGRU of B examples as one `bigru_encode` node, column b for
     `examples[b]`. Each example's embedding and dropout mask are drawn in
     order, so the RNG stream is the one B `build_support` calls draw."""
-    return bigru_batch([embed_sequence(ex.encoder_input(sep_id), params.E_i,
-                                       dropout_rate, rng)
-                        for ex in examples], params.gru_f, params.gru_b)
+    return bigru_encode([embed_sequence(ex.encoder_input(sep_id), params.E_i,
+                                        dropout_rate, rng)
+                         for ex in examples], params.gru_f, params.gru_b)
 
 
 @dataclass
@@ -145,7 +144,7 @@ def build_support_batch(examples, params: ModelParams, *, sep_id: int,
                          + ex.positions for ex in examples])
     pos[~mask] = 1
     # [h^f_{l-1}; h^b_{l+1}] of every position in one gather, as in
-    # `encode_span_queries`
+    # `column_span_queries`
     rows = np.stack((pos - 1, np.array([[len(s)] for s in seqs]) - pos), 2)
     outer = H[[0, 1], rows, np.arange(len(seqs))[:, None, None]]
     zq = (outer.reshape(-1, 2 * params.h) @ params.W_q.data.T).reshape(

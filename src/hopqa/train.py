@@ -163,9 +163,10 @@ def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
                  dropout: float = 0.0,
                  rng: np.random.Generator | None = None,
                  encoded: tuple[Tensor, int] | None = None) -> Tensor:
-    """Cross-entropy of one example. `encoded` is its column of an
-    `encode_batch` node; dropout was applied when that node was built, so
-    `dropout` and `rng` go unused."""
+    """Cross-entropy of one example, encoded alone as a batch of one.
+    `encoded` passes instead its column of an `encode_batch` node; dropout
+    was applied when that node was built, so `dropout` and `rng` then go
+    unused."""
     fr = forward_pass(example, params, vocab, hops, dropout_rate=dropout,
                       rng=rng, encoded=encoded)
     return loss_from_scores(fr.scores, example.candidates.index(example.gold))
@@ -217,12 +218,6 @@ class RunState:
         scalars = {f.name: getattr(self, f.name) for f in fields(self)
                    if f.name != "best"}
         return scalars, {f"best/{n}": a for n, a in (self.best or {}).items()}
-
-    @classmethod
-    def from_checkpoint(cls, scalars: dict, arrays) -> "RunState":
-        best = {k[len("best/"):]: arrays[k] for k in arrays
-                if k.startswith("best/")}
-        return cls(**scalars, best=best or None)
 
 
 def schedule(state: RunState, acc: float,

@@ -1,9 +1,9 @@
 """Training encodes each chunk of a minibatch with one taped biGRU node
-(`encoder.bigru_batch`) and reads every example's column of it. These tests
-hold that path to the per-example one (`gru_sequence` per direction, one
-backward per example): per-step losses pinned from the per-example path,
-gradients of every parameter to 1e-12 on padded chunks, and the dropout
-stream draw for draw."""
+(`encoder.bigru_encode`) and reads every example's column of it. These tests
+hold that path to the per-example one (each example encoded alone as a batch
+of one, one backward per example): per-step losses pinned from the
+per-example path, gradients of every parameter to 1e-12 on padded chunks,
+and the dropout stream draw for draw."""
 
 from functools import reduce
 
@@ -73,9 +73,9 @@ def step_means(losses, batch_size):
             for i in range(0, len(losses), batch_size)]
 
 
-# per-step mean losses of the per-example path (one `gru_sequence` node per
-# direction and one backward per example), recorded before training
-# encoded chunks with `bigru_batch`
+# per-step mean losses of the per-example path (one whole-sequence GRU node
+# per direction and one backward per example), recorded before training
+# encoded chunks of examples as one biGRU node
 PINNED_STEP_LOSSES = {
     "dropout": [1.9189001758575166, 1.8431771951895286, 1.9137413037522846,
                 1.791409221034469],
@@ -105,7 +105,7 @@ def zero_grads(params):
         t.grad = np.zeros_like(t.data)
 
 
-def test_bigru_batch_states_match_bigru_states(mixed):
+def test_bigru_encode_states_match_bigru_states(mixed):
     """The taped node's forward is the evaluator's recurrence: same layout,
     same states wherever a sequence's own tokens were read (the pad inputs
     differ: zero vectors here, token 0's embedding there)."""

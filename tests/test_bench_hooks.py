@@ -70,3 +70,20 @@ def test_traced_evaluate_runs_clean():
     assert len(res.predictions) == 4
     assert t.counts["eval_examples"] == 4
     assert "train.evaluate" in t.names
+
+
+def test_traced_chunk_encodes_once():
+    """Training's chunk path under the tracer: the whole chunk's biGRU is
+    one `encoder.bigru_encode` span, and nothing fails."""
+    tr, _, _ = data.generate_splits(data.SynthConfig(
+        chain_length=2, n_distractor_facts=2, n_examples=3, n_dev=1,
+        n_test=1, seed=0))
+    vocab = tr.vocab
+    params = model.init_params(4, vocab.size, vocab.n_answers,
+                               np.random.default_rng(0))
+    chunk = tr.examples[:3]
+    with tracer.Tracer({}).installed() as t:
+        losses = train.chunk_losses(chunk, params, vocab, 2)
+    assert len(losses) == len(chunk) == 3
+    assert sum(t.errors.values()) == 0
+    assert list(t.name).count(t.names.index("encoder.bigru_encode")) == 1

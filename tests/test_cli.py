@@ -288,6 +288,43 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "vocab" in capsys.readouterr().err
 
+    def resume_damaged(self, workdir, tmp_path, monkeypatch, edit):
+        """`train --resume` from a copy of the run's last.ckpt with `edit`
+        applied to its arrays; training itself must not start."""
+        arrays = dict(np.load(workdir / "run" / "last.ckpt"))
+        edit(arrays)
+        bad = tmp_path / "last.ckpt"
+        with open(bad, "wb") as f:
+            np.savez(f, **arrays)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+        monkeypatch.setattr(cli, "train", no_training)
+        code = main(["train", "--data", str(workdir / "data"),
+                     "--resume", str(bad), "--out", str(tmp_path / "run")])
+        assert not (tmp_path / "run").exists()
+        return code, bad
+
+    def test_resume_missing_adam_moment_exit_2(self, workdir, tmp_path,
+                                               monkeypatch, capsys):
+        code, bad = self.resume_damaged(
+            workdir, tmp_path, monkeypatch,
+            lambda arrays: arrays.pop("adam_m/E_i"))
+        assert code == 2
+        assert (f"{bad}: checkpoint lacks array adam_m/E_i"
+                in capsys.readouterr().err)
+
+    def test_resume_wrong_best_shape_exit_2(self, workdir, tmp_path,
+                                            monkeypatch, capsys):
+        """A best-dev snapshot of the wrong shape would otherwise train and
+        fail only at the end, if no new best replaced it."""
+        def cut(arrays):
+            arrays["best/E_i"] = arrays["best/E_i"][:, :3]
+        code, bad = self.resume_damaged(workdir, tmp_path, monkeypatch, cut)
+        assert code == 2
+        assert (f"{bad}: checkpoint array best/E_i has shape (17, 3), "
+                f"expected (17, 4)" in capsys.readouterr().err)
+
 
 class TestEval:
     def test_reproduces_logged_dev_accuracy(self, workdir, capsys):

@@ -1,9 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from hopqa import autograd as ag
-from hopqa.encoder import (bigru_encode, embed_sequence, encode_span_queries,
-                           gru_sequence, gru_step, init_wq)
+from hopqa.encoder import (bigru_encode, column_span_queries, embed_sequence,
+                           gru_step, init_wq)
 from hopqa.exceptions import ConfigError
 from hopqa.model import init_params
 
@@ -39,25 +41,28 @@ class TestEmbedSequence:
             embed_sequence([0], e, 0.2)
 
 
+def encode_one(emb, params):
+    """A lone sequence as a batch of one: states `[d, k, 0]`."""
+    return bigru_encode([emb], params.gru_f, params.gru_b)
+
+
 class TestBigru:
     def test_single_token_uses_zero_initial_states(self, rng):
         params = init_params(4, 5, 2, rng)
-        emb = embed_sequence([3], params.E_i)
-        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
-        assert h_f.data.shape == h_b.data.shape == (2, 4)
-        assert np.array_equal(h_f.data[0], np.zeros(4))
-        assert np.array_equal(h_b.data[0], np.zeros(4))
-        assert np.all(np.isfinite(h_f.data[1]))
+        states = encode_one(embed_sequence([3], params.E_i), params)
+        assert states.data.shape == (2, 2, 1, 4)
+        assert np.array_equal(states.data[:, 0], np.zeros((2, 1, 4)))
+        assert np.all(np.isfinite(states.data[:, 1]))
 
     def test_zero_weights_update_bias_keeps_state_near_zero(self):
         h = 3
         gru = zero_gru(h)
         gru.b_z.data[...] = 1.0
         emb = ag.constant(np.ones((4, h)))
-        h_f, _ = bigru_encode(emb, gru, zero_gru(h))
+        states = bigru_encode([emb], gru, zero_gru(h))
         # update gate sigmoid(1) ~ 0.73 keeps the zero state; candidate is 0
         for l in range(1, 5):
-            assert np.allclose(h_f.data[l], 0.0)
+            assert np.allclose(states.data[0, l, 0], 0.0)
 
     def test_hand_evaluated_single_step(self):
         # one token, all weights zero except candidate input path W_h = I
@@ -65,22 +70,21 @@ class TestBigru:
         gru = zero_gru(h)
         gru.W_h.data[...] = np.eye(h)
         x = np.array([[0.5, -1.0]])
-        h_f, _ = bigru_encode(ag.constant(x), gru, zero_gru(h))
+        states = bigru_encode([ag.constant(x)], gru, zero_gru(h))
         # z = sigmoid(0) = 0.5, r = 0.5, c = tanh(x), h = 0.5*tanh(x)
-        assert np.allclose(h_f.data[1], 0.5 * np.tanh(x[0]))
+        assert np.allclose(states.data[0, 1, 0], 0.5 * np.tanh(x[0]))
 
     def test_gradients_match_finite_differences(self, rng):
         h, n = 4, 5
         params = init_params(h, 6, 2, rng)
         doc = [1, 3, 5, 0, 2]
-        weight = rng.normal(size=h)
+        weight = rng.normal(size=2 * (n + 1) * h)
         gru_tensors = [t for _, t in params.gru_f.named("f")] + \
                       [t for _, t in params.gru_b.named("b")]
 
         def f():
-            emb = embed_sequence(doc, params.E_i)
-            h_f, _ = bigru_encode(emb, params.gru_f, params.gru_b)
-            return ag.dot(ag.take_row(h_f, n), ag.constant(weight))
+            states = encode_one(embed_sequence(doc, params.E_i), params)
+            return ag.dot(ag.reshape(states, (-1,)), ag.constant(weight))
 
         assert ag.grad_check(f, gru_tensors, eps=1e-4) < 1e-5
 
@@ -98,9 +102,9 @@ class TestBigru:
                    + [t for _, t in params.gru_b.named("b")])
 
         def f():
-            emb = embed_sequence(doc, params.E_i)
-            h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
-            z = encode_span_queries(h_f, h_b, positions, params.W_q)
+            states = encode_one(embed_sequence(doc, params.E_i), params)
+            z = column_span_queries(states, 0, len(doc), positions,
+                                    params.W_q)
             return ag.dot(ag.reshape(z, (-1,)),
                           ag.constant(weight.reshape(-1)))
 
@@ -123,114 +127,177 @@ def step_chain(emb, p, reverse):
     return states
 
 
+def random_gru(h, rng):
+    p = init_params(h, 4, 2, rng).gru_f
+    for _, t in p.named("p"):
+        t.data[...] = rng.normal(size=t.data.shape)
+    return p
+
+
+def weighted_sum(t, weights):
+    return ag.dot(ag.reshape(t, (-1,)), ag.constant(weights.reshape(-1)))
+
+
+def grads_of(loss, tensors):
+    ag.backward(loss)
+    grads = [t.grad.copy() for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return grads
+
+
+def assert_node_matches_chains(embs, dirs, weights):
+    """One `bigru_encode` node over `embs` against one `step_chain` per
+    sequence and direction: each column's states to 1e-12 and, under the
+    loss sum(weights * states), the gradients of every input and of all 9
+    weights per direction to 1e-10. `weights` is zero past each column's
+    own length. Returns the node's gradients, inputs first."""
+    tensors = list(embs) + [t for p in dirs for _, t in p.named("p")]
+    node = bigru_encode(embs, *dirs)
+    got_g = grads_of(weighted_sum(node, weights), tensors)
+    terms = []
+    for b, emb in enumerate(embs):
+        n = emb.data.shape[0]
+        for d, p in enumerate(dirs):
+            rows = step_chain(emb, p, reverse=bool(d))
+            want = np.stack([r.data for r in rows])
+            assert np.max(np.abs(node.data[d, :n + 1, b] - want)) < 1e-12
+            terms.append(weighted_sum(ag.stack_rows(rows),
+                                      weights[d, :n + 1, b]))
+    want_g = grads_of(reduce(ag.add, terms), tensors)
+    for k, (g1, g2) in enumerate(zip(got_g, want_g)):
+        assert np.max(np.abs(g1 - g2)) < 1e-10, k
+    return got_g
+
+
 class TestGruSequence:
+    """The `bigru_encode` node held to the `gru_step` chain."""
+
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("h", [1, 3, 16])
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_matches_step_chain(self, n, h, reverse):
+        """A batch of one, the loss reading one direction: the other
+        direction's weights get exactly zero gradient."""
         rng = np.random.default_rng(100 * n + 10 * h + reverse)
-        p = init_params(h, 4, 2, rng).gru_f
-        for _, t in p.named("p"):
-            t.data[...] = rng.normal(size=t.data.shape)
+        dirs = (random_gru(h, rng), random_gru(h, rng))
         emb = ag.param(rng.normal(size=(n, h)))
-        weights = rng.normal(size=(n + 1, h))
-        tensors = [emb] + [t for _, t in p.named("p")]
+        weights = np.zeros((2, n + 1, 1, h))
+        weights[int(reverse)] = rng.normal(size=(n + 1, 1, h))
+        grads = assert_node_matches_chains([emb], dirs, weights)
+        other = grads[1:10] if reverse else grads[10:]
+        assert not any(np.any(g) for g in other)
 
-        def states_and_grads(rows):
-            loss = ag.dot(ag.reshape(ag.stack_rows(rows), (-1,)),
-                          ag.constant(weights.reshape(-1)))
-            ag.backward(loss)
-            grads = [t.grad.copy() for t in tensors]
-            for t in tensors:
-                t.grad = None
-            return np.stack([r.data for r in rows]), grads
+    def test_mixed_length_batch_matches_per_column_chains(self):
+        """Three sequences of lengths 4, 1 and 6 in one node: each column
+        is held to its own chains, and a pad step adds nothing."""
+        rng = np.random.default_rng(7)
+        h, lens = 3, (4, 1, 6)
+        dirs = (random_gru(h, rng), random_gru(h, rng))
+        embs = [ag.param(rng.normal(size=(n, h))) for n in lens]
+        weights = np.zeros((2, max(lens) + 1, len(lens), h))
+        for b, n in enumerate(lens):
+            weights[:, :n + 1, b] = rng.normal(size=(2, n + 1, h))
+        assert_node_matches_chains(embs, dirs, weights)
 
-        want, want_g = states_and_grads(step_chain(emb, p, reverse))
-        seq = gru_sequence(emb, p, reverse)
-        got, got_g = states_and_grads(
-            [ag.take_row(seq, k) for k in range(n + 1)])
-        assert np.max(np.abs(got - want)) < 1e-12
-        for t, g1, g2 in zip(tensors, got_g, want_g):
-            assert np.max(np.abs(g1 - g2)) < 1e-10, t
-
-    def test_one_node_per_direction(self, rng):
+    def test_one_node_for_both_directions(self, rng):
         params = init_params(3, 6, 2, rng)
         emb = embed_sequence([1, 2, 3, 4], params.E_i)
-        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
-        assert h_f.parents[0] is emb
-        assert h_b.parents[0] is emb
-        assert h_f.data.shape == h_b.data.shape == (5, 3)
+        states = encode_one(emb, params)
+        weights = [t for p in (params.gru_f, params.gru_b)
+                   for _, t in p.named("")]
+        assert states.parents[0] is emb
+        assert len(states.parents) == 1 + len(weights) == 19
+        assert all(a is b for a, b in zip(states.parents[1:], weights))
+        assert states.data.shape == (2, 5, 1, 3)
+
+    def test_empty_sequence_rejected(self, rng):
+        params = init_params(3, 6, 2, rng)
+        emb = embed_sequence([1, 2], params.E_i)
+        with pytest.raises(ValueError, match="empty sequence"):
+            bigru_encode([emb, ag.constant(np.zeros((0, 3)))],
+                         params.gru_f, params.gru_b)
 
     def test_rows_follow_list_indexing(self, rng):
-        """`h_f` row l is h^f_l; `h_b` row k is the state after k steps
+        """`[0, l]` is h^f_l; `[1, k]` is the state after k steps
         right-to-left, so h^b_l is row n+1-l, which position queries read."""
         params = init_params(3, 6, 2, rng)
         emb = embed_sequence([1, 2, 3], params.E_i)
-        h_f, h_b = bigru_encode(emb, params.gru_f, params.gru_b)
+        states = encode_one(emb, params)
         fwd = step_chain(emb, params.gru_f, False)
         bwd = step_chain(emb, params.gru_b, True)
-        assert h_f.data.shape[0] == 4
+        assert states.data.shape[1] == 4
         for k in range(4):
-            assert np.allclose(h_f.data[k], fwd[k].data)
-            assert np.allclose(h_b.data[k], bwd[k].data)
+            assert np.allclose(states.data[0, k, 0], fwd[k].data)
+            assert np.allclose(states.data[1, k, 0], bwd[k].data)
         eye, zero = np.eye(3), np.zeros((3, 3))
         read_fwd = ag.param(np.concatenate([eye, zero], axis=1))
         read_bwd = ag.param(np.concatenate([zero, eye], axis=1))
         for l in range(1, 4):
-            z_f = encode_span_queries(h_f, h_b, [l], read_fwd)
+            z_f = column_span_queries(states, 0, 3, [l], read_fwd)
             assert np.allclose(z_f.data[0], fwd[l - 1].data)  # h^f_{l-1}
-            z_b = encode_span_queries(h_f, h_b, [l], read_bwd)
+            z_b = column_span_queries(states, 0, 3, [l], read_bwd)
             assert np.allclose(z_b.data[0], bwd[3 - l].data)  # h^b_{l+1}
 
 
-def encoded(rng, n, h=3):
+def encoded(rng, *lens, h=3):
+    """Parameters and one `bigru_encode` node over sequences of `lens`."""
     params = init_params(h, 6, 2, rng)
-    emb = embed_sequence(list(rng.integers(0, 6, size=n)), params.E_i)
-    return (params, *bigru_encode(emb, params.gru_f, params.gru_b))
+    embs = [embed_sequence(list(rng.integers(0, 6, size=n)), params.E_i)
+            for n in lens]
+    return params, bigru_encode(embs, params.gru_f, params.gru_b)
 
 
 class TestSpanQuery:
     def test_identity_projection_sums_boundary_states(self, rng):
-        params, h_f, h_b = encoded(rng, 4)
+        params, states = encoded(rng, 4)
         params.W_q.data[...] = np.concatenate([np.eye(3), np.eye(3)], axis=1)
-        z = encode_span_queries(h_f, h_b, [2, 1], params.W_q)
-        assert np.allclose(z.data[0], h_f.data[1] + h_b.data[2])
-        assert np.allclose(z.data[1], h_f.data[0] + h_b.data[3])
+        z = column_span_queries(states, 0, 4, [2, 1], params.W_q)
+        H = states.data[:, :, 0]
+        assert np.allclose(z.data[0], H[0, 1] + H[1, 2])
+        assert np.allclose(z.data[1], H[0, 0] + H[1, 3])
 
     def test_whole_document_span_is_zero(self, rng):
         """The only position of a one-token sequence reads both zero initial
         states."""
-        params, h_f, h_b = encoded(rng, 1)
-        z = encode_span_queries(h_f, h_b, [1], params.W_q)
+        params, states = encoded(rng, 1)
+        z = column_span_queries(states, 0, 1, [1], params.W_q)
         assert np.array_equal(z.data, np.zeros((1, 3)))
 
     def test_out_of_range_span(self, rng):
-        params, h_f, h_b = encoded(rng, 2)
+        params, states = encoded(rng, 2)
         for bad in (3, 0, -1):
             with pytest.raises(IndexError, match=rf"position {bad} outside"):
-                encode_span_queries(h_f, h_b, [1, bad], params.W_q)
+                column_span_queries(states, 0, 2, [1, bad], params.W_q)
+
+    def test_position_past_column_length_in_padded_width(self, rng):
+        """Column 0 holds 2 tokens of a batch padded to 5: its position 3
+        has state rows in the node but is outside its own sequence."""
+        params, states = encoded(rng, 2, 5)
+        with pytest.raises(IndexError, match=r"position 3 outside \[1, 2\]"):
+            column_span_queries(states, 0, 2, [1, 3], params.W_q)
+        assert column_span_queries(states, 1, 5, [3], params.W_q).data.shape \
+            == (1, 3)
 
     def test_reads_only_boundary_states(self, rng):
         """Perturbing every state except h^f_{l-1} and h^b_{l+1} of each
-        position leaves the position queries unchanged."""
-        h, n = 3, 6
+        position in column b, the other column and the pad rows included,
+        leaves the position queries unchanged."""
+        h, n, b = 3, 6, 1
         w_q = ag.param(rng.normal(size=(h, 2 * h)))
-        h_f = ag.constant(rng.normal(size=(n + 1, h)))
-        h_b = ag.constant(rng.normal(size=(n + 1, h)))
+        states = ag.constant(rng.normal(size=(2, n + 3, 2, h)))
         positions = [2, 5]
-        base = encode_span_queries(h_f, h_b, positions, w_q).data.copy()
-        read_f = {l - 1 for l in positions}
-        read_b = {n + 1 - (l + 1) for l in positions}
-        for k in range(n + 1):
-            if k not in read_f:
-                h_f.data[k] += rng.normal(size=h)
-            if k not in read_b:
-                h_b.data[k] += rng.normal(size=h)
+        base = column_span_queries(states, b, n, positions, w_q).data.copy()
+        read = ({(0, l - 1, b) for l in positions}
+                | {(1, n + 1 - (l + 1), b) for l in positions})
+        for idx in np.ndindex(states.data.shape[:3]):
+            if idx not in read:
+                states.data[idx] += rng.normal(size=h)
         assert np.array_equal(
-            encode_span_queries(h_f, h_b, positions, w_q).data, base)
-        h_f.data[1] += 1.0
+            column_span_queries(states, b, n, positions, w_q).data, base)
+        states.data[0, 1, b] += 1.0
         assert not np.allclose(
-            encode_span_queries(h_f, h_b, positions, w_q).data, base)
+            column_span_queries(states, b, n, positions, w_q).data, base)
 
 
 def span_query_chain(h_f, h_b, positions, w_q):
@@ -261,43 +328,45 @@ class TestSpanQueries:
     @pytest.mark.parametrize("h", [1, 4, 16])
     @pytest.mark.parametrize("m", [1, 3, 30])
     def test_matches_per_span_chain(self, m, h):
+        """Column b of a batch of one and of a batch of two padded past the
+        column's n tokens, against the chain over that column's states:
+        the scatter reaches column b's own rows and nothing else."""
         rng = np.random.default_rng(10 * m + h)
         n = 12
         h_f = ag.param(rng.normal(size=(n + 1, h)))
         h_b = ag.param(rng.normal(size=(n + 1, h)))
         w_q = ag.param(rng.normal(size=(h, 2 * h)))
         positions = row_sharing_positions(rng, m, n)
-        weights = ag.constant(rng.normal(size=m * h))
-        tensors = [h_f, h_b, w_q]
-
-        def values_and_grads(z):
-            ag.backward(ag.dot(ag.reshape(z, (-1,)), weights))
-            grads = [t.grad.copy() for t in tensors]
-            for t in tensors:
-                t.grad = None
-            return z.data, grads
-
-        want, want_g = values_and_grads(
-            span_query_chain(h_f, h_b, positions, w_q))
-        got, got_g = values_and_grads(
-            encode_span_queries(h_f, h_b, positions, w_q))
-        assert got.shape == (m, h)
-        if m == 30:  # rows 0..n-1 of each matrix are addressable
-            for g in got_g[:2]:
-                assert np.all(np.any(g[:n] != 0.0, axis=1))
-                assert not np.any(g[n])
-        assert np.max(np.abs(got - want)) < 1e-12
-        for t, g1, g2 in zip(("fwd", "bwd", "W_q"), got_g, want_g):
-            assert np.max(np.abs(g1 - g2)) < 1e-10, t
+        weights = rng.normal(size=m * h)
+        want = span_query_chain(h_f, h_b, positions, w_q)
+        want_g = grads_of(weighted_sum(want, weights), [h_f, h_b, w_q])
+        for B, b, width in ((1, 0, n), (2, 1, n + 3)):
+            states = ag.param(rng.normal(size=(2, width + 1, B, h)))
+            states.data[0, :n + 1, b] = h_f.data
+            states.data[1, :n + 1, b] = h_b.data
+            got = column_span_queries(states, b, n, positions, w_q)
+            g_states, g_wq = grads_of(weighted_sum(got, weights),
+                                      [states, w_q])
+            assert got.data.shape == (m, h)
+            assert np.max(np.abs(got.data - want.data)) < 1e-12
+            assert np.max(np.abs(g_wq - want_g[2])) < 1e-10
+            for d in range(2):
+                g = g_states[d, :n + 1, b]
+                assert np.max(np.abs(g - want_g[d])) < 1e-10, (B, d)
+                if m == 30:  # rows 0..n-1 of each direction are addressable
+                    assert np.all(np.any(g[:n] != 0.0, axis=1))
+                    assert not np.any(g[n])
+            g_states[:, :n + 1, b] = 0.0
+            assert not np.any(g_states), B
 
     def test_one_node_for_all_spans(self, rng):
-        params, h_f, h_b = encoded(rng, 5)
-        z = encode_span_queries(h_f, h_b, range(1, 6), params.W_q)
-        assert z.parents == (h_f, h_b, params.W_q)
+        params, states = encoded(rng, 5)
+        z = column_span_queries(states, 0, 5, range(1, 6), params.W_q)
+        assert z.parents == (states, params.W_q)
 
     def test_no_spans(self, rng):
-        params, h_f, h_b = encoded(rng, 3)
-        z = encode_span_queries(h_f, h_b, [], params.W_q)
+        params, states = encoded(rng, 3)
+        z = column_span_queries(states, 0, 3, [], params.W_q)
         assert z.data.shape == (0, 3)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hopqa import autograd as ag
 from hopqa.data import SynthConfig, generate_splits
-from hopqa.encoder import Document, bigru_encode, encode_span_queries
+from hopqa.encoder import Document, bigru_encode, column_span_queries
 from hopqa.exceptions import EmptySupportError
 from hopqa.hops import run_hops
 from hopqa.model import init_params
@@ -123,10 +123,10 @@ class TestBuildSupport:
         assert sup.m == 1
         # forward boundary state h^f_0 is exactly zero; z = 0 + h^b_2
         emb_ids = doc.symbols + [T2I["@sep"]] + query.symbols
-        _, h_b = bigru_encode(ag.gather_rows(p.E_i, emb_ids), p.gru_f,
+        states = bigru_encode([ag.gather_rows(p.E_i, emb_ids)], p.gru_f,
                               p.gru_b)
         # h^b_2 is backward row n+1-2 = 2 of the n = 3 token sequence
-        assert np.allclose(sup.z.data[0], h_b.data[2])
+        assert np.allclose(sup.z.data[0], states.data[1, 2, 0])
 
     def test_query_occurrences_not_support(self):
         """Candidate tokens inside the query never become support pairs."""
@@ -263,13 +263,14 @@ class TestStacked:
         assert y_i.data.shape == (3, 4)
         assert y_o.data.shape == (3, 4)
         symbols = ex.document.symbols + [T2I["@sep"]] + ex.query.symbols
-        h_f, h_b = bigru_encode(ag.gather_rows(p.E_i, symbols), p.gru_f,
-                                p.gru_b)
+        states = bigru_encode([ag.gather_rows(p.E_i, symbols)], p.gru_f,
+                              p.gru_b)
+        n = len(symbols)
         q_pos = len(ex.document) + 1 + ex.query.placeholder_pos
         for k, l in enumerate(sup.positions):
-            one = encode_span_queries(h_f, h_b, [l], p.W_q)
+            one = column_span_queries(states, 0, n, [l], p.W_q)
             assert np.allclose(z.data[k], one.data[0], rtol=0, atol=1e-15)
-        one = encode_span_queries(h_f, h_b, [q_pos], p.W_q)
+        one = column_span_queries(states, 0, n, [q_pos], p.W_q)
         assert np.allclose(sup.query_z.data, one.data[0], rtol=0, atol=1e-15)
 
     def test_empty_support_rejected(self, rng):
