@@ -240,14 +240,15 @@ def logsumexp(a: Tensor) -> Tensor:
 
 
 def gather_rows(e: Tensor, ids) -> Tensor:
+    """Rows of the matrix `e` at ids of any shape; repeated ids scatter-add
+    their gradients."""
     if e.data.ndim != 2:
         raise DimensionError(f"gather_rows expects a matrix, got {e.data.shape}")
-    ids = list(ids)
-    n_rows = e.data.shape[0]
-    for i in ids:
-        if not 0 <= i < n_rows:
-            raise IndexError(f"row id {i} out of range [0, {n_rows})")
     idx = np.asarray(ids, dtype=np.intp)
+    n_rows = e.data.shape[0]
+    bad = idx.view(np.uintp) >= n_rows  # a negative id reads as a huge one
+    if bad.any():
+        raise IndexError(f"row id {idx[bad][0]} out of range [0, {n_rows})")
     out = Tensor(e.data[idx], parents=(e,))
 
     def bw(g):

@@ -91,6 +91,40 @@ def _arrays(npz, path, prefix: str, shapes: dict) -> dict[str, np.ndarray]:
     return out
 
 
+def _count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _acc(v) -> bool:
+    return v is None or type(v) is float
+
+
+# each key of a resumable checkpoint's `optimizer` and `run` headers, with
+# the test its value must pass
+HEADER_KEYS = {
+    "optimizer": {"t": _count, "lr": lambda v: type(v) is float and v > 0},
+    "run": {"step": _count, "epochs_run": _count, "last_ckpt_acc": _acc,
+            "prev_epoch_acc": _acc, "best_acc": lambda v: type(v) is float,
+            "best_step": _count, "best_epoch": _count,
+            "rng_state": lambda v: isinstance(v, dict)},
+}
+
+
+def _header(path, header: dict, part: str) -> dict:
+    """`header[part]`, refused with a `DataError` naming the file and the
+    key unless it holds exactly the keys of `HEADER_KEYS[part]`, each value
+    passing its test."""
+    obj, tests = header[part], HEADER_KEYS[part]
+    keys = obj.keys() if isinstance(obj, dict) else set()
+    for name in sorted(keys | tests.keys()):
+        if name not in tests or name not in keys or not tests[name](obj[name]):
+            what = ("unknown" if name not in tests else "missing"
+                    if name not in keys else f"bad value {obj[name]!r}")
+            raise DataError(f"{path}: checkpoint header key {part}.{name}: "
+                            f"{what}")
+    return obj
+
+
 def load_checkpoint(path) -> CheckpointBundle:
     try:
         npz = np.load(path, allow_pickle=False)
@@ -127,8 +161,7 @@ def load_checkpoint(path) -> CheckpointBundle:
         opt_state = None
         if header.get("optimizer") is not None:
             opt_state = {
-                "t": header["optimizer"]["t"],
-                "lr": header["optimizer"]["lr"],
+                **_header(path, header, "optimizer"),
                 "m": _arrays(npz, path, "adam_m", trainable),
                 "v": _arrays(npz, path, "adam_v", trainable),
             }
@@ -138,7 +171,7 @@ def load_checkpoint(path) -> CheckpointBundle:
             if any(k.startswith("best/") for k in npz.files):
                 best = _arrays(npz, path, "best",
                                {n: t.data.shape for n, t in params.named()})
-            run = RunState(**header["run"], best=best)
+            run = RunState(**_header(path, header, "run"), best=best)
     return CheckpointBundle(config=config, params=params, vocab=vocab,
                             optimizer_state=opt_state, run=run,
                             meta=header.get("meta", {}))

@@ -240,31 +240,37 @@ def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
     return emb
 
 
-def column_span_queries(states: Tensor, b: int, n: int, positions,
+def column_span_queries(states: Tensor, b, n, positions,
                         w_q: Tensor) -> Tensor:
     """Query vectors of many token positions of sequence b, n tokens long,
-    as one `(M, h)` tape node reading column b of a `bigru_encode` node.
+    as one `(M, h)` tape node reading column b of a `bigru_encode` node; or,
+    with columns `b` and lengths `n` broadcast against `(B, P)` positions,
+    as one `(B, P, h)` node for a whole batch.
 
     Row k projects [h^f_{l-1}; h^b_{l+1}] of 1-based position
     l = positions[k] (outer context only) by `w_q`: the states just outside
     it, rows `l - 1` and `n - l` of the two directions. Positions that share
     a neighbour read the same state row, so the backward pass scatters with
-    `np.add.at`, into column b's gradient only.
+    `np.add.at`, into the columns read only.
     """
     pos = np.asarray(positions, dtype=np.intp)
-    bad = pos[(pos < 1) | (pos > n)]
-    if bad.size:
-        raise IndexError(f"position {bad[0]} outside [1, {n}]")
+    n = np.broadcast_to(n, pos.shape)
+    bad = (pos < 1) | (pos > n)
+    if bad.any():
+        raise IndexError(f"position {pos[bad][0]} outside [1, {n[bad][0]}]")
     f_rows, b_rows = (0, pos - 1, b), (1, n - pos, b)
     h = w_q.data.shape[0]
-    outer = np.concatenate((states.data[f_rows], states.data[b_rows]), axis=1)
-    out = Tensor(outer @ w_q.data.T, parents=(states, w_q))
+    outer = np.concatenate((states.data[f_rows], states.data[b_rows]),
+                           axis=-1).reshape(-1, 2 * h)
+    out = Tensor((outer @ w_q.data.T).reshape(*pos.shape, h),
+                 parents=(states, w_q))
 
     def bw(g):
+        g = g.reshape(-1, h)
         w_q.grad += g.T @ outer
-        d_outer = g @ w_q.data
-        np.add.at(states.grad, f_rows, d_outer[:, :h])
-        np.add.at(states.grad, b_rows, d_outer[:, h:])
+        d_outer = (g @ w_q.data).reshape(*pos.shape, 2 * h)
+        np.add.at(states.grad, f_rows, d_outer[..., :h])
+        np.add.at(states.grad, b_rows, d_outer[..., h:])
     out.backward_fn = bw
     return out
 

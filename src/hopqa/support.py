@@ -4,11 +4,12 @@ Each occurrence of an answer candidate in the document becomes one support
 pair: a cloze query built from the occurrence's outer context plus the
 occurrence itself as the answer. The document and the query are encoded in a
 single pass, joined by a separator symbol, so the support pairs and the
-encoded query share one bi-GRU run: one column of a `bigru_encode` node,
-which training builds for a chunk of examples and `build_support` alone for
-one. The memory is held as matrices, one pair per row: all pair queries come
-from one `column_span_queries` node and each answer-embedding matrix from one
-row gather.
+encoded query share one bi-GRU run: one column of a `bigru_encode` node.
+The memory is held as matrices, one pair per row: all span queries come from
+one `column_span_queries` node and each answer-embedding matrix from one row
+gather. `build_support_batch` builds the padded, masked memories of B
+examples as such nodes, for a training chunk or, over tape-free states, for
+evaluation; `build_support` builds one example's, for `forward_pass`.
 """
 
 from __future__ import annotations
@@ -109,46 +110,48 @@ def encode_batch(examples, params: ModelParams, *, sep_id: int,
 
 @dataclass
 class SupportBatch:
-    """Tape-free support memories of B examples, padded to the largest
-    support (M) and candidate (K) counts; pad rows are real rows of the
-    tables and carry False in their mask."""
-    memory: np.ndarray  # (B, M, 2h + answer_dim): rows [z | y_i | y_o]
+    """The support memories of B examples as tape nodes, padded to the
+    largest support (M) and candidate (K) counts; pad rows are real rows of
+    the tables, carry False in their mask and receive zero gradient."""
+    queries: Tensor  # (B, M + 1, h): the initial query, then the pairs' z
+    y_i: Tensor  # (B, M, h) input embeddings of the answers
+    y_o: Tensor  # (B, M, answer_dim) output embeddings of the answers
     mask: np.ndarray  # (B, M)
-    query_z: np.ndarray  # (B, h)
-    cand: np.ndarray  # (B, K, answer_dim) candidate output embeddings
+    cand: Tensor  # (B, K, answer_dim) candidate output embeddings
     cand_mask: np.ndarray  # (B, K)
 
 
 def _padded(rows) -> tuple[np.ndarray, np.ndarray]:
     """Index lists as a zero-padded `(B, max length)` array and its mask."""
-    width = max(map(len, rows))
-    idx = np.zeros((len(rows), width), dtype=np.intp)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for b, r in enumerate(rows):
-        idx[b, :len(r)] = r
-        mask[b, :len(r)] = True
+    lens = np.array([len(r) for r in rows])
+    mask = np.arange(lens.max()) < lens[:, None]
+    idx = np.zeros(mask.shape, dtype=np.intp)
+    idx[mask] = [i for r in rows for i in r]
     return idx, mask
 
 
 def build_support_batch(examples, params: ModelParams, *, sep_id: int,
-                        answer_row) -> SupportBatch:
-    """`build_support` without dropout or tape for B examples. Raises
-    `EmptySupportError` for an example without support: its all-pad row has
-    no softmax."""
+                        answer_row,
+                        states: Tensor | None = None) -> SupportBatch:
+    """`build_support` for B examples: every span query from one
+    `column_span_queries` node, each answer-embedding table from one padded
+    row gather. `states` is the examples' `encode_batch` node; without it
+    they are encoded by the tape-free `bigru_states`, without dropout, as
+    evaluation does. Raises `EmptySupportError` for an example without
+    support: its all-pad row has no softmax."""
     if not all(ex.positions for ex in examples):
         raise EmptySupportError("support set is empty")
     seqs = [ex.encoder_input(sep_id) for ex in examples]
-    H = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
+    if states is None:
+        states = ag.constant(bigru_states(seqs, params.E_i.data, params.gru_f,
+                                          params.gru_b))
     # column 0 holds the placeholder's position, pads read position 1
     pos, mask = _padded([[len(ex.document) + 1 + ex.query.placeholder_pos]
                          + ex.positions for ex in examples])
     pos[~mask] = 1
-    # [h^f_{l-1}; h^b_{l+1}] of every position in one gather, as in
-    # `column_span_queries`
-    rows = np.stack((pos - 1, np.array([[len(s)] for s in seqs]) - pos), 2)
-    outer = H[[0, 1], rows, np.arange(len(seqs))[:, None, None]]
-    zq = (outer.reshape(-1, 2 * params.h) @ params.W_q.data.T).reshape(
-        *pos.shape, params.h)
+    queries = column_span_queries(states, np.arange(len(seqs))[:, None],
+                                  np.array([[len(s)] for s in seqs]), pos,
+                                  params.W_q)
     syms = [[ex.document.symbols[l - 1] for l in ex.positions]
             for ex in examples]
     y_i, _ = _padded(syms)
@@ -156,10 +159,9 @@ def build_support_batch(examples, params: ModelParams, *, sep_id: int,
     cand, cand_mask = _padded([[answer_row(c) for c in ex.candidates]
                                for ex in examples])
     return SupportBatch(
-        memory=np.concatenate((zq[:, 1:], params.E_i.data[y_i],
-                               params.E_o.data[y_o]), axis=2),
-        mask=mask[:, 1:], query_z=zq[:, 0], cand=params.E_o.data[cand],
-        cand_mask=cand_mask)
+        queries=queries, y_i=ag.gather_rows(params.E_i, y_i),
+        y_o=ag.gather_rows(params.E_o, y_o), mask=mask[:, 1:],
+        cand=ag.gather_rows(params.E_o, cand), cand_mask=cand_mask)
 
 
 def stacked(support: SupportSet) -> tuple[Tensor, Tensor, Tensor]:

@@ -19,10 +19,10 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import Dataset, Vocab, check_field_types
 from .exceptions import ConfigError
-from .hops import forward_batch, forward_pass
+from .hops import forward_batch, forward_pass, run_hops_batch
 # benches/tracer.py patches the name train.init_params
 from .model import ModelParams, init_params, make_params
-from .support import encode_batch
+from .support import build_support_batch, encode_batch
 
 
 @dataclass
@@ -113,11 +113,11 @@ class Adam:
 # scoring 128 dev examples in one batch raised peak RSS from 109 to 128 MiB;
 # batches of 32 stayed at the training peak.
 EVAL_CHUNK = 32
-# Training examples per `encode_batch` node and per backward pass; their
-# tapes are alive together until it runs, about 2 MB per example at h=256.
-# Peak RSS of the train-h256 benchmark (2 cores, one BLAS thread): 111.2 MiB
-# with chunks of 8, 128.9 with 16, 164.7 with whole minibatches of 32,
-# against 111.7 for one tape per example.
+# Training examples per taped chunk (`chunk_losses`) and per backward pass;
+# the chunk's tape is alive until it runs. Peak RSS of the train-h256
+# benchmark (2 cores, one BLAS thread, three runs each): 109.3 MiB with
+# chunks of 8, 121.9 with 16, 147.0 with whole minibatches of 32, against
+# 109.1 for chunks of 8 with one hop node per example.
 TRAIN_CHUNK = 8
 
 
@@ -163,24 +163,33 @@ def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
                  dropout: float = 0.0,
                  rng: np.random.Generator | None = None,
                  encoded: tuple[Tensor, int] | None = None) -> Tensor:
-    """Cross-entropy of one example, encoded alone as a batch of one.
-    `encoded` passes instead its column of an `encode_batch` node; dropout
-    was applied when that node was built, so `dropout` and `rng` then go
-    unused."""
-    fr = forward_pass(example, params, vocab, hops, dropout_rate=dropout,
-                      rng=rng, encoded=encoded)
-    return loss_from_scores(fr.scores, example.candidates.index(example.gold))
+    """Cross-entropy of one example, run alone as a batch of one.
+    `encoded`, a `(scores, b)` pair, passes instead its row b of a chunk's
+    `(B, K)` score node (`chunk_losses`), where pad candidates score -inf
+    and so add nothing; dropout was applied when that chunk was encoded, so
+    `dropout` and `rng` then go unused."""
+    if encoded is None:
+        scores = forward_pass(example, params, vocab, hops,
+                              dropout_rate=dropout, rng=rng).scores
+    else:
+        scores = ag.take_row(*encoded)
+    return loss_from_scores(scores, example.candidates.index(example.gold))
 
 
 def chunk_losses(chunk, params: ModelParams, vocab: Vocab, hops: int, *,
                  dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> list[Tensor]:
-    """`example_loss` of every example of `chunk`, their biGRU run as one
-    `encode_batch` node: the same losses, and the same dropout draws in the
-    same order, as one `example_loss` call per example."""
+    """`example_loss` of every example of `chunk`, each on its row of one
+    taped pass over the whole chunk: one `encode_batch` node, the padded
+    support nodes and one `run_hops_batch` node. The losses of one
+    `example_loss` call per example up to float rounding, with the same
+    dropout draws in the same order."""
     states = encode_batch(chunk, params, sep_id=vocab.sep_id,
                           dropout_rate=dropout, rng=rng)
-    return [example_loss(ex, params, vocab, hops, encoded=(states, b))
+    sb = build_support_batch(chunk, params, sep_id=vocab.sep_id,
+                             answer_row=vocab.answer_row, states=states)
+    scores = run_hops_batch(sb, params, hops)[0]
+    return [example_loss(ex, params, vocab, hops, encoded=(scores, b))
             for b, ex in enumerate(chunk)]
 
 

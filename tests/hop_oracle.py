@@ -1,7 +1,7 @@
 """The hop loop built op by op on the autodiff tape: the per-op oracle that
-`hops.run_hops`, one tape node, is held to. Every forward expression here is
-the one the node evaluates, in the same order; the tape's own op rules give
-the reference gradients.
+`hops.run_hops`, the batched hop node at B=1, is held to. Every forward
+value here is bit-identical to the node's; the tape's own op rules give the
+reference gradients.
 """
 
 from __future__ import annotations

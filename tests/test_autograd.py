@@ -139,6 +139,34 @@ class TestGatherRows:
         with pytest.raises(IndexError, match="7"):
             ag.gather_rows(ag.constant(np.zeros((4, 3))), [0, 7])
 
+    def test_2d_ids(self):
+        e = np.arange(12.0).reshape(4, 3)
+        ids = np.array([[3, 0, 1], [2, 2, 0]])
+        got = ag.gather_rows(ag.constant(e), ids).data
+        assert got.shape == (2, 3, 3)
+        assert np.array_equal(got, e[ids])
+
+    def test_2d_repeated_ids_scatter_add(self):
+        rng = np.random.default_rng(5)
+        e = ag.param(rng.normal(size=(4, 3)))
+        ids = np.array([[1, 0, 1], [1, 3, 0]])
+        w = rng.normal(size=(2, 3, 3))
+        rows = ag.gather_rows(e, ids)
+        ag.backward(ag.dot(ag.reshape(rows, (-1,)),
+                           ag.constant(w.reshape(-1))))
+        want = np.zeros((4, 3))
+        for (b, k), i in np.ndenumerate(ids):
+            want[i] += w[b, k]
+        np.testing.assert_allclose(e.grad, want, rtol=1e-15, atol=0)
+        assert not np.any(e.grad[2])
+
+    @pytest.mark.parametrize("ids, first", [([[0, 1], [9, -1]], 9),
+                                            ([[0, 3], [-2, 4]], -2)])
+    def test_2d_out_of_range_names_first_bad_id(self, ids, first):
+        with pytest.raises(IndexError,
+                           match=rf"row id {first} out of range \[0, 4\)"):
+            ag.gather_rows(ag.constant(np.zeros((4, 3))), np.array(ids))
+
 
 class TestConcat:
     def test_basic(self):

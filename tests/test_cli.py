@@ -325,6 +325,30 @@ class TestTrain:
         assert (f"{bad}: checkpoint array best/E_i has shape (17, 3), "
                 f"expected (17, 4)" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["run"].update(bogus=1),
+         "checkpoint header key run.bogus: unknown"),
+        (lambda h: h["optimizer"].pop("t"),
+         "checkpoint header key optimizer.t: missing"),
+        (lambda h: h["optimizer"].update(t="12"),
+         "checkpoint header key optimizer.t: bad value '12'"),
+        (lambda h: h["run"].update(rng_state=None),
+         "checkpoint header key run.rng_state: bad value None"),
+    ], ids=["extra_run_key", "missing_optimizer_t", "string_t",
+            "no_rng_state"])
+    def test_resume_bad_header_exit_2(self, workdir, tmp_path, monkeypatch,
+                                      capsys, edit, message):
+        """A damaged `optimizer` or `run` header is refused before any
+        training, naming the file and the key."""
+        def edit_header(arrays):
+            header = json.loads(str(arrays["header"]))
+            edit(header)
+            arrays["header"] = np.array(json.dumps(header))
+        code, bad = self.resume_damaged(workdir, tmp_path, monkeypatch,
+                                        edit_header)
+        assert code == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
 
 class TestEval:
     def test_reproduces_logged_dev_accuracy(self, workdir, capsys):
