@@ -95,16 +95,22 @@ def _count(v) -> bool:
     return type(v) is int and v >= 0
 
 
+def _real(v) -> bool:
+    """A JSON number, as `check_field_types` takes one for a float field: an
+    int `lr0` or evaluator accuracy is saved as an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _acc(v) -> bool:
-    return v is None or type(v) is float
+    return v is None or _real(v)
 
 
 # each key of a resumable checkpoint's `optimizer` and `run` headers, with
 # the test its value must pass
 HEADER_KEYS = {
-    "optimizer": {"t": _count, "lr": lambda v: type(v) is float and v > 0},
+    "optimizer": {"t": _count, "lr": lambda v: _real(v) and v > 0},
     "run": {"step": _count, "epochs_run": _count, "last_ckpt_acc": _acc,
-            "prev_epoch_acc": _acc, "best_acc": lambda v: type(v) is float,
+            "prev_epoch_acc": _acc, "best_acc": _real,
             "best_step": _count, "best_epoch": _count,
             "rng_state": lambda v: isinstance(v, dict)},
 }

@@ -167,7 +167,10 @@ def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
     `encoded`, a `(scores, b)` pair, passes instead its row b of a chunk's
     `(B, K)` score node (`chunk_losses`), where pad candidates score -inf
     and so add nothing; dropout was applied when that chunk was encoded, so
-    `dropout` and `rng` then go unused."""
+    `dropout` and `rng` then go unused. Unlike `forward_pass(encoded=...)`,
+    a column of biGRU states, this `encoded` is a row of candidate scores:
+    the name is kept so that the signature stays that of the per-example
+    loss the benchmark wraps."""
     if encoded is None:
         scores = forward_pass(example, params, vocab, hops,
                               dropout_rate=dropout, rng=rng).scores

@@ -89,6 +89,20 @@ class TestRoundTrip:
         loaded.best = run.best = None
         assert loaded == run
 
+    def test_int_rate_and_accuracies_load(self, tiny, tmp_path):
+        """An int learning rate (from an int `lr0`) and int accuracies (from
+        a custom evaluator) are numbers the header check takes."""
+        config, params, vocab, _ = make_state(tiny, with_opt=False)
+        opt = Adam(list(params.trainable()), lr=1)
+        run = RunState(last_ckpt_acc=1, prev_epoch_acc=0, best_acc=1,
+                       rng_state=np.random.default_rng(3).bit_generator.state)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, config=config, params=params, vocab=vocab,
+                        optimizer=opt, run=run)
+        bundle = load_checkpoint(path)
+        assert bundle.optimizer_state["lr"] == 1
+        assert bundle.run == run
+
     def test_identity_mode_preserved(self, tiny, tmp_path):
         config, params, vocab, opt = make_state(tiny, identity_eo=True)
         path = tmp_path / "m.ckpt"

@@ -224,6 +224,21 @@ class TestTrain:
                 in err)
         assert "max_epochs 2" not in err
 
+    def test_resume_int_lr0(self, workdir, tmp_path):
+        """An int `lr0` is a valid config value, so the `last.ckpt` it
+        writes (learning rate saved as the int 1) must resume."""
+        data = str(workdir / "data")
+        cfg1 = write_json(tmp_path / "c1.json",
+                          dict(TRAIN_CFG, lr0=1, max_epochs=1))
+        cfg2 = write_json(tmp_path / "c2.json", dict(TRAIN_CFG, lr0=1))
+        assert main(["train", "--config", cfg1, "--data", data,
+                     "--out", str(tmp_path / "a")]) == 0
+        last = tmp_path / "a" / "last.ckpt"
+        assert json.loads(str(np.load(last)["header"]))["optimizer"]["lr"] == 1
+        assert main(["train", "--config", cfg2, "--data", data,
+                     "--resume", str(last),
+                     "--out", str(tmp_path / "a2")]) == 0
+
     def test_resume_without_config_uses_checkpoint_config(self, workdir,
                                                           tmp_path, capsys):
         """No --config: the run continues under the config in last.ckpt,

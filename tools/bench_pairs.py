@@ -119,17 +119,12 @@ def main(argv=None) -> int:
                    help="e.g. 1400-1409; use seeds not used while writing "
                         "the change")
     p.add_argument("--seconds", type=float, default=40.0)
-    p.add_argument("--workload", action="append",
-                   help="repeat to choose; default: every workload")
     p.add_argument("--describe", default="",
                    help="one line on what the change does, for the file")
-    p.add_argument("--out", type=Path,
-                   help="default: BENCH_<topic>.json in the change checkout")
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     checkouts = {"before": args.parent, "after": args.change}
-    out = args.out or args.change / f"BENCH_{args.topic}.json"
+    out = args.change / f"BENCH_{args.topic}.json"
     doc = {
         "topic": args.describe or args.topic,
         "command": " ".join(spec["command"]) + " --workload W --seed S "
@@ -141,7 +136,7 @@ def main(argv=None) -> int:
         "parent": "before", "change": "after",
         "workloads": {},
     }
-    for w in workloads:
+    for w in [x["name"] for x in spec["workloads"]]:
         runs = {s: [] for s in SIDES}
         for seed in args.seeds:
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
