@@ -73,6 +73,8 @@ def backward(loss: Tensor, accumulate: bool = False) -> None:
 
     Gradient accumulators are zero-initialized per pass; a repeated backward
     from the same loss raises unless `accumulate=True` is passed explicitly.
+    A parameter's existing gradient is zeroed in place, never replaced, so
+    it stays a view of its parameter set's buffer (`model.make_params`).
     """
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape "
@@ -82,8 +84,10 @@ def backward(loss: Tensor, accumulate: bool = False) -> None:
                            "accumulate=True to add into existing gradients")
     order = _topo_order(loss)
     for node in order:
-        if not (accumulate and node.grad is not None):
+        if node.grad is None or not (accumulate or node.is_param):
             node.grad = np.zeros_like(node.data)
+        elif not accumulate:
+            node.grad[...] = 0.0
     loss.grad = np.ones((), dtype=loss.data.dtype)
     for node in reversed(order):
         if node.backward_fn is not None:

@@ -105,6 +105,15 @@ def _acc(v) -> bool:
     return v is None or _real(v)
 
 
+def _rng_state(v) -> bool:
+    """A state the training RNG, a PCG64 generator, takes."""
+    try:
+        np.random.PCG64().state = v
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return False
+    return True
+
+
 # each key of a resumable checkpoint's `optimizer` and `run` headers, with
 # the test its value must pass
 HEADER_KEYS = {
@@ -112,7 +121,7 @@ HEADER_KEYS = {
     "run": {"step": _count, "epochs_run": _count, "last_ckpt_acc": _acc,
             "prev_epoch_acc": _acc, "best_acc": _real,
             "best_step": _count, "best_epoch": _count,
-            "rng_state": lambda v: isinstance(v, dict)},
+            "rng_state": _rng_state},
 }
 
 

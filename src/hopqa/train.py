@@ -6,10 +6,15 @@ every epoch boundary. A drop between consecutive measurements halves the
 learning rate, but only once at least one full epoch has passed. A drop
 between epoch-boundary measurements stops training. The best-dev snapshot
 wins.
+
+A step runs its minibatch as taped chunks of `train_chunk(h)` examples,
+one backward pass each, into the parameter set's one gradient buffer, and
+`Adam` updates the trainable parameters as one flat buffer.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
 
@@ -21,7 +26,8 @@ from .data import Dataset, Vocab, check_field_types
 from .exceptions import ConfigError
 from .hops import forward_batch, forward_pass, run_hops_batch
 # benches/tracer.py patches the name train.init_params
-from .model import ModelParams, init_params, make_params
+from .model import (ModelParams, flat, flat_views, init_params, make_params,
+                    zeros)
 from .support import build_support_batch, encode_batch
 
 
@@ -60,42 +66,71 @@ def loss_from_scores(scores: Tensor, gold_pos: int) -> Tensor:
 
 
 class Adam:
+    """Adam over flat buffers: the parameters, the gradients and the moments
+    `m` and `v` (read per name through views) are each one run of memory.
+    Each parameter's `.data` becomes a view of the parameter run, a copy
+    unless the parameters already fill one buffer in order; replacing a
+    `.data` afterwards makes `step` refuse to run."""
+
+    BLOCK = 1 << 16  # elements per update block, the size of its scratch
+
     def __init__(self, named_params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(named_params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in self.params}
-        self.v = {n: np.zeros_like(p.data) for n, p in self.params}
+        self._shapes = {n: p.data.shape for n, p in self.params}
+        self._p = flat([p.data for _, p in self.params])
+        self._views = list(flat_views(self._p, self._shapes).values())
+        for (_, p), view in zip(self.params, self._views):
+            p.data = view
+        self._m, self._v = zeros(self._p.size), zeros(self._p.size)
+        self.m = flat_views(self._m, self._shapes)
+        self.v = flat_views(self._v, self._shapes)
+        self._seen = [None] * len(self.params), None
 
     def step(self, grads: dict) -> None:
-        """One update in place. A non-finite gradient anywhere refuses the
-        whole step before any parameter, moment or `t` changes."""
-        for name, _ in self.params:
-            if not np.all(np.isfinite(grads[name])):
-                raise RuntimeError(f"non-finite gradient for parameter "
-                                   f"{name!r}")
+        """One update in place, a block of the buffers at a time. A
+        non-finite gradient anywhere refuses the whole step before any
+        parameter, moment or `t` changes."""
+        if any(p.data is not v for (_, p), v in zip(self.params, self._views)):
+            raise RuntimeError("a parameter's data was replaced after the "
+                               "optimizer took it")
+        g = [np.asarray(grads[n]) for n, _ in self.params]
+        if all(map(operator.is_, g, self._seen[0])):
+            g = self._seen[1]  # the views that filled this buffer last time
+        else:
+            views, g = g, flat(g)
+            if np.may_share_memory(g, views[0]):  # found, not copied
+                self._seen = views, g
+        blocks = [slice(a, a + self.BLOCK)
+                  for a in range(0, g.size, self.BLOCK)]
+        if not all(np.isfinite(g[s]).all() for s in blocks):
+            name = next(n for n, a in flat_views(g, self._shapes).items()
+                        if not np.isfinite(a).all())
+            raise RuntimeError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.params:
-            g, m, v = grads[name], self.m[name], self.v[name]
+        scratch = np.empty((2, min(self.BLOCK, g.size)))
+        for s in blocks:
+            p, gb, m, v = self._p[s], g[s], self._m[s], self._v[s]
+            tmp, upd = scratch[:, :m.size]
             # the operations of
             #   m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
             #   p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-            # in their order, so every value is bit-identical to it, with
-            # two scratch arrays in place of its temporaries
-            tmp, upd = np.empty_like(m), np.empty_like(m)
+            # in their order, elementwise, so every value is bit-identical
+            # to it, with two scratch arrays in place of its temporaries
             m *= b1
-            m += np.multiply(1 - b1, g, out=tmp)
+            m += np.multiply(1 - b1, gb, out=tmp)
             v *= b2
-            np.multiply(1 - b2, g, out=tmp)
-            v += np.multiply(tmp, g, out=tmp)
+            np.multiply(1 - b2, gb, out=tmp)
+            v += np.multiply(tmp, gb, out=tmp)
             np.sqrt(np.divide(v, 1 - b2 ** self.t, out=tmp), out=tmp)
             tmp += self.eps
             np.divide(m, 1 - b1 ** self.t, out=upd)
             upd *= self.lr
-            p.data -= np.divide(upd, tmp, out=upd)
+            p -= np.divide(upd, tmp, out=upd)
 
     def state_dict(self) -> dict:
         return {"t": self.t, "lr": self.lr,
@@ -105,20 +140,27 @@ class Adam:
     def load_state(self, state: dict) -> None:
         self.t = state["t"]
         self.lr = state["lr"]
-        self.m = {n: np.asarray(a).copy() for n, a in state["m"].items()}
-        self.v = {n: np.asarray(a).copy() for n, a in state["v"].items()}
+        for n in self.m:
+            self.m[n][...] = state["m"][n]
+            self.v[n][...] = state["v"][n]
 
 
 # Examples per batched forward in `evaluate`. After one h=256 training epoch,
 # scoring 128 dev examples in one batch raised peak RSS from 109 to 128 MiB;
 # batches of 32 stayed at the training peak.
 EVAL_CHUNK = 32
-# Training examples per taped chunk (`chunk_losses`) and per backward pass;
-# the chunk's tape is alive until it runs. Peak RSS of the train-h256
-# benchmark (2 cores, one BLAS thread, three runs each): 109.3 MiB with
-# chunks of 8, 121.9 with 16, 147.0 with whole minibatches of 32, against
-# 109.1 for chunks of 8 with one hop node per example.
-TRAIN_CHUNK = 8
+# Examples x h per taped training chunk (`chunk_losses`) and per backward
+# pass: the chunk's tape, alive until that pass runs, grows with both. Peak
+# RSS of the train-h256 benchmark (2 cores, one BLAS thread, three runs
+# each): 109.3 MiB with chunks of 8, 121.9 with 16, 147.0 with whole
+# minibatches of 32, against 109.1 for chunks of 8 with one hop node per
+# example. So 8 x 256: 8 examples at h=256, a minibatch of up to 128 at h=16.
+TRAIN_BUDGET = 8 * 256
+
+
+def train_chunk(h: int) -> int:
+    """Training examples per taped chunk at hidden size `h`."""
+    return max(1, TRAIN_BUDGET // h)
 
 
 @dataclass
@@ -313,6 +355,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
     if resume is not None:
         opt.load_state(resume.optimizer_state)
 
+    chunk = train_chunk(config.h)
     metrics: list[dict] = []
     window = [0.0, 0]  # summed training loss and examples since last eval
 
@@ -338,21 +381,19 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
             batch = [examples[int(i)]
                      for i in order[start:start + config.batch_size]]
             state.step += 1
-            # frozen tensors too, so no gradient sum outlives its step
-            for _, p in params.named():
-                p.grad = np.zeros_like(p.data)
-            for c in range(0, len(batch), TRAIN_CHUNK):
-                losses = chunk_losses(batch[c:c + TRAIN_CHUNK], params,
-                                      vocab, config.hops,
-                                      dropout=config.dropout, rng=rng)
+            # frozen E_o too, so no gradient sum outlives its step
+            params.grad_buffer.fill(0.0)
+            for c in range(0, len(batch), chunk):
+                losses = chunk_losses(batch[c:c + chunk], params, vocab,
+                                      config.hops, dropout=config.dropout,
+                                      rng=rng)
                 ag.backward(reduce(ag.add, losses), accumulate=True)
                 for loss in losses:
                     window[0] += float(loss.data)
                 window[1] += len(losses)
                 # free this chunk's tape before the next chunk builds its own
                 del losses, loss
-            for _, p in params.trainable():
-                p.grad /= len(batch)
+            params.grad_buffer /= len(batch)
             opt.step({n: p.grad for n, p in params.trainable()})
             if state.step % config.checkpoint_every == 0:
                 measure(at_epoch_boundary=False)

@@ -349,8 +349,12 @@ class TestTrain:
          "checkpoint header key optimizer.t: bad value '12'"),
         (lambda h: h["run"].update(rng_state=None),
          "checkpoint header key run.rng_state: bad value None"),
+        (lambda h: h["run"].update(rng_state={"bit_generator": "PCG64",
+                                              "state": {"state": 1}}),
+         "checkpoint header key run.rng_state: bad value "
+         "{'bit_generator': 'PCG64', 'state': {'state': 1}}"),
     ], ids=["extra_run_key", "missing_optimizer_t", "string_t",
-            "no_rng_state"])
+            "no_rng_state", "bad_rng_state"])
     def test_resume_bad_header_exit_2(self, workdir, tmp_path, monkeypatch,
                                       capsys, edit, message):
         """A damaged `optimizer` or `run` header is refused before any

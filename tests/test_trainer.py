@@ -6,9 +6,9 @@ import pytest
 from hopqa import autograd as ag
 from hopqa.data import Dataset, SynthConfig, generate_splits, make_example
 from hopqa.exceptions import ConfigError
-from hopqa.model import init_params, make_params, param_shapes
-from hopqa.train import (Adam, TrainConfig, evaluate, example_loss,
-                         loss_from_scores, train)
+from hopqa.model import flat, init_params, make_params, param_shapes
+from hopqa.train import (EVAL_CHUNK, Adam, TrainConfig, evaluate,
+                         example_loss, loss_from_scores, train, train_chunk)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +129,144 @@ class TestAdam:
             assert np.array_equal(p.data, want[n]), n
             assert np.array_equal(opt.m[n], m[n]), n
             assert np.array_equal(opt.v[n], v[n]), n
+
+
+def adam_formula(params, grads, t, m, v, lr=0.01, b1=0.9, b2=0.999,
+                 eps=1e-8):
+    """One textbook Adam step per parameter, on copies."""
+    out = {}
+    for n, g in grads.items():
+        m[n] = b1 * m[n] + (1 - b1) * g
+        v[n] = b2 * v[n] + (1 - b2) * g * g
+        out[n] = params[n] - lr * (m[n] / (1 - b1 ** t)) / (
+            np.sqrt(v[n] / (1 - b2 ** t)) + eps)
+    return out
+
+
+class TestFlatAdam:
+    """Adam over one buffer each for the parameters, the moments and the
+    gradients, on a real parameter set."""
+
+    @pytest.mark.parametrize("block", [7, Adam.BLOCK])
+    @pytest.mark.parametrize("given", ["views", "fresh", "reused"])
+    def test_five_steps_are_the_formula(self, rng, monkeypatch, block,
+                                        given):
+        """Gradients given as the set's own `.grad` views (read in place),
+        as new separate arrays at each step or as the same separate arrays
+        refilled (copied each step), in blocks that split parameters or one
+        block for all: bit for bit the per-parameter update, and the frozen
+        identity E_o never moves."""
+        monkeypatch.setattr(Adam, "BLOCK", block)
+        p = init_params(4, 20, 5, rng, identity_eo=True)
+        opt = Adam(list(p.trainable()), lr=0.01)
+        # the trainable parameters and their gradients each fill one run:
+        # `flat` finds it rather than copying them
+        assert np.shares_memory(flat([t.data for _, t in p.trainable()]),
+                                p.E_i.data)
+        assert np.shares_memory(flat([t.grad for _, t in p.trainable()]),
+                                p.grad_buffer)
+        want = {n: t.data.copy() for n, t in p.trainable()}
+        m = {n: np.zeros_like(a) for n, a in want.items()}
+        v = {n: np.zeros_like(a) for n, a in want.items()}
+        reused = {n: np.empty(a.shape) for n, a in want.items()}
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=a.shape) for n, a in want.items()}
+            if given == "views":
+                for n, tensor in p.trainable():
+                    tensor.grad[...] = grads[n]
+                opt.step({n: tensor.grad for n, tensor in p.trainable()})
+            elif given == "reused":
+                for n, a in reused.items():
+                    a[...] = grads[n]
+                opt.step(reused)
+            else:
+                opt.step(grads)
+            want = adam_formula(want, grads, t, m, v)
+        for n, tensor in p.trainable():
+            assert np.array_equal(tensor.data, want[n]), n
+            assert np.array_equal(opt.m[n], m[n]), n
+            assert np.array_equal(opt.v[n], v[n]), n
+        assert np.array_equal(p.E_o.data, np.eye(5))
+
+    def test_nan_refused_whole(self, rng, monkeypatch):
+        """A NaN in one named gradient, in a later block than the first:
+        the step is refused naming that parameter, and no parameter,
+        moment or `t` moves."""
+        monkeypatch.setattr(Adam, "BLOCK", 64)
+        p = init_params(4, 20, 5, rng)
+        opt = Adam(list(p.trainable()), lr=0.01)
+        step = {n: t.grad for n, t in p.trainable()}
+        for _, t in p.trainable():
+            t.grad[...] = rng.normal(size=t.grad.shape)
+        opt.step(step)
+        before = opt.state_dict()
+        values = {n: t.data.copy() for n, t in p.trainable()}
+        p.gru_b.U_h.grad[1, 2] = np.nan
+        with pytest.raises(RuntimeError, match="'gru_b.U_h'"):
+            opt.step(step)
+        after = opt.state_dict()
+        assert (after["t"], after["lr"]) == (before["t"], before["lr"])
+        for n, t in p.trainable():
+            assert np.array_equal(t.data, values[n]), n
+            assert np.array_equal(after["m"][n], before["m"][n]), n
+            assert np.array_equal(after["v"][n], before["v"][n]), n
+
+    def test_replaced_data_refused(self):
+        """Standalone arrays are moved into the optimizer's buffer; a
+        `.data` replaced after that would no longer be updated, so the
+        step refuses."""
+        w = ag.param(np.zeros(2), name="w")
+        opt = Adam([("w", w)], lr=0.1)
+        w.data = np.ones(2)
+        with pytest.raises(RuntimeError, match="replaced"):
+            opt.step({"w": np.ones(2)})
+
+    def test_backward_keeps_grad_views(self, tiny_task):
+        """A non-accumulating backward zeroes each parameter's gradient in
+        place: it stays a view of the set's gradient buffer and holds that
+        pass's gradient only."""
+        tr, _, _ = tiny_task
+        p = init_params(4, tr.vocab.size, tr.vocab.n_answers,
+                        np.random.default_rng(1))
+        views = {n: t.grad for n, t in p.named()}
+        ag.backward(example_loss(tr.examples[0], p, tr.vocab, hops=1))
+        once = p.grad_buffer.copy()
+        assert np.any(once)
+        ag.backward(example_loss(tr.examples[0], p, tr.vocab, hops=1))
+        assert np.array_equal(p.grad_buffer, once)
+        for n, t in p.named():
+            assert t.grad is views[n], n
+            assert np.shares_memory(t.grad, p.grad_buffer), n
+
+
+class TestChunkRule:
+    def test_sizes(self):
+        """Chunks hold 8 x 256 examples x h: 8 at h=256, as before."""
+        assert train_chunk(256) == 8
+        assert train_chunk(16) == 128
+        assert train_chunk(4096) == 1
+        assert EVAL_CHUNK == 32
+
+    @pytest.mark.parametrize("h, per_step", [(16, 1), (256, 2)])
+    def test_backward_passes_per_step(self, monkeypatch, h, per_step):
+        """At batch 16, one taped chunk and one backward per Adam step at
+        h=16, two at h=256."""
+        tr, dev, _ = generate_splits(SynthConfig(
+            chain_length=2, n_distractor_facts=2, n_examples=32, n_dev=4,
+            n_test=1, seed=6))
+        calls = {"backward": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ag, "backward", counted("backward", ag.backward))
+        monkeypatch.setattr(Adam, "step", counted("step", Adam.step))
+        train(TrainConfig(h=h, hops=2, batch_size=16, max_epochs=1,
+                          dropout=0.0), tr, dev, evaluator=lambda p: 0.0)
+        assert calls == {"backward": 2 * per_step, "step": 2}
 
 
 class TestInitStatistics:
