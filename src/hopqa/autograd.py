@@ -74,7 +74,7 @@ def backward(loss: Tensor, accumulate: bool = False) -> None:
     Gradient accumulators are zero-initialized per pass; a repeated backward
     from the same loss raises unless `accumulate=True` is passed explicitly.
     A parameter's existing gradient is zeroed in place, never replaced, so
-    it stays a view of its parameter set's buffer (`model.make_params`).
+    it stays a view of its optimizer's gradient buffer (`train.Adam`).
     """
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape "

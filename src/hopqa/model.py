@@ -4,15 +4,10 @@ Embeddings: Gaussian(0, 0.1). Matrices: Glorot uniform. Biases: zero, except
 the GRU update-gate bias which starts at 1. The span-query projection starts
 at [I; I] plus noise. The output-embedding table can be frozen to the
 identity (attention-sum scoring mode).
-
-Every `.grad` of a parameter set is a view of one flat buffer, the
-trainable parameters first (`make_params`); `train.Adam` holds the
-trainable parameters and its moments as one buffer each, in that order.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,8 +42,6 @@ class ModelParams:
     g_a_q: Tensor
     u_a_g: Tensor
     b_a: Tensor
-    # the buffer every parameter's `.grad` is a view of (`make_params`)
-    grad_buffer: np.ndarray | None = None
 
     @property
     def answer_dim(self) -> int:
@@ -90,51 +83,10 @@ def param_shapes(h: int, vocab_size: int, n_answers: int,
     }
 
 
-def zeros(n: int) -> np.ndarray:
-    """`n` float64 zeros in a private anonymous memory mapping of their own.
-    A buffer this size from malloc would, once freed, raise glibc's mmap
-    threshold and so move later tape arrays onto the heap, where they
-    fragment it: over 40 s of repeated train-h256 epochs, peak RSS rose
-    from 109.4 to 115.7 MiB. A shared mapping (Python's default) is slower
-    to fault in."""
-    return np.frombuffer(mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE),
-                         dtype=np.float64)
-
-
-def flat_views(buffer: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
-    """Views of consecutive runs of the 1-d `buffer`, one per name of
-    `shapes`, in order."""
-    ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])
-    return {n: buffer[a:b].reshape(s)
-            for (n, s), a, b in zip(shapes.items(), ends, ends[1:])}
-
-
-def flat(arrays) -> np.ndarray:
-    """`arrays` as one 1-d run: the float64 buffer they fill back to back,
-    in order, or else a copy of them."""
-    base = arrays[0].base
-    if (isinstance(base, np.ndarray) and base.ndim == 1
-            and base.dtype == np.float64 and base.flags.c_contiguous):
-        addr = base.ctypes.data
-        start = at = (arrays[0].ctypes.data - addr) // base.itemsize
-        for a in arrays:
-            if not (a.base is base and a.flags.c_contiguous
-                    and a.ctypes.data == addr + at * base.itemsize):
-                break
-            at += a.size
-        else:
-            return base[start:at]
-    arrays = [np.ravel(a) for a in arrays]
-    return np.concatenate(arrays, out=zeros(sum(a.size for a in arrays)))
-
-
 def make_params(arrays, h: int, vocab_size: int, n_answers: int,
                 identity_eo: bool = False) -> ModelParams:
     """Wrap one array per `param_shapes` name as a parameter set, without
-    copying. Every `.grad` starts as a zero view of one new buffer, the
-    trainable parameters first in `trainable()` order, so that `Adam` reads
-    their gradients as one run. A missing name or a wrong shape raises
-    `ConfigError`."""
+    copying. A missing name or a wrong shape raises `ConfigError`."""
     shapes = param_shapes(h, vocab_size, n_answers, identity_eo)
     t = {}
     for name, shape in shapes.items():
@@ -145,12 +97,6 @@ def make_params(arrays, h: int, vocab_size: int, n_answers: int,
             raise ConfigError(f"parameter {name!r} has shape {a.shape}, "
                               f"expected {shape}")
         t[name] = ag.param(a, name=name)
-    # a frozen identity E_o goes last, out of the trainable run
-    shapes = dict(sorted(shapes.items(),
-                         key=lambda kv: identity_eo and kv[0] == "E_o"))
-    grad_buffer = zeros(sum(t[n].data.size for n in shapes))
-    for name, g in flat_views(grad_buffer, shapes).items():
-        t[name].grad = g
 
     def gru(prefix):
         return GRUParams(**{f: t[f"{prefix}.{f}"] for f in GRU_FIELDS})
@@ -158,7 +104,6 @@ def make_params(arrays, h: int, vocab_size: int, n_answers: int,
     return ModelParams(
         h=h, vocab_size=vocab_size, n_answers=n_answers,
         identity_eo=identity_eo, gru_f=gru("gru_f"), gru_b=gru("gru_b"),
-        grad_buffer=grad_buffer,
         **{n: a for n, a in t.items() if "." not in n})
 
 

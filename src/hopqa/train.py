@@ -8,12 +8,13 @@ between epoch-boundary measurements stops training. The best-dev snapshot
 wins.
 
 A step runs its minibatch as taped chunks of `train_chunk(h)` examples,
-one backward pass each, into the parameter set's one gradient buffer, and
-`Adam` updates the trainable parameters as one flat buffer.
+one backward pass each, into `Adam`'s one gradient buffer, and `Adam`
+updates the trainable parameters as one flat buffer.
 """
 
 from __future__ import annotations
 
+import mmap
 import operator
 from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
@@ -26,8 +27,7 @@ from .data import Dataset, Vocab, check_field_types
 from .exceptions import ConfigError
 from .hops import forward_batch, forward_pass, run_hops_batch
 # benches/tracer.py patches the name train.init_params
-from .model import (ModelParams, flat, flat_views, init_params, make_params,
-                    zeros)
+from .model import ModelParams, init_params, make_params
 from .support import build_support_batch, encode_batch
 
 
@@ -65,12 +65,30 @@ def loss_from_scores(scores: Tensor, gold_pos: int) -> Tensor:
     return ag.sub(ag.logsumexp(scores), ag.pick(scores, gold_pos))
 
 
+def _zeros(n: int) -> np.ndarray:
+    """`n` float64 zeros in a private anonymous memory mapping of their own.
+    A buffer this size from malloc would, once freed, raise glibc's mmap
+    threshold and so move later tape arrays onto the heap, where they
+    fragment it: over 40 s of repeated train-h256 epochs, peak RSS rose
+    from 109.4 to 115.7 MiB. A shared mapping (Python's default) is slower
+    to fault in."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE),
+                         dtype=np.float64)
+
+
+def _views(buffer: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive runs of the 1-d `buffer`, one per shape."""
+    ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    return [buffer[a:b].reshape(s) for s, a, b in zip(shapes, ends, ends[1:])]
+
+
 class Adam:
-    """Adam over flat buffers: the parameters, the gradients and the moments
-    `m` and `v` (read per name through views) are each one run of memory.
-    Each parameter's `.data` becomes a view of the parameter run, a copy
-    unless the parameters already fill one buffer in order; replacing a
-    `.data` afterwards makes `step` refuse to run."""
+    """Adam over one flat buffer each for the parameters, their gradients
+    (`grad`) and the moments `m` and `v`, read per name through views. The
+    parameters are copied into the optimizer's buffer: each `.data` becomes
+    a view of it (replacing one afterwards makes `step` refuse to run), and
+    each `.grad` a view of `grad`, so a training step zeroes and scales
+    every gradient with one call each."""
 
     BLOCK = 1 << 16  # elements per update block, the size of its scratch
 
@@ -80,34 +98,35 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._shapes = {n: p.data.shape for n, p in self.params}
-        self._p = flat([p.data for _, p in self.params])
-        self._views = list(flat_views(self._p, self._shapes).values())
-        for (_, p), view in zip(self.params, self._views):
-            p.data = view
-        self._m, self._v = zeros(self._p.size), zeros(self._p.size)
-        self.m = flat_views(self._m, self._shapes)
-        self.v = flat_views(self._v, self._shapes)
-        self._seen = [None] * len(self.params), None
+        names = [n for n, _ in self.params]
+        shapes = [p.data.shape for _, p in self.params]
+        size = sum(p.data.size for _, p in self.params)
+        self._p, self.grad, self._m, self._v = (_zeros(size) for _ in "pgmv")
+        np.concatenate([np.ravel(p.data) for _, p in self.params],
+                       out=self._p)
+        self._data = _views(self._p, shapes)
+        self._grads = _views(self.grad, shapes)
+        for (_, p), data, grad in zip(self.params, self._data, self._grads):
+            p.data, p.grad = data, grad
+        self.m = dict(zip(names, _views(self._m, shapes)))
+        self.v = dict(zip(names, _views(self._v, shapes)))
 
     def step(self, grads: dict) -> None:
-        """One update in place, a block of the buffers at a time. A
-        non-finite gradient anywhere refuses the whole step before any
-        parameter, moment or `t` changes."""
-        if any(p.data is not v for (_, p), v in zip(self.params, self._views)):
+        """One update in place, a block of the buffers at a time. Gradients
+        other than the parameters' own `.grad` views are first copied into
+        `grad`. A non-finite gradient anywhere refuses the whole step before
+        any parameter, moment or `t` changes."""
+        if any(p.data is not d for (_, p), d in zip(self.params, self._data)):
             raise RuntimeError("a parameter's data was replaced after the "
                                "optimizer took it")
-        g = [np.asarray(grads[n]) for n, _ in self.params]
-        if all(map(operator.is_, g, self._seen[0])):
-            g = self._seen[1]  # the views that filled this buffer last time
-        else:
-            views, g = g, flat(g)
-            if np.may_share_memory(g, views[0]):  # found, not copied
-                self._seen = views, g
+        given = [grads[n] for n, _ in self.params]
+        if not all(map(operator.is_, given, self._grads)):
+            np.concatenate([np.ravel(a) for a in given], out=self.grad)
+        g = self.grad
         blocks = [slice(a, a + self.BLOCK)
                   for a in range(0, g.size, self.BLOCK)]
         if not all(np.isfinite(g[s]).all() for s in blocks):
-            name = next(n for n, a in flat_views(g, self._shapes).items()
+            name = next(n for (n, _), a in zip(self.params, self._grads)
                         if not np.isfinite(a).all())
             raise RuntimeError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
@@ -356,6 +375,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
         opt.load_state(resume.optimizer_state)
 
     chunk = train_chunk(config.h)
+    frozen = [p for n, p in params.named() if n not in opt.m]
     metrics: list[dict] = []
     window = [0.0, 0]  # summed training loss and examples since last eval
 
@@ -381,8 +401,10 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
             batch = [examples[int(i)]
                      for i in order[start:start + config.batch_size]]
             state.step += 1
-            # frozen E_o too, so no gradient sum outlives its step
-            params.grad_buffer.fill(0.0)
+            # and drop a frozen E_o's, so no gradient sum outlives its step
+            opt.grad.fill(0.0)
+            for p in frozen:
+                p.grad = None
             for c in range(0, len(batch), chunk):
                 losses = chunk_losses(batch[c:c + chunk], params, vocab,
                                       config.hops, dropout=config.dropout,
@@ -393,7 +415,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
                 window[1] += len(losses)
                 # free this chunk's tape before the next chunk builds its own
                 del losses, loss
-            params.grad_buffer /= len(batch)
+            opt.grad /= len(batch)
             opt.step({n: p.grad for n, p in params.trainable()})
             if state.step % config.checkpoint_every == 0:
                 measure(at_epoch_boundary=False)

@@ -6,7 +6,7 @@ import pytest
 from hopqa import autograd as ag
 from hopqa.data import Dataset, SynthConfig, generate_splits, make_example
 from hopqa.exceptions import ConfigError
-from hopqa.model import flat, init_params, make_params, param_shapes
+from hopqa.model import init_params, make_params, param_shapes
 from hopqa.train import (EVAL_CHUNK, Adam, TrainConfig, evaluate,
                          example_loss, loss_from_scores, train, train_chunk)
 
@@ -151,20 +151,16 @@ class TestFlatAdam:
     @pytest.mark.parametrize("given", ["views", "fresh", "reused"])
     def test_five_steps_are_the_formula(self, rng, monkeypatch, block,
                                         given):
-        """Gradients given as the set's own `.grad` views (read in place),
-        as new separate arrays at each step or as the same separate arrays
-        refilled (copied each step), in blocks that split parameters or one
-        block for all: bit for bit the per-parameter update, and the frozen
-        identity E_o never moves."""
+        """Gradients given as the parameters' own `.grad` views (read in
+        place), as new separate arrays at each step or as the same separate
+        arrays refilled (copied each step), in blocks that split parameters
+        or one block for all: bit for bit the per-parameter update, and the
+        frozen identity E_o never moves."""
         monkeypatch.setattr(Adam, "BLOCK", block)
         p = init_params(4, 20, 5, rng, identity_eo=True)
         opt = Adam(list(p.trainable()), lr=0.01)
-        # the trainable parameters and their gradients each fill one run:
-        # `flat` finds it rather than copying them
-        assert np.shares_memory(flat([t.data for _, t in p.trainable()]),
-                                p.E_i.data)
-        assert np.shares_memory(flat([t.grad for _, t in p.trainable()]),
-                                p.grad_buffer)
+        for _, t in p.trainable():
+            assert np.shares_memory(t.grad, opt.grad)
         want = {n: t.data.copy() for n, t in p.trainable()}
         m = {n: np.zeros_like(a) for n, a in want.items()}
         v = {n: np.zeros_like(a) for n, a in want.items()}
@@ -212,7 +208,7 @@ class TestFlatAdam:
             assert np.array_equal(after["v"][n], before["v"][n]), n
 
     def test_replaced_data_refused(self):
-        """Standalone arrays are moved into the optimizer's buffer; a
+        """Parameters are copied into the optimizer's buffer; a
         `.data` replaced after that would no longer be updated, so the
         step refuses."""
         w = ag.param(np.zeros(2), name="w")
@@ -223,20 +219,20 @@ class TestFlatAdam:
 
     def test_backward_keeps_grad_views(self, tiny_task):
         """A non-accumulating backward zeroes each parameter's gradient in
-        place: it stays a view of the set's gradient buffer and holds that
-        pass's gradient only."""
+        place: it stays a view of the optimizer's gradient buffer and holds
+        that pass's gradient only."""
         tr, _, _ = tiny_task
         p = init_params(4, tr.vocab.size, tr.vocab.n_answers,
                         np.random.default_rng(1))
-        views = {n: t.grad for n, t in p.named()}
+        opt = Adam(list(p.trainable()), lr=0.01)
+        views = {n: t.grad for n, t in p.trainable()}
         ag.backward(example_loss(tr.examples[0], p, tr.vocab, hops=1))
-        once = p.grad_buffer.copy()
+        once = opt.grad.copy()
         assert np.any(once)
         ag.backward(example_loss(tr.examples[0], p, tr.vocab, hops=1))
-        assert np.array_equal(p.grad_buffer, once)
-        for n, t in p.named():
+        assert np.array_equal(opt.grad, once)
+        for n, t in p.trainable():
             assert t.grad is views[n], n
-            assert np.shares_memory(t.grad, p.grad_buffer), n
 
 
 class TestChunkRule:
