@@ -12,6 +12,7 @@ near-[I; I] so it starts out as (roughly) the sum of those two states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -134,25 +135,34 @@ def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
     return H, ZR, C
 
 
+def padded(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Index lists as a zero-padded `(B, max length)` array and its mask."""
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    mask = np.arange(lens.max()) < lens[:, None]
+    idx = np.zeros(mask.shape, dtype=np.intp)
+    idx[mask] = np.fromiter(chain.from_iterable(rows), np.intp, lens.sum())
+    return idx, mask
+
+
 def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
                  bwd_params: GRUParams) -> np.ndarray:
     """The states of `bigru_encode` for B token-id sequences, without a
     tape: the same `(2, n+1, B, h)` layout and recurrence."""
-    n = max(map(len, seqs))
-    ids = np.zeros((2, n, len(seqs)), dtype=np.intp)
-    for b, s in enumerate(seqs):
-        ids[0, :len(s), b] = s
-        ids[1, :len(s), b] = s[::-1]
+    fwd, mask = padded(seqs)
+    (B, n), lens = fwd.shape, mask.sum(axis=1)
+    # sequence b reversed: its token at position lens[b] - 1 - k
+    rev = fwd[np.arange(B)[:, None], np.maximum(lens[:, None] - 1
+                                                - np.arange(n), 0)]
+    ids = np.stack((fwd, np.where(mask, rev, 0))).transpose(0, 2, 1)
     w, bias, u_zr, u_h = _stacked_weights((fwd_params, bwd_params))
     # each distinct token's input projection, (2, tokens, 3h), gathered per
     # step: projecting every (step, sequence) up front holds a (2, n, B, 3h)
     # array, which raised peak RSS at h=256 and ran slower there
     tokens, ids = np.unique(ids, return_inverse=True)
-    ids = ids.reshape(2, n, len(seqs))
+    ids = ids.reshape(2, n, B)
     xw = e_i[tokens] @ w + bias
     d = np.arange(2)[:, None]
-    return _recurrence(lambda k: xw[d, ids[:, k]], n, len(seqs), u_zr,
-                       u_h)[0]
+    return _recurrence(lambda k: xw[d, ids[:, k]], n, B, u_zr, u_h)[0]
 
 
 def bigru_encode(embedded, fwd_params: GRUParams,

@@ -226,22 +226,20 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
 def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
                  dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None,
-                 ablate_query_gate: bool = False,
-                 encoded: tuple[Tensor, int] | None = None) -> HopRunResult:
+                 ablate_query_gate: bool = False) -> HopRunResult:
     """Encode one example and run the full retrieval cycle. The predicted
     symbol is `example.candidates[result.prediction]`.
 
     `vocab` supplies the separator id and the vocab-id -> answer-row map.
     The hop count is free to differ from the one used in training; hop
-    parameters are shared across hops. `encoded` passes the example's
-    column of a batch encoding to `build_support`.
+    parameters are shared across hops.
     """
     support = build_support(
         example, params, sep_id=vocab.sep_id, answer_row=vocab.answer_row,
-        dropout_rate=dropout_rate, rng=rng, encoded=encoded)
+        dropout_rate=dropout_rate, rng=rng)
     z_mat, y_i_mat, y_o_mat = stacked(support)
-    cand_mat = ag.gather_rows(
-        params.E_o, [vocab.answer_row(c) for c in example.candidates])
+    cand_mat = ag.gather_rows(params.E_o,
+                              example.index_lists(vocab.answer_row)[3])
     return run_hops(
         support.query_z, z_mat, y_i_mat, y_o_mat, cand_mat, params, hops,
         ablate_query_gate=ablate_query_gate)

@@ -9,7 +9,8 @@ The memory is held as matrices, one pair per row: all span queries come from
 one `column_span_queries` node and each answer-embedding matrix from one row
 gather. `build_support_batch` builds the padded, masked memories of B
 examples as such nodes, for a training chunk or, over tape-free states, for
-evaluation; `build_support` builds one example's, for `forward_pass`.
+evaluation; `build_support` builds one example's, for `forward_pass`. Both
+read each example's index lists (`Example.index_lists`), built once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .encoder import (Document, bigru_encode, bigru_states,
-                      column_span_queries, embed_sequence)
+                      column_span_queries, embed_sequence, padded)
 from .exceptions import EmptySupportError
 from .model import ModelParams
 
@@ -51,6 +52,9 @@ class Example:
     gold: int
     candidates: list[int]
     positions: list[int] = field(init=False)
+    # `index_lists`' last answer_row callable and its lists
+    _index: tuple | None = field(init=False, default=None, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.gold not in self.candidates:
@@ -65,35 +69,44 @@ class Example:
         """The token ids the biGRU reads: document, separator, query."""
         return self.document.symbols + [sep_id] + self.query.symbols
 
+    def index_lists(self, answer_row):
+        """`(spans, syms, rows, cand_rows)`: the 1-based encoder-input
+        positions of the placeholder and then of each support pair, the pair
+        symbols, and `answer_row` of each pair symbol and of each candidate.
+        Built on the first call and kept for later calls with an equal
+        `answer_row`, whose rows must not change; another `answer_row`
+        builds them anew. A non-answer symbol raises `answer_row`'s error
+        and keeps nothing."""
+        if self._index is None or self._index[0] != answer_row:
+            syms = [self.document.symbols[l - 1] for l in self.positions]
+            spans = [len(self.document) + 1 + self.query.placeholder_pos,
+                     *self.positions]
+            self._index = (answer_row, spans, syms,
+                           [answer_row(s) for s in syms],
+                           [answer_row(c) for c in self.candidates])
+        return self._index[1:]
+
 
 def build_support(example: Example, params: ModelParams, *, sep_id: int,
                   answer_row, dropout_rate: float = 0.0,
-                  rng: np.random.Generator | None = None,
-                  encoded: tuple[Tensor, int] | None = None) -> SupportSet:
-    """Encode document + separator + query once; build the support matrices
-    and the initial query vector.
+                  rng: np.random.Generator | None = None) -> SupportSet:
+    """Encode document + separator + query once, as a batch of one; build
+    the support matrices and the initial query vector.
 
     `answer_row` maps a vocab id to its row in the answer-symbol table.
-    `encoded`, a `(states, b)` pair, reads the encoding from column b of an
-    `encode_batch` node; dropout then belongs to that node's inputs.
-    Without it the example is encoded here, as a batch of one.
     """
-    doc, query = example.document, example.query
-    positions = example.positions
-    syms = [doc.symbols[l - 1] for l in positions]
-    q_pos = len(doc) + 1 + query.placeholder_pos
-    m = len(positions)
-    if encoded is None:
-        encoded = encode_batch([example], params, sep_id=sep_id,
-                               dropout_rate=dropout_rate, rng=rng), 0
-    states, b = encoded
-    zq = column_span_queries(states, b, len(doc) + 1 + len(query),
-                             positions + [q_pos], params.W_q)
+    spans, syms, rows, _ = example.index_lists(answer_row)
+    m = len(syms)
+    states = encode_batch([example], params, sep_id=sep_id,
+                          dropout_rate=dropout_rate, rng=rng)
+    n = len(example.document) + 1 + len(example.query)
+    # the pairs' rows first, then the placeholder's
+    zq = column_span_queries(states, 0, n, spans[1:] + spans[:1], params.W_q)
     return SupportSet(
-        positions=positions,
+        positions=example.positions,
         z=ag.gather_rows(zq, range(m)),
         y_i=ag.gather_rows(params.E_i, syms),
-        y_o=ag.gather_rows(params.E_o, [answer_row(s) for s in syms]),
+        y_o=ag.gather_rows(params.E_o, rows),
         query_z=ag.take_row(zq, m))
 
 
@@ -121,15 +134,6 @@ class SupportBatch:
     cand_mask: np.ndarray  # (B, K)
 
 
-def _padded(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Index lists as a zero-padded `(B, max length)` array and its mask."""
-    lens = np.array([len(r) for r in rows])
-    mask = np.arange(lens.max()) < lens[:, None]
-    idx = np.zeros(mask.shape, dtype=np.intp)
-    idx[mask] = [i for r in rows for i in r]
-    return idx, mask
-
-
 def build_support_batch(examples, params: ModelParams, *, sep_id: int,
                         answer_row,
                         states: Tensor | None = None) -> SupportBatch:
@@ -141,23 +145,21 @@ def build_support_batch(examples, params: ModelParams, *, sep_id: int,
     support: its all-pad row has no softmax."""
     if not all(ex.positions for ex in examples):
         raise EmptySupportError("support set is empty")
+    spans, syms, rows, cands = zip(*(ex.index_lists(answer_row)
+                                     for ex in examples))
     seqs = [ex.encoder_input(sep_id) for ex in examples]
     if states is None:
         states = ag.constant(bigru_states(seqs, params.E_i.data, params.gru_f,
                                           params.gru_b))
     # column 0 holds the placeholder's position, pads read position 1
-    pos, mask = _padded([[len(ex.document) + 1 + ex.query.placeholder_pos]
-                         + ex.positions for ex in examples])
+    pos, mask = padded(spans)
     pos[~mask] = 1
     queries = column_span_queries(states, np.arange(len(seqs))[:, None],
                                   np.array([[len(s)] for s in seqs]), pos,
                                   params.W_q)
-    syms = [[ex.document.symbols[l - 1] for l in ex.positions]
-            for ex in examples]
-    y_i, _ = _padded(syms)
-    y_o, _ = _padded([[answer_row(s) for s in r] for r in syms])
-    cand, cand_mask = _padded([[answer_row(c) for c in ex.candidates]
-                               for ex in examples])
+    y_i, _ = padded(syms)
+    y_o, _ = padded(rows)
+    cand, cand_mask = padded(cands)
     return SupportBatch(
         queries=queries, y_i=ag.gather_rows(params.E_i, y_i),
         y_o=ag.gather_rows(params.E_o, y_o), mask=mask[:, 1:],

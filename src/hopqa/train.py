@@ -7,9 +7,10 @@ learning rate, but only once at least one full epoch has passed. A drop
 between epoch-boundary measurements stops training. The best-dev snapshot
 wins.
 
-A step runs its minibatch as taped chunks of `train_chunk(h)` examples,
-one backward pass each, into `Adam`'s one gradient buffer, and `Adam`
-updates the trainable parameters as one flat buffer.
+A step runs its minibatch as taped chunks of `chunk_size(TRAIN_BUDGET, h)`
+examples, one backward pass each, into `Adam`'s one gradient buffer, and
+`Adam` updates the trainable parameters as one flat buffer. Evaluation
+scores chunks of `chunk_size(EVAL_BUDGET, h)` examples.
 """
 
 from __future__ import annotations
@@ -164,22 +165,26 @@ class Adam:
             self.v[n][...] = state["v"][n]
 
 
-# Examples per batched forward in `evaluate`. After one h=256 training epoch,
-# scoring 128 dev examples in one batch raised peak RSS from 109 to 128 MiB;
-# batches of 32 stayed at the training peak.
-EVAL_CHUNK = 32
-# Examples x h per taped training chunk (`chunk_losses`) and per backward
-# pass: the chunk's tape, alive until that pass runs, grows with both. Peak
-# RSS of the train-h256 benchmark (2 cores, one BLAS thread, three runs
-# each): 109.3 MiB with chunks of 8, 121.9 with 16, 147.0 with whole
-# minibatches of 32, against 109.1 for chunks of 8 with one hop node per
-# example. So 8 x 256: 8 examples at h=256, a minibatch of up to 128 at h=16.
+# Examples x h per chunk. A taped training chunk (`chunk_losses`) keeps its
+# tape alive until its backward pass, and a tape-free `forward_batch` call
+# in `evaluate` holds its chunk's biGRU states; both grow with examples and
+# h. Peak RSS of the train-h256 benchmark (2 cores, one BLAS thread, three
+# runs each): 109.3 MiB with training chunks of 8, 121.9 with 16, 147.0
+# with whole minibatches of 32, against 109.1 for chunks of 8 with one hop
+# node per example. So 8 x 256: 8 examples at h=256, a minibatch of up to
+# 128 at h=16. After one h=256 training epoch, scoring 128 dev examples in
+# one batch raised peak RSS from 109 to 128 MiB, and batches of 32 stayed at
+# the training peak. So 32 x 256: 32 examples at h=256, 512 at h=16, where
+# train-h16's 120 dev examples are one chunk; its peak RSS rose from 41.8
+# MiB with chunks of 32 to 42.8 (BENCH_eval_chunks.json, median of 10).
 TRAIN_BUDGET = 8 * 256
+EVAL_BUDGET = 32 * 256
 
 
-def train_chunk(h: int) -> int:
-    """Training examples per taped chunk at hidden size `h`."""
-    return max(1, TRAIN_BUDGET // h)
+def chunk_size(budget: int, h: int) -> int:
+    """Examples per chunk at hidden size `h` under a `budget` of examples
+    x h."""
+    return max(1, budget // h)
 
 
 @dataclass
@@ -195,8 +200,9 @@ class EvalResult:
 def evaluate(params: ModelParams, dataset: Dataset, hops: int,
              max_examples: int = 0) -> EvalResult:
     """Deterministic accuracy (dropout off) on the first `max_examples`
-    examples, or on all of them when it is 0. Scores `EVAL_CHUNK` examples
-    per tape-free `forward_batch` call; its predictions are those of
+    examples, or on all of them when it is 0. Scores chunks of
+    `chunk_size(EVAL_BUDGET, h)` examples (32 at h=256, 512 at h=16), one
+    tape-free `forward_batch` call each; its predictions are those of
     `forward_pass`, the reference path."""
     if max_examples < 0:
         raise ConfigError(f"max_examples must be 0 (all) or positive, got "
@@ -208,8 +214,9 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
         examples = examples[:max_examples]
     scored = [i for i, ex in enumerate(examples) if ex.positions]
     preds: list[int | None] = [None] * len(examples)
-    for start in range(0, len(scored), EVAL_CHUNK):
-        chunk = scored[start:start + EVAL_CHUNK]
+    size = chunk_size(EVAL_BUDGET, params.h)
+    for start in range(0, len(scored), size):
+        chunk = scored[start:start + size]
         _, probs = forward_batch([examples[i] for i in chunk], params,
                                  dataset.vocab, hops)
         for i, k in zip(chunk, probs.argmax(axis=1)):
@@ -228,10 +235,8 @@ def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
     `encoded`, a `(scores, b)` pair, passes instead its row b of a chunk's
     `(B, K)` score node (`chunk_losses`), where pad candidates score -inf
     and so add nothing; dropout was applied when that chunk was encoded, so
-    `dropout` and `rng` then go unused. Unlike `forward_pass(encoded=...)`,
-    a column of biGRU states, this `encoded` is a row of candidate scores:
-    the name is kept so that the signature stays that of the per-example
-    loss the benchmark wraps."""
+    `dropout` and `rng` then go unused. The name `encoded` is kept so that
+    the signature stays that of the per-example loss the benchmark wraps."""
     if encoded is None:
         scores = forward_pass(example, params, vocab, hops,
                               dropout_rate=dropout, rng=rng).scores
@@ -374,7 +379,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
     if resume is not None:
         opt.load_state(resume.optimizer_state)
 
-    chunk = train_chunk(config.h)
+    chunk = chunk_size(TRAIN_BUDGET, config.h)
     frozen = [p for n, p in params.named() if n not in opt.m]
     metrics: list[dict] = []
     window = [0.0, 0]  # summed training loss and examples since last eval

@@ -3,7 +3,7 @@
 `forward_pass`: scores to 1e-12 and identical predictions, across output
 embedding modes, sizes, hop counts, mixed document lengths and candidate
 counts, and chunk edges; and they pin the outcome of an example without
-support pairs."""
+support pairs. Chunks hold `EVAL_BUDGET` = 32 x 256 examples x h."""
 
 import numpy as np
 import pytest
@@ -105,15 +105,28 @@ def test_matches_tape_path(mixed, monkeypatch, identity_eo, h, hops):
 @pytest.mark.parametrize("n, chunks", [(1, [1]), (32, [32]),
                                        (65, [32, 32, 1])])
 def test_chunk_edges(mixed, monkeypatch, n, chunks):
+    """With a budget of 32 x 4 examples x h, a chunk holds 32 examples at
+    h=4, as `EVAL_BUDGET` gives at h=256."""
     data = subset(mixed, n)
-    assert train.EVAL_CHUNK == 32
+    monkeypatch.setattr(train, "EVAL_BUDGET", 32 * 4)
     assert assert_matches_tape(monkeypatch, params_for(data, 4, False, 1),
                                data, 2) == chunks
 
 
 def test_max_examples(mixed, monkeypatch):
+    monkeypatch.setattr(train, "EVAL_BUDGET", 32 * 4)
     assert assert_matches_tape(monkeypatch, params_for(mixed, 4, True, 2),
                                mixed, 3, max_examples=33) == [32, 1]
+
+
+def test_h16_dev_set_is_one_batch(monkeypatch):
+    """At h=16 a chunk holds 512 examples: the acceptance recipe's 120 L2
+    dev examples are one `forward_batch` call."""
+    _, dev, _ = generate_splits(SynthConfig(
+        chain_length=2, n_distractor_facts=2, n_examples=1, n_dev=120,
+        n_test=1, seed=7))
+    assert assert_matches_tape(monkeypatch, params_for(dev, 16, True, 4),
+                               dev, 2) == [120]
 
 
 def test_bigru_states_rows_match_bigru_encode(mixed):

@@ -3,13 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
+import hopqa.support as support
 from hopqa import autograd as ag
-from hopqa.data import SynthConfig, generate_splits
+from hopqa.data import SynthConfig, Vocab, generate_splits
 from hopqa.encoder import Document, bigru_encode, column_span_queries
 from hopqa.exceptions import EmptySupportError
 from hopqa.hops import run_hops
 from hopqa.model import init_params
-from hopqa.support import Example, build_support, stacked
+from hopqa.support import (Example, build_support, build_support_batch,
+                           stacked)
 
 
 def make_doc(tokens, token2id, placeholder=None):
@@ -339,3 +341,112 @@ class TestSupportPin:
                           *(t.alpha for t in res.traces)):
                     digest.update(a.tobytes())
         assert digest.hexdigest() == SUPPORT_PIN_SHA256
+
+
+def built(monkeypatch, dataset, params, answer_row):
+    """`build_support_batch` over `dataset`'s examples, and the index arrays
+    it read: the span positions, then the `E_i`, `E_o` and candidate row
+    ids."""
+    seen = []
+    gather, spans = ag.gather_rows, support.column_span_queries
+
+    def spy_gather(e, ids):
+        seen.append(np.array(ids))
+        return gather(e, ids)
+
+    def spy_spans(states, b, n, positions, w_q):
+        seen.append(np.array(positions))
+        return spans(states, b, n, positions, w_q)
+
+    monkeypatch.setattr(ag, "gather_rows", spy_gather)
+    monkeypatch.setattr(support, "column_span_queries", spy_spans)
+    sb = build_support_batch(dataset.examples, params,
+                             sep_id=dataset.vocab.sep_id,
+                             answer_row=answer_row)
+    monkeypatch.undo()
+    return sb, seen
+
+
+def counted(answer_row):
+    """`answer_row` and the list of symbols it was called with."""
+    calls = []
+
+    def row(sym):
+        calls.append(sym)
+        return answer_row(sym)
+    return row, calls
+
+
+class TestIndexLists:
+    """Each example's index lists are built once per `answer_row` and read
+    by every later `build_support_batch` call."""
+
+    @staticmethod
+    def task():
+        tr, _, _ = generate_splits(SynthConfig(**LONG_TASK))
+        return tr, init_params(8, tr.vocab.size, tr.vocab.n_answers,
+                               np.random.default_rng(0))
+
+    def test_built_once_and_identical(self, monkeypatch):
+        tr, params = self.task()
+        assert len({len(ex.candidates) for ex in tr.examples}) > 1
+        row, calls = counted(tr.vocab.answer_row)
+        first, idx = built(monkeypatch, tr, params, row)
+        n_rows = sum(len(ex.positions) + len(ex.candidates)
+                     for ex in tr.examples)
+        assert len(calls) == n_rows
+        again, idx_again = built(monkeypatch, tr, params, row)
+        assert len(calls) == n_rows
+        ex, vocab = tr.examples[0], tr.vocab
+        assert (ex.index_lists(vocab.answer_row)[3]
+                is ex.index_lists(vocab.answer_row)[3])
+        # the same examples as loaded anew, no lists built yet
+        fresh, _ = self.task()
+        ref, idx_ref = built(monkeypatch, fresh, params,
+                             fresh.vocab.answer_row)
+        assert len(idx) == 4
+        for other, other_idx in ((again, idx_again), (ref, idx_ref)):
+            for a, b in zip(idx, other_idx, strict=True):
+                assert np.array_equal(a, b)
+            for name in ("queries", "y_i", "y_o", "cand"):
+                assert np.array_equal(getattr(first, name).data,
+                                      getattr(other, name).data), name
+            assert np.array_equal(first.mask, other.mask)
+            assert np.array_equal(first.cand_mask, other.cand_mask)
+
+    def test_each_answer_row_gets_its_own_rows(self):
+        tr, params = self.task()
+        vocab = tr.vocab
+
+        def reversed_rows(sym):
+            return vocab.n_answers - 1 - vocab.answer_row(sym)
+        for row in (vocab.answer_row, reversed_rows, vocab.answer_row):
+            sb = build_support_batch(tr.examples, params, sep_id=vocab.sep_id,
+                                     answer_row=row)
+            for b, ex in enumerate(tr.examples):
+                syms = [ex.document.symbols[l - 1] for l in ex.positions]
+                m, k = len(syms), len(ex.candidates)
+                assert np.array_equal(sb.y_o.data[b, :m], params.E_o.data[
+                    [row(s) for s in syms]])
+                assert np.array_equal(sb.cand.data[b, :k], params.E_o.data[
+                    [row(c) for c in ex.candidates]])
+
+    def test_non_answer_symbol_raises(self):
+        """"Germany" is a pair symbol and a candidate but no answer symbol
+        of the vocab; lists built for another `answer_row` do not hide
+        it."""
+        vocab = Vocab()
+        for tok in TOKENS:
+            vocab.add(tok)
+        vocab.register_answer("Ukraine")
+        ex = news_example()
+        params = init_params(4, len(TOKENS), 2, np.random.default_rng(0))
+        build_support_batch([ex], params, sep_id=T2I["@sep"],
+                            answer_row=answer_row)
+        for _ in range(2):
+            with pytest.raises(IndexError, match="not an answer symbol"):
+                build_support_batch([ex], params, sep_id=T2I["@sep"],
+                                    answer_row=vocab.answer_row)
+            with pytest.raises(IndexError, match="not an answer symbol"):
+                build_support(ex, params, sep_id=T2I["@sep"],
+                              answer_row=vocab.answer_row)

@@ -7,8 +7,9 @@ from hopqa import autograd as ag
 from hopqa.data import Dataset, SynthConfig, generate_splits, make_example
 from hopqa.exceptions import ConfigError
 from hopqa.model import init_params, make_params, param_shapes
-from hopqa.train import (EVAL_CHUNK, Adam, TrainConfig, evaluate,
-                         example_loss, loss_from_scores, train, train_chunk)
+from hopqa.train import (EVAL_BUDGET, TRAIN_BUDGET, Adam, TrainConfig,
+                         chunk_size, evaluate, example_loss, loss_from_scores,
+                         train)
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +238,14 @@ class TestFlatAdam:
 
 class TestChunkRule:
     def test_sizes(self):
-        """Chunks hold 8 x 256 examples x h: 8 at h=256, as before."""
-        assert train_chunk(256) == 8
-        assert train_chunk(16) == 128
-        assert train_chunk(4096) == 1
-        assert EVAL_CHUNK == 32
+        """Training chunks hold 8 x 256 examples x h and evaluation chunks
+        32 x 256: 8 and 32 at h=256, as before."""
+        assert chunk_size(TRAIN_BUDGET, 256) == 8
+        assert chunk_size(TRAIN_BUDGET, 16) == 128
+        assert chunk_size(TRAIN_BUDGET, 4096) == 1
+        assert chunk_size(EVAL_BUDGET, 256) == 32
+        assert chunk_size(EVAL_BUDGET, 16) == 512
+        assert chunk_size(EVAL_BUDGET, 16384) == 1
 
     @pytest.mark.parametrize("h, per_step", [(16, 1), (256, 2)])
     def test_backward_passes_per_step(self, monkeypatch, h, per_step):
