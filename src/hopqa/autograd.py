@@ -195,10 +195,13 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Branch form: never exponentiates a large positive argument."""
+def stable_sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    """exp(min(x, 0)) / (1 + exp(-|x|)): never exponentiates a large
+    positive argument. `out` may be `x` itself."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e += 1.0
+    num = np.exp(np.minimum(x, 0.0, out=out), out=out)
+    return np.divide(num, e, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -239,6 +242,35 @@ def logsumexp(a: Tensor) -> Tensor:
 
     def bw(g):
         a.grad += g * soft
+    out.backward_fn = bw
+    return out
+
+
+def cross_entropy(scores: Tensor, gold) -> Tensor:
+    """`m + log sum exp(s - m) - s[gold]`, m the row maximum, for each row
+    of `(B, K)` scores as one `(B,)` node, or of `(K,)` scores as a 0-d one.
+    Pad columns scoring -inf add nothing and get zero gradient."""
+    s = scores.data
+    if s.ndim not in (1, 2) or s.shape[-1] == 0:
+        raise DimensionError(f"cross_entropy of scores shaped {s.shape}")
+    rows = s.reshape(-1, s.shape[-1])
+    gold = np.asarray(gold, dtype=np.intp).reshape(-1)
+    if gold.shape != rows.shape[:1]:
+        raise DimensionError(f"{gold.size} gold indices for {len(rows)} rows")
+    if gold.view(np.uintp).max() >= rows.shape[1]:
+        raise IndexError(f"gold index outside [0, {rows.shape[1]})")
+    at = np.arange(len(rows)), gold
+    m = rows.max(axis=1)
+    e = np.exp(rows - m[:, None])
+    total = e.sum(axis=1)
+    out = Tensor((m + np.log(total) - rows[at]).reshape(s.shape[:-1]),
+                 parents=(scores,))
+
+    def bw(g):
+        g = g.reshape(-1, 1)
+        d = g * (e / total[:, None])
+        d[at] -= g[:, 0]
+        scores.grad += d.reshape(s.shape)
     out.backward_fn = bw
     return out
 

@@ -118,21 +118,25 @@ def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
 
     `x_at(k)` is step k's input projection `(2, B, 3h)`, bias included.
     Returns the `(2, n+1, B, h)` states and, when `keep`, the saved z/r
-    gates `(2, n, B, 2h)` and candidates `(2, n, B, h)` that BPTT needs."""
+    gates `(2, n, B, 2h)` and candidates `(2, n, B, h)` that BPTT needs, as
+    views of time-major arrays: each step is one contiguous block."""
     h = u_h.shape[-1]
-    H = np.zeros((2, n + 1, B, h))
-    ZR = np.empty((2, n, B, 2 * h)) if keep else None
-    C = np.empty((2, n, B, h)) if keep else None
+    H = np.zeros((n + 1, 2, B, h))
+    ZR = np.empty((n if keep else 1, 2, B, 2 * h))
+    C = np.empty((n if keep else 1, 2, B, h))
+    tmp = np.empty((2, B, h))
     for k in range(n):
-        hp = H[:, k]
-        x = x_at(k)
-        zr = ag.stable_sigmoid(x[..., :2 * h] + hp @ u_zr)
+        hp, x = H[k], x_at(k)
+        zr, c = (ZR[k], C[k]) if keep else (ZR[0], C[0])
+        ag.stable_sigmoid(np.add(x[..., :2 * h], np.matmul(hp, u_zr, out=zr),
+                                 out=zr), out=zr)
         z = zr[..., :h]
-        c = np.tanh(x[..., 2 * h:] + (zr[..., h:] * hp) @ u_h)
-        H[:, k + 1] = z * hp + (1.0 - z) * c
-        if keep:
-            ZR[:, k], C[:, k] = zr, c
-    return H, ZR, C
+        np.matmul(np.multiply(zr[..., h:], hp, out=tmp), u_h, out=c)
+        np.tanh(np.add(x[..., 2 * h:], c, out=c), out=c)
+        np.multiply(np.subtract(1.0, z, out=tmp), c, out=tmp)
+        np.add(np.multiply(z, hp, out=H[k + 1]), tmp, out=H[k + 1])
+    H, ZR, C = (a.transpose(1, 0, 2, 3) for a in (H, ZR, C))
+    return (H, ZR, C) if keep else (H, None, None)
 
 
 def padded(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -153,16 +157,18 @@ def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
     # sequence b reversed: its token at position lens[b] - 1 - k
     rev = fwd[np.arange(B)[:, None], np.maximum(lens[:, None] - 1
                                                 - np.arange(n), 0)]
-    ids = np.stack((fwd, np.where(mask, rev, 0))).transpose(0, 2, 1)
+    ids = np.stack((fwd.T, np.where(mask, rev, 0).T), axis=1)
     w, bias, u_zr, u_h = _stacked_weights((fwd_params, bwd_params))
     # each distinct token's input projection, (2, tokens, 3h), gathered per
     # step: projecting every (step, sequence) up front holds a (2, n, B, 3h)
     # array, which raised peak RSS at h=256 and ran slower there
     tokens, ids = np.unique(ids, return_inverse=True)
-    ids = ids.reshape(2, n, B)
-    xw = e_i[tokens] @ w + bias
-    d = np.arange(2)[:, None]
-    return _recurrence(lambda k: xw[d, ids[:, k]], n, B, u_zr, u_h)[0]
+    ids = ids.reshape(n, 2, B)
+    ids[:, 1] += len(tokens)  # the backward direction's half of the table
+    xw = (e_i[tokens] @ w + bias).reshape(2 * len(tokens), -1)
+    x = np.empty((2, B, xw.shape[1]))
+    return _recurrence(lambda k: xw.take(ids[k], axis=0, out=x, mode="clip"),
+                       n, B, u_zr, u_h)[0]
 
 
 def bigru_encode(embedded, fwd_params: GRUParams,
@@ -198,8 +204,9 @@ def bigru_encode(embedded, fwd_params: GRUParams,
 
     def bw(G):
         h = u_h.shape[-1]
-        # gate derivatives that do not depend on the carried gradient
+        # G is time-major too (`zeros_like` keeps H's layout)
         Hp, Z, R = H[:, :-1], ZR[..., :h], ZR[..., h:]
+        # gate derivatives that do not depend on the carried gradient
         f_z = (Hp - C) * Z * (1.0 - Z)
         f_c = (1.0 - Z) * (1.0 - C * C)
         f_r = Hp * R * (1.0 - R)
@@ -215,14 +222,13 @@ def bigru_encode(embedded, fwd_params: GRUParams,
             dh = g * Z[:, k] + drh * R[:, k] + da[..., :2 * h] @ u_zr_t
         del f_z, f_c, f_r
         # one gemm per weight gradient, over every (step, sequence) row
-        DA = DA.reshape(2, n * B, 3 * h)
-        Hp, R = Hp.reshape(2, n * B, h), R.reshape(2, n * B, h)
         dX = np.empty_like(X)
         for d, p in enumerate(dirs):
-            da, hp, x = DA[d], Hp[d], X[d].reshape(n * B, -1)
+            da, x = DA[d].reshape(n * B, 3 * h), X[d].reshape(n * B, -1)
+            hp = Hp[d].reshape(n * B, h)  # a copy: rows are time-major
             p.U_z.grad += da[:, :h].T @ hp
             p.U_r.grad += da[:, h:2 * h].T @ hp
-            p.U_h.grad += da[:, 2 * h:].T @ (R[d] * hp)
+            p.U_h.grad += da[:, 2 * h:].T @ (R[d] * Hp[d]).reshape(n * B, h)
             for i, (wt, bt) in enumerate(((p.W_z, p.b_z), (p.W_r, p.b_r),
                                           (p.W_h, p.b_h))):
                 blk = slice(i * h, (i + 1) * h)

@@ -61,9 +61,10 @@ class TrainConfig:
                               f"positive, got {self.dev_subsample}")
 
 
-def loss_from_scores(scores: Tensor, gold_pos: int) -> Tensor:
-    """Cross-entropy of the gold candidate, as log-sum-exp minus gold score."""
-    return ag.sub(ag.logsumexp(scores), ag.pick(scores, gold_pos))
+def loss_from_scores(scores: Tensor, gold_pos) -> Tensor:
+    """Cross-entropy of the gold candidate, as log-sum-exp minus gold score,
+    of one example's `(K,)` scores (0-d) or of a chunk's `(B, K)` (`(B,)`)."""
+    return ag.cross_entropy(scores, gold_pos)
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -232,33 +233,33 @@ def example_loss(example, params: ModelParams, vocab: Vocab, hops: int, *,
                  rng: np.random.Generator | None = None,
                  encoded: tuple[Tensor, int] | None = None) -> Tensor:
     """Cross-entropy of one example, run alone as a batch of one.
-    `encoded`, a `(scores, b)` pair, passes instead its row b of a chunk's
-    `(B, K)` score node (`chunk_losses`), where pad candidates score -inf
-    and so add nothing; dropout was applied when that chunk was encoded, so
-    `dropout` and `rng` then go unused. The name `encoded` is kept so that
-    the signature stays that of the per-example loss the benchmark wraps."""
-    if encoded is None:
-        scores = forward_pass(example, params, vocab, hops,
-                              dropout_rate=dropout, rng=rng).scores
-    else:
-        scores = ag.take_row(*encoded)
+    `encoded`, a `(losses, b)` pair, passes instead entry b of a chunk's
+    `(B,)` cross-entropy node (`chunk_losses`); dropout was applied when
+    that chunk was encoded, so `dropout` and `rng` then go unused. The name
+    `encoded` is kept so that the signature stays that of the per-example
+    loss the benchmark wraps."""
+    if encoded is not None:
+        return ag.pick(*encoded)
+    scores = forward_pass(example, params, vocab, hops, dropout_rate=dropout,
+                          rng=rng).scores
     return loss_from_scores(scores, example.candidates.index(example.gold))
 
 
 def chunk_losses(chunk, params: ModelParams, vocab: Vocab, hops: int, *,
                  dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> list[Tensor]:
-    """`example_loss` of every example of `chunk`, each on its row of one
+    """`example_loss` of every example of `chunk`, each an entry of one
     taped pass over the whole chunk: one `encode_batch` node, the padded
-    support nodes and one `run_hops_batch` node. The losses of one
-    `example_loss` call per example up to float rounding, with the same
-    dropout draws in the same order."""
+    support nodes, one `run_hops_batch` node and one cross-entropy node (pad
+    candidates score -inf). The losses of one `example_loss` call per
+    example up to float rounding, with the same dropout draws in order."""
     states = encode_batch(chunk, params, sep_id=vocab.sep_id,
                           dropout_rate=dropout, rng=rng)
     sb = build_support_batch(chunk, params, sep_id=vocab.sep_id,
                              answer_row=vocab.answer_row, states=states)
-    scores = run_hops_batch(sb, params, hops)[0]
-    return [example_loss(ex, params, vocab, hops, encoded=(scores, b))
+    losses = loss_from_scores(run_hops_batch(sb, params, hops)[0],
+                              [ex.candidates.index(ex.gold) for ex in chunk])
+    return [example_loss(ex, params, vocab, hops, encoded=(losses, b))
             for b, ex in enumerate(chunk)]
 
 

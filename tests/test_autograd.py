@@ -72,6 +72,18 @@ class TestElementwise:
         assert y[0] == pytest.approx(1.0)
         assert y[1] == pytest.approx(0.0)
 
+    def test_stable_sigmoid_bit_equal_to_branch_form(self):
+        """exp(min(x, 0)) as the numerator gives the bits of the branch
+        form where(x >= 0, 1, exp(-|x|)), at the edge values and past the
+        8,192 elements where numpy buffers that `where`; also in place."""
+        rng = np.random.default_rng(8)
+        x = np.concatenate(([0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320],
+                            rng.normal(scale=20.0, size=20000)))
+        e = np.exp(-np.abs(x))
+        want = (np.where(x >= 0, 1.0, e) / (1.0 + e)).tobytes()
+        assert ag.stable_sigmoid(x).tobytes() == want
+        assert ag.stable_sigmoid(x, out=x).tobytes() == want
+
     def test_binary_shape_mismatch(self):
         for op in (ag.add, ag.sub, ag.mul):
             with pytest.raises(DimensionError):
@@ -106,6 +118,60 @@ class TestSoftmax:
             assert np.all(y >= 0)
             assert abs(np.sum(y) - 1.0) < 1e-9
             assert np.max(np.abs(y - y2)) < 1e-9
+
+
+class TestCrossEntropy:
+    # row 1 has its gold at its last real column, rows 1 and 2 pad columns
+    SCORES = np.array([[0.3, -1.2, 2.5, 0.0, 4.0, -0.7],
+                       [1.1, 0.4, -2.0, 3.3, -np.inf, -np.inf],
+                       [-5.0, 2.2, -np.inf, -np.inf, -np.inf, -np.inf],
+                       [700.0, 699.5, -700.0, 0.0, 1.0, 2.0]])
+    GOLD = [2, 3, 0, 1]
+
+    def test_rows_are_logsumexp_minus_pick_bit_for_bit(self):
+        """Each entry and its gradient row are those of logsumexp minus
+        pick on that row alone, for the rows above and 60 random ones with
+        random pads; pad columns get exact zeros."""
+        rng = np.random.default_rng(10)
+        scores = rng.normal(scale=4.0, size=(60, 6))
+        real = rng.integers(1, 7, size=60)
+        scores[np.arange(6) >= real[:, None]] = -np.inf
+        scores = np.concatenate((self.SCORES, scores))
+        gold = self.GOLD + [int(rng.integers(k)) for k in real]
+        s = ag.param(scores.copy())
+        ce = ag.cross_entropy(s, gold)
+        ag.backward(total(ce))
+        ref = ag.param(scores.copy())
+        rows = [ag.take_row(ref, b) for b in range(len(gold))]
+        want = [ag.sub(ag.logsumexp(r), ag.pick(r, k))
+                for r, k in zip(rows, gold)]
+        ag.backward(total(ag.concat([ag.reshape(w, (1,)) for w in want])))
+        assert ce.data.shape == (64,)
+        assert ce.data.tobytes() == np.array([w.data for w in want]).tobytes()
+        assert s.grad.tobytes() == ref.grad.tobytes()
+        assert np.all(s.grad[np.isinf(scores)] == 0.0)
+
+    def test_vector_gives_scalar(self):
+        row = ag.constant(self.SCORES[1])
+        ce = ag.cross_entropy(row, 3)
+        want = ag.sub(ag.logsumexp(row), ag.pick(row, 3))
+        assert ce.data.shape == ()
+        assert ce.data.tobytes() == want.data.tobytes()
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(9)
+        s = ag.param(rng.normal(size=(3, 5)))
+        w = ag.constant([0.5, -1.0, 2.0])
+        err = ag.grad_check(lambda: ag.dot(w, ag.cross_entropy(s, [4, 0, 2])),
+                            [s])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("gold,error", [([0, 1, 6, 0], IndexError),
+                                            ([0, -1, 0, 0], IndexError),
+                                            ([0, 1, 2], DimensionError)])
+    def test_bad_gold_rejected(self, gold, error):
+        with pytest.raises(error):
+            ag.cross_entropy(ag.constant(self.SCORES), gold)
 
 
 class TestGatherRows:

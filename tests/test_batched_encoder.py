@@ -5,6 +5,7 @@ of one, one backward per example): per-step losses pinned from the
 per-example path, gradients of every parameter to 1e-12 on padded chunks,
 and the dropout stream draw for draw."""
 
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -82,6 +83,38 @@ PINNED_STEP_LOSSES = {
     "identity_eo": [2.0332595915705434, 2.0027164570245546,
                     2.0540886921373382, 1.906334068293499],
 }
+
+
+# SHA-256 of every per-example loss of one epoch, in the order computed, and
+# of every final parameter's name and bytes, recorded before the biGRU states
+# were stored time-major and a chunk's losses became one cross-entropy node.
+# A 1-ulp drift anywhere in the forward pass, BPTT or Adam changes it.
+BIT_PINS = {
+    # the acceptance recipe: one chunk per minibatch of 16
+    "acceptance": (dict(h=16, hops=2, lr0=0.01, batch_size=16, dropout=0.0,
+                        seed=0, identity_eo=True, embed_init_stddev=3.0), 48,
+                   "0ffb04e0885b0c9ca3cbb8a6629ebef3"
+                   "b27a176294dace4a8490f5e60c09adf4"),
+    # TrainConfig defaults (h=256, 4 hops, dropout): two chunks per minibatch
+    "defaults": (dict(batch_size=16, seed=0), 16,
+                 "aab68c7faaac63da399567347de1a1da"
+                 "03f2ff1e2424aafa127983521a82b589"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_PINS))
+def test_one_epoch_bit_exact(monkeypatch, name):
+    cfg, n, want = BIT_PINS[name]
+    train_set, _, _ = generate_splits(SynthConfig(
+        chain_length=2, n_distractor_facts=2, n_examples=n, n_dev=1,
+        n_test=1, seed=0))
+    losses, res = recorded_run(monkeypatch, train_set, max_epochs=1, **cfg)
+    assert len(losses) == n
+    digest = hashlib.sha256(np.array(losses).tobytes())
+    for param_name, t in res.final_params.named():
+        digest.update(param_name.encode())
+        digest.update(t.data.tobytes())
+    assert digest.hexdigest() == want
 
 
 @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))

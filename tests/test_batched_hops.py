@@ -143,9 +143,11 @@ def test_pad_rows_get_exactly_zero_gradient(mixed, identity_eo):
     sb = leaves(build_support_batch(chunk, params, sep_id=vocab.sep_id,
                                     answer_row=vocab.answer_row,
                                     states=states))
-    scores = run_hops_batch(sb, params, 3)[0]
+    losses = train.loss_from_scores(run_hops_batch(sb, params, 3)[0],
+                                    [ex.candidates.index(ex.gold)
+                                     for ex in chunk])
     ag.backward(reduce(ag.add, [
-        train.example_loss(ex, params, vocab, 3, encoded=(scores, b))
+        train.example_loss(ex, params, vocab, 3, encoded=(losses, b))
         for b, ex in enumerate(chunk)]))
     for b, ex in enumerate(chunk):
         m, k = len(ex.positions), len(ex.candidates)
@@ -157,16 +159,18 @@ def test_pad_rows_get_exactly_zero_gradient(mixed, identity_eo):
 
 def test_pad_candidates_score_minus_inf(mixed):
     """Row b of the score node has -inf past example b's candidates, which
-    `example_loss` reads as zero probability."""
+    the chunk's cross-entropy node reads as zero probability."""
     vocab = mixed.vocab
     params = params_for(mixed, False)
     chunk = chunk_of(mixed)
     sb = build_support_batch(chunk, params, sep_id=vocab.sep_id,
                              answer_row=vocab.answer_row)
     scores = run_hops_batch(sb, params, 2)[0]
+    losses = train.loss_from_scores(scores, [ex.candidates.index(ex.gold)
+                                             for ex in chunk])
     for b, ex in enumerate(chunk):
         k = len(ex.candidates)
         assert np.all(np.isfinite(scores.data[b, :k]))
         assert np.all(scores.data[b, k:] == -np.inf)
-        loss = train.example_loss(ex, params, vocab, 2, encoded=(scores, b))
+        loss = train.example_loss(ex, params, vocab, 2, encoded=(losses, b))
         assert np.isfinite(loss.data)

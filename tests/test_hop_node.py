@@ -3,6 +3,8 @@ op by op (`hop_oracle.run_hops_ops`): forward values bit for bit, gradients
 of every input and hop parameter to 1e-12, and the same refusals of bad
 inputs."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -168,17 +170,18 @@ def count_nodes(root) -> int:
 
 
 def test_chunk_tape_size():
-    """The tape of one training chunk: 8 L2 examples at h=16, 2 hops,
-    identity E_o (the acceptance recipe). Built op by op, the hop loops
-    took the chunk to 522 nodes; with one hop node per example, 122."""
-    train_set, _, _ = generate_splits(SynthConfig(
-        chain_length=2, n_distractor_facts=2, n_examples=8, n_dev=1,
-        n_test=1, seed=0))
-    vocab = train_set.vocab
-    params = init_params(16, vocab.size, vocab.n_answers,
-                         np.random.default_rng(0), identity_eo=True)
-    losses = chunk_losses(train_set.examples, params, vocab, 2)
-    total = losses[0]
-    for loss in losses[1:]:
-        total = ag.add(total, loss)
-    assert count_nodes(total) == 79
+    """The tape of one training chunk of L2 examples at h=16, 2 hops,
+    identity E_o (the acceptance recipe): 8 examples, and 16, the recipe's
+    whole minibatch. Built op by op, the hop loops took a chunk of 8 to 522
+    nodes; with one hop node per example, 122; with one per chunk, 79,
+    of which 39 were the four loss nodes per example and their sum. One
+    cross-entropy node per chunk leaves a pick and an add per example."""
+    for size, nodes in ((8, 56), (16, 80)):
+        train_set, _, _ = generate_splits(SynthConfig(
+            chain_length=2, n_distractor_facts=2, n_examples=size, n_dev=1,
+            n_test=1, seed=0))
+        vocab = train_set.vocab
+        params = init_params(16, vocab.size, vocab.n_answers,
+                             np.random.default_rng(0), identity_eo=True)
+        losses = chunk_losses(train_set.examples, params, vocab, 2)
+        assert count_nodes(reduce(ag.add, losses)) == nodes, size
