@@ -17,7 +17,7 @@ DEFAULT_DTYPE = np.float64
 
 class Tensor:
     __slots__ = ("data", "grad", "parents", "backward_fn", "is_param", "name",
-                 "_backward_done")
+                 "_backward_done", "__weakref__")
 
     def __init__(self, data, parents=(), backward_fn=None, is_param=False,
                  name=None):
@@ -288,9 +288,29 @@ def gather_rows(e: Tensor, ids) -> Tensor:
     out = Tensor(e.data[idx], parents=(e,))
 
     def bw(g):
-        np.add.at(e.grad, idx, g)
+        add_rows_at(e.grad, (idx,), g)
     out.backward_fn = bw
     return out
+
+
+def add_rows_at(target: np.ndarray, rows, values) -> None:
+    """`np.add.at(target, rows, values)`, `rows` a tuple of index arrays or
+    ints over every axis of `target` but the last, broadcast together, and
+    `values` shaped as those rows plus target's last axis: the same
+    additions in the same order, so equal bit for bit with repeated rows,
+    through `np.add.at`'s faster 1-d path on per-element offsets into
+    target's own memory. A target whose memory no axis order makes
+    C-contiguous takes the row-wise call: reshaping it would add into a
+    copy."""
+    step = np.array(target.strides) // target.itemsize
+    dense = target.transpose(np.argsort(-step, kind="stable"))
+    if not dense.flags.c_contiguous:
+        np.add.at(target, rows, values)
+        return
+    start = sum(np.asarray(r, dtype=np.intp) * s
+                for r, s in zip(rows, step[:-1]))
+    offsets = start[..., None] + np.arange(target.shape[-1]) * step[-1]
+    np.add.at(dense.reshape(-1), offsets.reshape(-1), values.reshape(-1))
 
 
 def take_row(m: Tensor, i: int) -> Tensor:

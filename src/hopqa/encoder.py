@@ -98,18 +98,27 @@ def gru_step(xz: Tensor, xr: Tensor, xh: Tensor, l: int, h_prev: Tensor,
     return out
 
 
-def _stacked_weights(dirs):
-    """Both directions' weights stacked on a leading axis: input
-    projections `(2, h_in, 3h)` as `[W_z | W_r | W_h]`, biases `(2, 1, 3h)`,
-    and the recurrent maps `(2, h, 2h)` and `(2, h, h)` applied to row
-    states on the right."""
+def _input_weights(dirs):
+    """Both directions' input projections stacked on a leading axis,
+    `(2, h_in, 3h)` as `[W_z | W_r | W_h]`, and their biases `(2, 1, 3h)`."""
     w = np.stack([np.concatenate((p.W_z.data, p.W_r.data, p.W_h.data), axis=1)
                   for p in dirs])
     bias = np.stack([np.concatenate((p.b_z.data, p.b_r.data, p.b_h.data))
                      for p in dirs])[:, None]
-    u_zr = np.stack([np.concatenate((p.U_z.data, p.U_r.data)).T for p in dirs])
-    u_h = np.stack([p.U_h.data.T for p in dirs])
-    return w, bias, u_zr, u_h
+    return w, bias
+
+
+def _recurrent_maps(dirs):
+    """Both directions' recurrent maps `(2, h, 2h)` as `[U_z^T | U_r^T]`
+    and `(2, h, h)` as `U_h^T`, applied to row states on the right: views
+    of the C-contiguous `[U_z; U_r]` and `U_h` stacks BPTT multiplies by,
+    filled in place rather than concatenated per direction."""
+    h = dirs[0].U_h.data.shape[0]
+    u_zr_t, u_h_t = np.empty((2, 2 * h, h)), np.empty((2, h, h))
+    for d, p in enumerate(dirs):
+        u_zr_t[d, :h], u_zr_t[d, h:], u_h_t[d] = (p.U_z.data, p.U_r.data,
+                                                  p.U_h.data)
+    return u_zr_t.transpose(0, 2, 1), u_h_t.transpose(0, 2, 1)
 
 
 def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
@@ -148,17 +157,26 @@ def padded(rows) -> tuple[np.ndarray, np.ndarray]:
     return idx, mask
 
 
+def _reversed(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Time-major rows `(n, B, ...)` of B sequences, each sequence's own
+    `lens[b]` rows reversed and left-aligned, pad rows zero: the backward
+    direction's input. Its own inverse on those rows."""
+    n, B = x.shape[:2]
+    rev = np.maximum(lens - 1 - np.arange(n)[:, None], 0)
+    out = x[rev, np.arange(B)]
+    out[np.arange(n)[:, None] >= lens] = 0.0
+    return out
+
+
 def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
                  bwd_params: GRUParams) -> np.ndarray:
     """The states of `bigru_encode` for B token-id sequences, without a
     tape: the same `(2, n+1, B, h)` layout and recurrence."""
     fwd, mask = padded(seqs)
     (B, n), lens = fwd.shape, mask.sum(axis=1)
-    # sequence b reversed: its token at position lens[b] - 1 - k
-    rev = fwd[np.arange(B)[:, None], np.maximum(lens[:, None] - 1
-                                                - np.arange(n), 0)]
-    ids = np.stack((fwd.T, np.where(mask, rev, 0).T), axis=1)
-    w, bias, u_zr, u_h = _stacked_weights((fwd_params, bwd_params))
+    ids = np.stack((fwd.T, _reversed(fwd.T, lens)), axis=1)
+    dirs = (fwd_params, bwd_params)
+    w, bias = _input_weights(dirs)
     # each distinct token's input projection, (2, tokens, 3h), gathered per
     # step: projecting every (step, sequence) up front holds a (2, n, B, 3h)
     # array, which raised peak RSS at h=256 and ran slower there
@@ -168,92 +186,145 @@ def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
     xw = (e_i[tokens] @ w + bias).reshape(2 * len(tokens), -1)
     x = np.empty((2, B, xw.shape[1]))
     return _recurrence(lambda k: xw.take(ids[k], axis=0, out=x, mode="clip"),
-                       n, B, u_zr, u_h)[0]
+                       n, B, *_recurrent_maps(dirs))[0]
 
 
-def bigru_encode(embedded, fwd_params: GRUParams,
+def bigru_encode(embedded: Tensor, lens, fwd_params: GRUParams,
                  bwd_params: GRUParams) -> Tensor:
     """Both directions over B embedded sequences as one tape node.
 
-    `embedded` holds B `(n_b, h_in)` tensors, the `embed_sequence` outputs
-    of each sequence. The node's data is a `(2, n+1, B, h)` array, n the
-    longest length: `[0, k, b]` is the forward state of sequence b after
-    its first k tokens and `[1, k, b]` the backward state after its last k
-    tokens; row 0 is the zero initial state. Each direction reads its
-    sequence left-aligned (the backward one reversed per sequence), so
-    padding only follows the states a sequence's own positions read;
-    `column_span_queries` reads one sequence's column. The backward pass
-    runs BPTT for both directions and the whole batch at once, over saved
-    gate values, and leaves each weight gradient to one gemm. Pad steps
-    receive no gradient, so they add exact zeros.
+    `embedded` is the `(B, n, h_in)` `embed_sequence` node of B sequences
+    padded to n tokens, sequence b holding `lens[b]` of them. The node's
+    data is a `(2, n+1, B, h)` array: `[0, k, b]` is the forward state of
+    sequence b after its first k tokens and `[1, k, b]` the backward state
+    after its last k tokens; row 0 is the zero initial state. Each direction
+    reads its sequence left-aligned (the backward one reversed per
+    sequence), so padding only follows the states a sequence's own
+    positions read; `column_span_queries` reads one sequence's column.
+
+    The backward pass runs BPTT for both directions and the whole batch at
+    once, over the saved gates and candidates, and leaves the weight and
+    input gradients to gemms over every (step, sequence) row; pad steps
+    receive no gradient, so they add exact zeros. It builds the gate-derivative factors in the gate-gradient
+    buffer and spends the saved candidates as scratch, so it runs once per
+    node: the node keeps no weight copy, and a second pass raises.
     """
-    lens = [e.data.shape[0] for e in embedded]
-    if min(lens) < 1:
+    # time-major `(n, B, h_in)`, no copy of an `embed_sequence` node
+    x = np.ascontiguousarray(embedded.data.transpose(1, 0, 2))
+    (n, B, h_in), lens = x.shape, np.asarray(lens, dtype=np.intp)
+    if lens.shape != (B,) or lens.max() > n:
+        raise ValueError(f"lengths {lens.tolist()} for {B} sequences padded "
+                         f"to {n} tokens")
+    if lens.min() < 1:
         raise ValueError("cannot encode an empty sequence")
-    n, B = max(lens), len(embedded)
     dirs = (fwd_params, bwd_params)
-    X = np.zeros((2, n, B, embedded[0].data.shape[1]))
-    for b, e in enumerate(embedded):
-        X[0, :lens[b], b] = e.data
-        X[1, :lens[b], b] = e.data[::-1]
-    w, bias, u_zr, u_h = _stacked_weights(dirs)
-    XW = (X.reshape(2, n * B, -1) @ w + bias).reshape(2, n, B, -1)
-    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, u_zr, u_h, keep=True)
-    out = Tensor(H, parents=(*embedded, *(t for p in dirs for _, t in
-                                           p.named(""))))
+    w, bias = _input_weights(dirs)
+    XW = np.empty((2, n, B, w.shape[-1]))
+    for d, xd in enumerate((x, _reversed(x, lens))):
+        np.matmul(xd.reshape(n * B, h_in), w[d],
+                  out=XW[d].reshape(n * B, -1))
+    XW += bias[:, None]
+    del w, xd  # before the recurrence allocates its states
+    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, *_recurrent_maps(dirs),
+                           keep=True)
+    out = Tensor(H, parents=(embedded, *(t for p in dirs for _, t in
+                                         p.named(""))))
 
     def bw(G):
-        h = u_h.shape[-1]
+        nonlocal ZR, C
+        if C is None:
+            raise RuntimeError("a bigru_encode node runs backward once")
+        h = C.shape[-1]
         # G is time-major too (`zeros_like` keeps H's layout)
         Hp, Z, R = H[:, :-1], ZR[..., :h], ZR[..., h:]
-        # gate derivatives that do not depend on the carried gradient
-        f_z = (Hp - C) * Z * (1.0 - Z)
-        f_c = (1.0 - Z) * (1.0 - C * C)
-        f_r = Hp * R * (1.0 - R)
-        u_zr_t, u_h_t = u_zr.transpose(0, 2, 1), u_h.transpose(0, 2, 1)
         DA = np.empty((2, n, B, 3 * h))  # (da_z, da_r, da_c) per step
+        da_z, da_r, da_c = DA[..., :h], DA[..., h:2 * h], DA[..., 2 * h:]
+        # the gate-derivative factors that do not depend on the carried
+        # gradient, in the slots the loop multiplies it into:
+        # f_z = (hp - c) z (1 - z), f_c = (1 - z)(1 - c^2), f_r = hp r (1 - r)
+        np.subtract(1.0, Z, out=da_c)
+        np.multiply(np.subtract(Hp, C, out=da_z), Z, out=da_z)
+        da_z *= da_c
+        da_c *= np.subtract(1.0, np.square(C, out=C), out=C)
+        np.multiply(Hp, R, out=da_r)
+        da_r *= np.subtract(1.0, R, out=C)
+        C = None
+        u_zr_t, u_h_t = (u.transpose(0, 2, 1) for u in _recurrent_maps(dirs))
         dh = np.zeros((2, B, h))
         for k in reversed(range(n)):
             g = G[:, k + 1] + dh
             da = DA[:, k]
-            np.multiply(g, f_z[:, k], out=da[..., :h])
-            drh = np.multiply(g, f_c[:, k], out=da[..., 2 * h:]) @ u_h_t
-            np.multiply(drh, f_r[:, k], out=da[..., h:2 * h])
+            da[..., :h] *= g
+            drh = np.multiply(da[..., 2 * h:], g, out=da[..., 2 * h:]) @ u_h_t
+            da[..., h:2 * h] *= drh
             dh = g * Z[:, k] + drh * R[:, k] + da[..., :2 * h] @ u_zr_t
-        del f_z, f_c, f_r
-        # one gemm per weight gradient, over every (step, sequence) row
-        dX = np.empty_like(X)
+        del u_zr_t, u_h_t, g, dh, drh
+        # the weight gradients as gemms over every (step, sequence) row
+        rows = np.empty((n, B, h))  # hp, then r * hp, of one direction
+        d_x = embedded.grad.transpose(1, 0, 2)
         for d, p in enumerate(dirs):
-            da, x = DA[d].reshape(n * B, 3 * h), X[d].reshape(n * B, -1)
-            hp = Hp[d].reshape(n * B, h)  # a copy: rows are time-major
-            p.U_z.grad += da[:, :h].T @ hp
-            p.U_r.grad += da[:, h:2 * h].T @ hp
-            p.U_h.grad += da[:, 2 * h:].T @ (R[d] * Hp[d]).reshape(n * B, h)
+            da = DA[d].reshape(n * B, 3 * h)
+            # each gradient product freed before the next is made
+            np.copyto(rows, Hp[d])
+            d_w = da[:, :2 * h].T @ rows.reshape(n * B, h)
+            p.U_z.grad += d_w[:h]
+            p.U_r.grad += d_w[h:]
+            del d_w
+            np.multiply(R[d], Hp[d], out=rows)
+            p.U_h.grad += da[:, 2 * h:].T @ rows.reshape(n * B, h)
+            xd = (x if d == 0 else _reversed(x, lens)).reshape(n * B, h_in)
+            d_w, d_b = xd.T @ da, da.sum(axis=0)
+            del xd
             for i, (wt, bt) in enumerate(((p.W_z, p.b_z), (p.W_r, p.b_r),
                                           (p.W_h, p.b_h))):
-                blk = slice(i * h, (i + 1) * h)
-                wt.grad += x.T @ da[:, blk]
-                bt.grad += da[:, blk].sum(axis=0)
-            dX[d] = (da @ w[d].T).reshape(n, B, -1)
-        for b, e in enumerate(embedded):
-            e.grad += dX[0, :lens[b], b] + dX[1, lens[b] - 1::-1, b]
+                wt.grad += d_w[:, i * h:(i + 1) * h]
+                bt.grad += d_b[i * h:(i + 1) * h]
+            del d_w
+            dx = (da @ np.concatenate((p.W_z.data, p.W_r.data, p.W_h.data),
+                                      axis=1).T).reshape(n, B, h_in)
+            d_x += dx if d == 0 else _reversed(dx, lens)
+            del dx
+        ZR = None
     out.backward_fn = bw
     return out
 
 
-def embed_sequence(symbols: list[int], e_i: Tensor, dropout_rate: float = 0.0,
+def embed_sequence(ids, lens, e_i: Tensor, dropout_rate: float = 0.0,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """Look up input embeddings; a positive rate applies inverted dropout."""
+    """Input embeddings of B token-id sequences, padded into the `(B, n)`
+    array `ids` with `lens[b]` real tokens in row b, as one `(B, n, h)` node
+    with zero pad rows, laid out time-major in memory as `bigru_encode`
+    reads it. A positive rate applies inverted dropout to the real tokens
+    with one `rng.random((sum(lens), h))` draw, which is the draws of one
+    sequence after another; the node keeps only its boolean keep-mask."""
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigError(f"dropout rate {dropout_rate} not in [0, 1)")
-    emb = ag.gather_rows(e_i, symbols)
+    if dropout_rate > 0.0 and rng is None:
+        raise ConfigError("dropout requires an rng")
+    ids = np.asarray(ids, dtype=np.intp)
+    real = np.arange(ids.shape[1]) < np.asarray(lens)[:, None]
+    tokens = ids[real]  # sequence by sequence
+    n_rows = e_i.data.shape[0]
+    bad = tokens.view(np.uintp) >= n_rows  # a negative id reads as a huge one
+    if bad.any():
+        raise IndexError(f"row id {tokens[bad][0]} out of range [0, {n_rows})")
+    rows = e_i.data[tokens]
+    keep = None
     if dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("dropout requires an rng")
-        keep = (rng.random(emb.data.shape) >= dropout_rate)
-        mask = keep.astype(emb.data.dtype) / (1.0 - dropout_rate)
-        emb = ag.mul(emb, ag.constant(mask))
-    return emb
+        keep = rng.random(rows.shape) >= dropout_rate
+        rows *= keep / (1.0 - dropout_rate)
+    B, n = ids.shape
+    data = np.zeros((n, B, rows.shape[1])).transpose(1, 0, 2)
+    data[real] = rows
+    out = Tensor(data, parents=(e_i,))
+
+    def bw(g):
+        d_rows = g[real]
+        if keep is not None:
+            d_rows *= keep / (1.0 - dropout_rate)
+        ag.add_rows_at(e_i.grad, (tokens,), d_rows)
+    out.backward_fn = bw
+    return out
 
 
 def column_span_queries(states: Tensor, b, n, positions,
@@ -285,8 +356,8 @@ def column_span_queries(states: Tensor, b, n, positions,
         g = g.reshape(-1, h)
         w_q.grad += g.T @ outer
         d_outer = (g @ w_q.data).reshape(*pos.shape, 2 * h)
-        np.add.at(states.grad, f_rows, d_outer[..., :h])
-        np.add.at(states.grad, b_rows, d_outer[..., h:])
+        ag.add_rows_at(states.grad, f_rows, d_outer[..., :h])
+        ag.add_rows_at(states.grad, b_rows, d_outer[..., h:])
     out.backward_fn = bw
     return out
 

@@ -113,12 +113,14 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
 def encode_batch(examples, params: ModelParams, *, sep_id: int,
                  dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
-    """The biGRU of B examples as one `bigru_encode` node, column b for
-    `examples[b]`. Each example's embedding and dropout mask are drawn in
-    order, so the RNG stream is the one B `build_support` calls draw."""
-    return bigru_encode([embed_sequence(ex.encoder_input(sep_id), params.E_i,
-                                        dropout_rate, rng)
-                         for ex in examples], params.gru_f, params.gru_b)
+    """The biGRU of B examples as one `bigru_encode` node over one
+    `embed_sequence` node, column b for `examples[b]`. The dropout masks are
+    drawn example after example, so the RNG stream is the one B
+    `build_support` calls draw."""
+    ids, mask = padded([ex.encoder_input(sep_id) for ex in examples])
+    lens = mask.sum(axis=1)
+    return bigru_encode(embed_sequence(ids, lens, params.E_i, dropout_rate,
+                                       rng), lens, params.gru_f, params.gru_b)
 
 
 @dataclass

@@ -169,16 +169,20 @@ class Adam:
 # Examples x h per chunk. A taped training chunk (`chunk_losses`) keeps its
 # tape alive until its backward pass, and a tape-free `forward_batch` call
 # in `evaluate` holds its chunk's biGRU states; both grow with examples and
-# h. Peak RSS of the train-h256 benchmark (2 cores, one BLAS thread, three
-# runs each): 109.3 MiB with training chunks of 8, 121.9 with 16, 147.0
-# with whole minibatches of 32, against 109.1 for chunks of 8 with one hop
-# node per example. So 8 x 256: 8 examples at h=256, a minibatch of up to
-# 128 at h=16. After one h=256 training epoch, scoring 128 dev examples in
-# one batch raised peak RSS from 109 to 128 MiB, and batches of 32 stayed at
-# the training peak. So 32 x 256: 32 examples at h=256, 512 at h=16, where
-# train-h16's 120 dev examples are one chunk; its peak RSS rose from 41.8
-# MiB with chunks of 32 to 42.8 (BENCH_eval_chunks.json, median of 10).
-TRAIN_BUDGET = 8 * 256
+# h. Peak RSS of the train-h256 benchmark (2 cores, one BLAS thread) with
+# one embedding node per chunk and BPTT's gate factors built in its
+# gate-gradient buffer: 106.2 MiB with training chunks of 8, 112.9 with 16
+# (BENCH_lean_gru_tape.json, median of 10) and 128.9 with whole minibatches
+# of 32, against 109.4 for chunks of 8 when every example had its own
+# embedding nodes and BPTT its own factor arrays (121.9 with 16 then). So
+# 16 x 256: 16 examples at h=256, a
+# minibatch of up to 256 at h=16. After one h=256 training epoch, scoring
+# 128 dev examples in one batch raised peak RSS from 109 to 128 MiB, and
+# batches of 32 stayed at the training peak. So 32 x 256: 32 examples at
+# h=256, 512 at h=16, where train-h16's 120 dev examples are one chunk; its
+# peak RSS rose from 41.8 MiB with chunks of 32 to 42.8
+# (BENCH_eval_chunks.json, median of 10).
+TRAIN_BUDGET = 16 * 256
 EVAL_BUDGET = 32 * 256
 
 

@@ -234,6 +234,64 @@ class TestGatherRows:
             ag.gather_rows(ag.constant(np.zeros((4, 3))), np.array(ids))
 
 
+class TestAddRowsAt:
+    """`add_rows_at` is row-wise `np.add.at` through its 1-d path: the same
+    additions in the same order, so equal bit for bit with repeated rows."""
+
+    @staticmethod
+    def spread(rng, shape):
+        # magnitudes over 16 decades: adding in another order changes bits
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    def test_adam_view_bit_equal(self):
+        from hopqa.train import Adam
+        rng = np.random.default_rng(11)
+        e = ag.param(rng.normal(size=(7, 4)))
+        opt = Adam([("a", ag.param(np.zeros((5, 3)))), ("E", e)], 0.1)
+        e.grad[...] = self.spread(rng, (7, 4))
+        ids = rng.integers(0, 7, size=40)
+        vals = self.spread(rng, (40, 4))
+        want = e.grad.copy()
+        np.add.at(want, ids, vals)
+        backwards = e.grad.copy()
+        np.add.at(backwards, ids[::-1], vals[::-1])
+        assert backwards.tobytes() != want.tobytes()
+        ag.add_rows_at(e.grad, (ids,), vals)
+        assert e.grad.tobytes() == want.tobytes()
+        assert opt.grad[15:].tobytes() == want.tobytes()
+
+    def test_time_major_states_bit_equal(self):
+        """A `(2, n+1, B, h)` view of time-major memory, rows addressed as
+        `column_span_queries` addresses them: (direction, row, column)."""
+        rng = np.random.default_rng(12)
+        n, B, h = 9, 4, 5
+        memory = self.spread(rng, (n + 1, 2, B, h))
+        states = memory.transpose(1, 0, 2, 3)
+        pos = rng.integers(1, 4, size=(B, 6))  # rows repeat within columns
+        cols = np.arange(B)[:, None]
+        vals = self.spread(rng, (2, B, 6, h))
+        want = states.copy()
+        np.add.at(want, (0, pos - 1, cols), vals[0])
+        np.add.at(want, (1, n - pos, cols), vals[1])
+        ag.add_rows_at(states, (0, pos - 1, cols), vals[0])
+        ag.add_rows_at(states, (1, n - pos, cols), vals[1])
+        assert states.tobytes() == want.tobytes()
+        assert memory.transpose(1, 0, 2, 3).tobytes() == want.tobytes()
+
+    def test_strided_target_adds_in_place(self):
+        """A target no axis order makes contiguous takes the row-wise call,
+        into its own memory, not into a copy."""
+        rng = np.random.default_rng(13)
+        memory = rng.normal(size=(6, 8))
+        target = memory[:, ::2]
+        ids = np.array([1, 4, 1, 0])
+        vals = rng.normal(size=(4, 4))
+        want = target.copy()
+        np.add.at(want, ids, vals)
+        ag.add_rows_at(target, (ids,), vals)
+        assert np.array_equal(memory[:, ::2], want)
+
+
 class TestConcat:
     def test_basic(self):
         got = ag.concat([ag.constant([1.0]), ag.constant([2.0])]).data

@@ -64,3 +64,48 @@ def test_workload_record_counts_and_pairs():
     # the pair with a failed process is left out of every metric
     assert (m["before"], m["after"], m["after_wins"]) == ([10.0, 11.0],
                                                           [20.0, 9.0], 1)
+
+
+NAMES = ["train-h16", "train-h256", "eval-sweep-long"]
+
+
+def test_pick_workloads():
+    assert bench_pairs.pick_workloads(NAMES, None) == NAMES
+    assert bench_pairs.pick_workloads(NAMES, "train-h256") == ["train-h256"]
+    assert bench_pairs.pick_workloads(
+        NAMES, "eval-sweep-long,train-h16") == ["eval-sweep-long",
+                                                "train-h16"]
+    with pytest.raises(ValueError, match="unknown workload 'train-h32'"):
+        bench_pairs.pick_workloads(NAMES, "train-h16,train-h32")
+
+
+def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
+    """`--workloads train-h256` runs that workload's pairs and no other,
+    and the BENCH file holds it alone; an unknown name exits 2 before any
+    run."""
+    (tmp_path / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run_once(checkout, command, workload, seed, seconds):
+        calls.append((workload, seed))
+        r = run(seed)
+        r["result"]["metrics"] = {
+            m: {"value": 1.0, "unit": ""} for m in
+            ("ex_per_s", "eval_ex_per_s", "setup_s", "peak_rss_mb")}
+        r["provenance"] = {
+            "git_commit": None, "src_sha256": "x", "loadavg_1m_before": 0.0,
+            "nproc": 2, "python": "3", "numpy": "2", "blas": "b",
+            "blas_threads": 1, "blas_threads_set_by": "run.py"}
+        return r
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--topic",
+            "t", "--seeds", "1-2"]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(args + ["--workloads", "train-h32"])
+    assert exit_info.value.code == 2 and not calls
+    assert bench_pairs.main(args + ["--workloads", "train-h256"]) == 0
+    assert calls == [("train-h256", 1)] * 2 + [("train-h256", 2)] * 2
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(doc["workloads"]) == ["train-h256"]

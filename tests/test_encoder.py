@@ -12,44 +12,102 @@ from hopqa.model import init_params
 from conftest import zero_gru
 
 
+def embed_one(ids, e_i, *args):
+    """One token-id sequence as a batch of one: a `(1, n, h)` node."""
+    return embed_sequence([ids], [len(ids)], e_i, *args)
+
+
 class TestEmbedSequence:
     def test_rate_zero_exact_lookup(self, rng):
         e = ag.param(rng.normal(size=(6, 3)))
-        got = embed_sequence([1, 4, 2], e, 0.0, rng).data
-        assert np.array_equal(got, e.data[[1, 4, 2]])
+        got = embed_one([1, 4, 2], e, 0.0, rng).data
+        assert np.array_equal(got, e.data[[[1, 4, 2]]])
 
     def test_default_is_exact_lookup(self, rng):
         e = ag.param(rng.normal(size=(6, 3)))
-        got = embed_sequence([0, 5], e).data
-        assert np.array_equal(got, e.data[[0, 5]])
+        got = embed_one([0, 5], e).data
+        assert np.array_equal(got, e.data[[[0, 5]]])
+
+    def test_padded_batch_time_major_with_zero_pads(self, rng):
+        """Row b holds sequence b's lookups, then zero rows; the memory is
+        time-major, as `bigru_encode` reads it."""
+        e = ag.param(rng.normal(size=(6, 3)))
+        got = embed_sequence([[1, 4, 2], [5, 0, 0]], [3, 1], e).data
+        assert got.shape == (2, 3, 3)
+        assert got.transpose(1, 0, 2).flags.c_contiguous
+        assert np.array_equal(got[0], e.data[[1, 4, 2]])
+        assert np.array_equal(got[1, 0], e.data[5])
+        assert not np.any(got[1, 1:])
+
+    def test_dropout_draws_are_per_sequence_draws(self):
+        """One draw over a batch's real tokens is, bit for bit, one draw
+        per sequence in order, masked and scaled as one sequence alone."""
+        e = ag.param(np.random.default_rng(0).normal(size=(6, 4)))
+        seqs = [[1, 2, 3], [4], [5, 1]]
+        ids = [s + [0] * (3 - len(s)) for s in seqs]
+        got = embed_sequence(ids, [3, 1, 2], e, 0.3,
+                             np.random.default_rng(9)).data
+        rng = np.random.default_rng(9)
+        for b, s in enumerate(seqs):
+            keep = rng.random((len(s), 4)) >= 0.3
+            want = e.data[s] * (keep.astype(float) / (1.0 - 0.3))
+            assert np.array_equal(got[b, :len(s)], want), b
+            assert not np.any(got[b, len(s):])
+
+    def test_gradient_scatters_real_rows_in_order(self, rng):
+        """Backward adds each real row's gradient, times its dropout scale,
+        into its embedding row, repeats in order as row-wise `np.add.at`;
+        pad rows add nothing."""
+        e = ag.param(rng.normal(size=(6, 4)))
+        emb = embed_sequence([[1, 2, 1], [2, 5, 0]], [3, 2], e, 0.5,
+                             np.random.default_rng(3))
+        weights = rng.normal(size=emb.data.shape)
+        ag.backward(ag.dot(ag.reshape(emb, (-1,)),
+                           ag.constant(weights.reshape(-1))))
+        keep = np.random.default_rng(3).random((5, 4)) >= 0.5
+        rows = weights[[0, 0, 0, 1, 1], [0, 1, 2, 0, 1]] * (keep / 0.5)
+        want = np.zeros_like(e.data)
+        np.add.at(want, [1, 2, 1, 2, 5], rows)
+        assert np.array_equal(e.grad, want)
 
     def test_inverted_scaling_is_unbiased(self):
         rng = np.random.default_rng(42)
         e = ag.param(np.ones((1, 1)))
-        total = 0.0
         n = 100_000
-        for _ in range(n):
-            total += embed_sequence([0], e, 0.2, rng).data.item()
-        assert total / n == pytest.approx(1.0, abs=0.02)
+        got = embed_sequence(np.zeros((1, n), dtype=int), [n], e, 0.2, rng)
+        assert got.data.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_bad_rate_rejected(self, rng):
         e = ag.param(np.ones((1, 1)))
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                embed_sequence([0], e, rate, rng)
+                embed_one([0], e, rate, rng)
         with pytest.raises(ConfigError, match="rng"):
-            embed_sequence([0], e, 0.2)
+            embed_one([0], e, 0.2)
+
+    def test_bad_id_rejected(self, rng):
+        e = ag.param(np.ones((2, 1)))
+        for bad in (2, -1):
+            with pytest.raises(IndexError, match=rf"row id {bad} out"):
+                embed_sequence([[0, bad]], [2], e)
+        embed_sequence([[0, 7]], [1], e)  # a pad id is never read
 
 
-def encode_one(emb, params):
-    """A lone sequence as a batch of one: states `[d, k, 0]`."""
-    return bigru_encode([emb], params.gru_f, params.gru_b)
+def encode_one(ids, params):
+    """A lone token-id sequence as a batch of one: states `[d, k, 0]`."""
+    return bigru_encode(embed_one(ids, params.E_i), [len(ids)], params.gru_f,
+                        params.gru_b)
+
+
+def encode_rows(x, gru_f, gru_b):
+    """A lone sequence of `(n, h)` input rows as a batch of one."""
+    return bigru_encode(ag.constant(x[None]), [len(x)], gru_f, gru_b)
 
 
 class TestBigru:
     def test_single_token_uses_zero_initial_states(self, rng):
         params = init_params(4, 5, 2, rng)
-        states = encode_one(embed_sequence([3], params.E_i), params)
+        states = encode_one([3], params)
         assert states.data.shape == (2, 2, 1, 4)
         assert np.array_equal(states.data[:, 0], np.zeros((2, 1, 4)))
         assert np.all(np.isfinite(states.data[:, 1]))
@@ -58,8 +116,7 @@ class TestBigru:
         h = 3
         gru = zero_gru(h)
         gru.b_z.data[...] = 1.0
-        emb = ag.constant(np.ones((4, h)))
-        states = bigru_encode([emb], gru, zero_gru(h))
+        states = encode_rows(np.ones((4, h)), gru, zero_gru(h))
         # update gate sigmoid(1) ~ 0.73 keeps the zero state; candidate is 0
         for l in range(1, 5):
             assert np.allclose(states.data[0, l, 0], 0.0)
@@ -70,7 +127,7 @@ class TestBigru:
         gru = zero_gru(h)
         gru.W_h.data[...] = np.eye(h)
         x = np.array([[0.5, -1.0]])
-        states = bigru_encode([ag.constant(x)], gru, zero_gru(h))
+        states = encode_rows(x, gru, zero_gru(h))
         # z = sigmoid(0) = 0.5, r = 0.5, c = tanh(x), h = 0.5*tanh(x)
         assert np.allclose(states.data[0, 1, 0], 0.5 * np.tanh(x[0]))
 
@@ -83,7 +140,7 @@ class TestBigru:
                       [t for _, t in params.gru_b.named("b")]
 
         def f():
-            states = encode_one(embed_sequence(doc, params.E_i), params)
+            states = encode_one(doc, params)
             return ag.dot(ag.reshape(states, (-1,)), ag.constant(weight))
 
         assert ag.grad_check(f, gru_tensors, eps=1e-4) < 1e-5
@@ -102,7 +159,7 @@ class TestBigru:
                    + [t for _, t in params.gru_b.named("b")])
 
         def f():
-            states = encode_one(embed_sequence(doc, params.E_i), params)
+            states = encode_one(doc, params)
             z = column_span_queries(states, 0, len(doc), positions,
                                     params.W_q)
             return ag.dot(ag.reshape(z, (-1,)),
@@ -147,14 +204,19 @@ def grads_of(loss, tensors):
 
 
 def assert_node_matches_chains(embs, dirs, weights):
-    """One `bigru_encode` node over `embs` against one `step_chain` per
-    sequence and direction: each column's states to 1e-12 and, under the
-    loss sum(weights * states), the gradients of every input and of all 9
-    weights per direction to 1e-10. `weights` is zero past each column's
-    own length. Returns the node's gradients, inputs first."""
-    tensors = list(embs) + [t for p in dirs for _, t in p.named("p")]
-    node = bigru_encode(embs, *dirs)
-    got_g = grads_of(weighted_sum(node, weights), tensors)
+    """One `bigru_encode` node over `embs`, padded into one `(B, n, h)`
+    input, against one `step_chain` per sequence and direction: each
+    column's states to 1e-12 and, under the loss sum(weights * states), the
+    gradients of every input and of all 9 weights per direction to 1e-10;
+    pad input rows get exact zeros. `weights` is zero past each column's
+    own length. Returns the node's gradients, the padded input's first."""
+    lens = [e.data.shape[0] for e in embs]
+    padded = ag.param(np.zeros((len(embs), max(lens), embs[0].data.shape[1])))
+    for b, e in enumerate(embs):
+        padded.data[b, :lens[b]] = e.data
+    weight_params = [t for p in dirs for _, t in p.named("p")]
+    node = bigru_encode(padded, lens, *dirs)
+    got_g = grads_of(weighted_sum(node, weights), [padded] + weight_params)
     terms = []
     for b, emb in enumerate(embs):
         n = emb.data.shape[0]
@@ -164,8 +226,11 @@ def assert_node_matches_chains(embs, dirs, weights):
             assert np.max(np.abs(node.data[d, :n + 1, b] - want)) < 1e-12
             terms.append(weighted_sum(ag.stack_rows(rows),
                                       weights[d, :n + 1, b]))
-    want_g = grads_of(reduce(ag.add, terms), tensors)
-    for k, (g1, g2) in enumerate(zip(got_g, want_g)):
+    want_g = grads_of(reduce(ag.add, terms), list(embs) + weight_params)
+    for b, n in enumerate(lens):
+        assert np.max(np.abs(got_g[0][b, :n] - want_g[b])) < 1e-10, b
+        assert not np.any(got_g[0][b, n:]), b
+    for k, (g1, g2) in enumerate(zip(got_g[1:], want_g[len(embs):])):
         assert np.max(np.abs(g1 - g2)) < 1e-10, k
     return got_g
 
@@ -202,8 +267,8 @@ class TestGruSequence:
 
     def test_one_node_for_both_directions(self, rng):
         params = init_params(3, 6, 2, rng)
-        emb = embed_sequence([1, 2, 3, 4], params.E_i)
-        states = encode_one(emb, params)
+        emb = embed_one([1, 2, 3, 4], params.E_i)
+        states = bigru_encode(emb, [4], params.gru_f, params.gru_b)
         weights = [t for p in (params.gru_f, params.gru_b)
                    for _, t in p.named("")]
         assert states.parents[0] is emb
@@ -213,17 +278,28 @@ class TestGruSequence:
 
     def test_empty_sequence_rejected(self, rng):
         params = init_params(3, 6, 2, rng)
-        emb = embed_sequence([1, 2], params.E_i)
+        emb = embed_sequence([[1, 2], [0, 0]], [2, 0], params.E_i)
         with pytest.raises(ValueError, match="empty sequence"):
-            bigru_encode([emb, ag.constant(np.zeros((0, 3)))],
-                         params.gru_f, params.gru_b)
+            bigru_encode(emb, [2, 0], params.gru_f, params.gru_b)
+        with pytest.raises(ValueError, match="padded to 2 tokens"):
+            bigru_encode(emb, [2, 3], params.gru_f, params.gru_b)
+
+    def test_backward_runs_once(self, rng):
+        """The backward pass spends the saved candidates: a second pass
+        over the same node raises instead of reading them."""
+        params = init_params(3, 6, 2, rng)
+        loss = weighted_sum(encode_one([1, 2, 3], params),
+                            np.ones((2, 4, 1, 3)))
+        ag.backward(loss)
+        with pytest.raises(RuntimeError, match="backward once"):
+            ag.backward(loss, accumulate=True)
 
     def test_rows_follow_list_indexing(self, rng):
         """`[0, l]` is h^f_l; `[1, k]` is the state after k steps
         right-to-left, so h^b_l is row n+1-l, which position queries read."""
         params = init_params(3, 6, 2, rng)
-        emb = embed_sequence([1, 2, 3], params.E_i)
-        states = encode_one(emb, params)
+        states = encode_one([1, 2, 3], params)
+        emb = ag.gather_rows(params.E_i, [1, 2, 3])
         fwd = step_chain(emb, params.gru_f, False)
         bwd = step_chain(emb, params.gru_b, True)
         assert states.data.shape[1] == 4
@@ -243,9 +319,9 @@ class TestGruSequence:
 def encoded(rng, *lens, h=3):
     """Parameters and one `bigru_encode` node over sequences of `lens`."""
     params = init_params(h, 6, 2, rng)
-    embs = [embed_sequence(list(rng.integers(0, 6, size=n)), params.E_i)
-            for n in lens]
-    return params, bigru_encode(embs, params.gru_f, params.gru_b)
+    ids = rng.integers(0, 6, size=(len(lens), max(lens)))
+    emb = embed_sequence(ids, lens, params.E_i)
+    return params, bigru_encode(emb, lens, params.gru_f, params.gru_b)
 
 
 class TestSpanQuery:

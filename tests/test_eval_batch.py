@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import hopqa.train as train
-from hopqa import autograd as ag
 from hopqa.data import (Dataset, SynthConfig, generate_splits, load_canonical,
                         save_canonical)
-from hopqa.encoder import Document, bigru_encode, bigru_states
+from hopqa.encoder import (Document, bigru_encode, bigru_states,
+                           embed_sequence)
 from hopqa.exceptions import EmptySupportError
 from hopqa.hops import forward_batch, forward_pass
 from hopqa.model import init_params
@@ -137,8 +137,8 @@ def test_bigru_states_rows_match_bigru_encode(mixed):
     H = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
     assert H.shape == (2, max(map(len, seqs)) + 1, 5, 4)
     for b, s in enumerate(seqs):
-        alone = bigru_encode([ag.gather_rows(params.E_i, s)], params.gru_f,
-                             params.gru_b)
+        alone = bigru_encode(embed_sequence([s], [len(s)], params.E_i),
+                             [len(s)], params.gru_f, params.gru_b)
         np.testing.assert_allclose(H[:, :len(s) + 1, b], alone.data[:, :, 0],
                                    rtol=TOL, atol=TOL)
 

@@ -3,6 +3,7 @@ op by op (`hop_oracle.run_hops_ops`): forward values bit for bit, gradients
 of every input and hop parameter to 1e-12, and the same refusals of bad
 inputs."""
 
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -158,15 +159,17 @@ class TestRefusals:
             self.call(cand=(4, 2))
 
 
-def count_nodes(root) -> int:
-    """Tensors reachable from `root` through `parents`."""
-    seen, todo = {id(root)}, [root]
+def tape_ops(root) -> Counter:
+    """The tensors reachable from `root` through `parents`, counted by the
+    op that made them (its backward closure's name; "leaf" without one)."""
+    seen, todo = {id(root): root}, [root]
     while todo:
         for p in todo.pop().parents:
             if id(p) not in seen:
-                seen.add(id(p))
+                seen[id(p)] = p
                 todo.append(p)
-    return len(seen)
+    return Counter(t.backward_fn.__qualname__.split(".")[0]
+                   if t.backward_fn else "leaf" for t in seen.values())
 
 
 def test_chunk_tape_size():
@@ -175,8 +178,11 @@ def test_chunk_tape_size():
     whole minibatch. Built op by op, the hop loops took a chunk of 8 to 522
     nodes; with one hop node per example, 122; with one per chunk, 79,
     of which 39 were the four loss nodes per example and their sum. One
-    cross-entropy node per chunk leaves a pick and an add per example."""
-    for size, nodes in ((8, 56), (16, 80)):
+    cross-entropy node per chunk left a pick and an add per example, and
+    one embedding node per chunk removed a row gather per example. The
+    two tapes differ only by those pick and add nodes."""
+    tapes = {}
+    for size, nodes in ((8, 49), (16, 65)):
         train_set, _, _ = generate_splits(SynthConfig(
             chain_length=2, n_distractor_facts=2, n_examples=size, n_dev=1,
             n_test=1, seed=0))
@@ -184,4 +190,7 @@ def test_chunk_tape_size():
         params = init_params(16, vocab.size, vocab.n_answers,
                              np.random.default_rng(0), identity_eo=True)
         losses = chunk_losses(train_set.examples, params, vocab, 2)
-        assert count_nodes(reduce(ag.add, losses)) == nodes, size
+        tapes[size] = tape_ops(reduce(ag.add, losses))
+        assert sum(tapes[size].values()) == nodes, size
+    assert tapes[16] - tapes[8] == Counter(pick=8, add=8)
+    assert not tapes[8] - tapes[16]

@@ -6,7 +6,8 @@ import pytest
 import hopqa.support as support
 from hopqa import autograd as ag
 from hopqa.data import SynthConfig, Vocab, generate_splits
-from hopqa.encoder import Document, bigru_encode, column_span_queries
+from hopqa.encoder import (Document, bigru_encode, column_span_queries,
+                           embed_sequence)
 from hopqa.exceptions import EmptySupportError
 from hopqa.hops import run_hops
 from hopqa.model import init_params
@@ -125,8 +126,9 @@ class TestBuildSupport:
         assert sup.m == 1
         # forward boundary state h^f_0 is exactly zero; z = 0 + h^b_2
         emb_ids = doc.symbols + [T2I["@sep"]] + query.symbols
-        states = bigru_encode([ag.gather_rows(p.E_i, emb_ids)], p.gru_f,
-                              p.gru_b)
+        states = bigru_encode(embed_sequence([emb_ids], [len(emb_ids)],
+                                             p.E_i), [len(emb_ids)],
+                              p.gru_f, p.gru_b)
         # h^b_2 is backward row n+1-2 = 2 of the n = 3 token sequence
         assert np.allclose(sup.z.data[0], states.data[1, 2, 0])
 
@@ -265,8 +267,9 @@ class TestStacked:
         assert y_i.data.shape == (3, 4)
         assert y_o.data.shape == (3, 4)
         symbols = ex.document.symbols + [T2I["@sep"]] + ex.query.symbols
-        states = bigru_encode([ag.gather_rows(p.E_i, symbols)], p.gru_f,
-                              p.gru_b)
+        states = bigru_encode(embed_sequence([symbols], [len(symbols)],
+                                             p.E_i), [len(symbols)],
+                              p.gru_f, p.gru_b)
         n = len(symbols)
         q_pos = len(ex.document) + 1 + ex.query.placeholder_pos
         for k, l in enumerate(sup.positions):

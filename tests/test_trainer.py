@@ -1,8 +1,10 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
+import hopqa.train as train_module
 from hopqa import autograd as ag
 from hopqa.data import Dataset, SynthConfig, generate_splits, make_example
 from hopqa.exceptions import ConfigError
@@ -238,19 +240,20 @@ class TestFlatAdam:
 
 class TestChunkRule:
     def test_sizes(self):
-        """Training chunks hold 8 x 256 examples x h and evaluation chunks
-        32 x 256: 8 and 32 at h=256, as before."""
-        assert chunk_size(TRAIN_BUDGET, 256) == 8
-        assert chunk_size(TRAIN_BUDGET, 16) == 128
+        """Training chunks hold 16 x 256 examples x h and evaluation chunks
+        32 x 256: 16 and 32 at h=256."""
+        assert chunk_size(TRAIN_BUDGET, 256) == 16
+        assert chunk_size(TRAIN_BUDGET, 16) == 256
         assert chunk_size(TRAIN_BUDGET, 4096) == 1
         assert chunk_size(EVAL_BUDGET, 256) == 32
         assert chunk_size(EVAL_BUDGET, 16) == 512
         assert chunk_size(EVAL_BUDGET, 16384) == 1
 
-    @pytest.mark.parametrize("h, per_step", [(16, 1), (256, 2)])
-    def test_backward_passes_per_step(self, monkeypatch, h, per_step):
-        """At batch 16, one taped chunk and one backward per Adam step at
-        h=16, two at h=256."""
+    @pytest.mark.parametrize("h, batch, per_step",
+                             [(16, 16, 1), (256, 16, 1), (256, 32, 2)])
+    def test_backward_passes_per_step(self, monkeypatch, h, batch, per_step):
+        """One taped chunk and one backward per Adam step at batch 16, at
+        h=16 and at h=256; two at h=256 and batch 32."""
         tr, dev, _ = generate_splits(SynthConfig(
             chain_length=2, n_distractor_facts=2, n_examples=32, n_dev=4,
             n_test=1, seed=6))
@@ -264,9 +267,34 @@ class TestChunkRule:
 
         monkeypatch.setattr(ag, "backward", counted("backward", ag.backward))
         monkeypatch.setattr(Adam, "step", counted("step", Adam.step))
-        train(TrainConfig(h=h, hops=2, batch_size=16, max_epochs=1,
+        train(TrainConfig(h=h, hops=2, batch_size=batch, max_epochs=1,
                           dropout=0.0), tr, dev, evaluator=lambda p: 0.0)
-        assert calls == {"backward": 2 * per_step, "step": 2}
+        steps = 32 // batch
+        assert calls == {"backward": steps * per_step, "step": steps}
+
+
+    def test_chunk_tape_freed_before_next_chunk(self, monkeypatch):
+        """No chunk's tape outlives its backward pass: when a chunk's
+        `encode_batch` is entered, the previous chunk's node is gone, within
+        a step (chunks of 4, batch 8) and across steps."""
+        tr, dev, _ = generate_splits(SynthConfig(
+            chain_length=2, n_distractor_facts=2, n_examples=24, n_dev=2,
+            n_test=1, seed=6))
+        refs, alive = [], []
+        encode = train_module.encode_batch
+
+        def watched(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            node = encode(*args, **kwargs)
+            refs.append(weakref.ref(node))
+            return node
+
+        monkeypatch.setattr(train_module, "TRAIN_BUDGET", 4 * 8)
+        monkeypatch.setattr(train_module, "encode_batch", watched)
+        train(TrainConfig(h=8, hops=2, batch_size=8, max_epochs=1,
+                          dropout=0.2), tr, dev, evaluator=lambda p: 0.0)
+        assert len(refs) == 6
+        assert alive == [[False] * k for k in range(6)]
 
 
 class TestInitStatistics:

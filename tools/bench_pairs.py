@@ -1,9 +1,11 @@
 """Alternated parent/change benchmark pairs, summarised as BENCH_<topic>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --topic batched_hops --seeds 1400-1409 --seconds 40
+        --topic batched_hops --seeds 1400-1409 --seconds 40 \
+        [--workloads train-h256,train-h16]
 
-For every workload and seed the benchmark command of BENCHMARK.json
+For every workload (those `--workloads` names, else all of BENCHMARK.json's)
+and seed the benchmark command of BENCHMARK.json
 (`python3 benches/run.py --workload W --seed S --seconds T`) runs once in
 each checkout, strictly one process at a time: the parent first on even
 seeds, the change first on odd ones, so that slow drift of a shared host
@@ -33,6 +35,19 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def pick_workloads(names: list[str], text: str | None) -> list[str]:
+    """The workloads a `--workloads a,b` value names, in its order; all of
+    `names` without one. Raises ValueError on a name not in `names`."""
+    if text is None:
+        return list(names)
+    picked = text.split(",")
+    unknown = [w for w in picked if w not in names]
+    if unknown:
+        raise ValueError(f"unknown workload {unknown[0]!r}; choose from "
+                         f"{', '.join(names)}")
+    return picked
 
 
 def run_once(checkout: Path, command, workload: str, seed: int,
@@ -121,8 +136,16 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--describe", default="",
                    help="one line on what the change does, for the file")
+    p.add_argument("--workloads", default=None,
+                   help="comma-separated workloads to run, e.g. "
+                        "train-h256 (default: all in BENCHMARK.json)")
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    try:
+        workloads = pick_workloads([x["name"] for x in spec["workloads"]],
+                                   args.workloads)
+    except ValueError as e:
+        p.error(str(e))
     checkouts = {"before": args.parent, "after": args.change}
     out = args.change / f"BENCH_{args.topic}.json"
     doc = {
@@ -136,7 +159,7 @@ def main(argv=None) -> int:
         "parent": "before", "change": "after",
         "workloads": {},
     }
-    for w in [x["name"] for x in spec["workloads"]]:
+    for w in workloads:
         runs = {s: [] for s in SIDES}
         for seed in args.seeds:
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
