@@ -29,10 +29,6 @@ class Tensor:
         self.name = name
         self._backward_done = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
 
@@ -43,10 +39,6 @@ def param(data, name=None) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

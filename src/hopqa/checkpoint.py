@@ -76,15 +76,24 @@ def save_checkpoint(path, *, config: TrainConfig, params: ModelParams,
         raise
 
 
+def _finite(npz, path, key: str) -> np.ndarray:
+    """`npz[key]`, refused with a `DataError` if it holds a NaN or inf."""
+    a = npz[key]
+    if a.dtype.kind in "fc" and not np.isfinite(a).all():
+        raise DataError(f"{path}: checkpoint array {key} holds a non-finite "
+                        f"value")
+    return a
+
+
 def _arrays(npz, path, prefix: str, shapes: dict) -> dict[str, np.ndarray]:
-    """The `<prefix>/<name>` array of every name in `shapes`; a missing one
-    or a wrong shape is a `DataError` naming the file and the array."""
+    """The `<prefix>/<name>` array of every name in `shapes`; a missing,
+    misshapen or non-finite one is a `DataError` naming the file and it."""
     out = {}
     for name, shape in shapes.items():
         key = f"{prefix}/{name}"
         if key not in npz.files:
             raise DataError(f"{path}: checkpoint lacks array {key}")
-        out[name] = npz[key]
+        out[name] = _finite(npz, path, key)
         if out[name].shape != shape:
             raise DataError(f"{path}: checkpoint array {key} has shape "
                             f"{out[name].shape}, expected {shape}")
@@ -96,9 +105,10 @@ def _count(v) -> bool:
 
 
 def _real(v) -> bool:
-    """A JSON number, as `check_field_types` takes one for a float field: an
-    int `lr0` or evaluator accuracy is saved as an int."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number, as `check_field_types` takes one for a float
+    field: an int `lr0` or evaluator accuracy is saved as an int."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) < float("inf"))
 
 
 def _acc(v) -> bool:
@@ -167,7 +177,7 @@ def load_checkpoint(path) -> CheckpointBundle:
             raise DataError(f"{path}: bad checkpoint config or vocab: "
                             f"{e}") from e
         params = make_params(
-            {k[len("param/"):]: npz[k] for k in npz.files
+            {k[len("param/"):]: _finite(npz, path, k) for k in npz.files
              if k.startswith("param/")},
             config.h, vocab.size, vocab.n_answers, config.identity_eo)
         # the Adam moments and the best-dev snapshot are checked here, so a

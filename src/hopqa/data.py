@@ -35,7 +35,7 @@ class Vocab:
         self.answer_tokens: list[str] = []
         self._answer_row: dict[int, int] = {}
         self.add(PLACEHOLDER)
-        self.add(SEPARATOR)
+        self.add(SEPARATOR)  # id 1, `support.SEP_ID`
 
     def add(self, token: str) -> int:
         if token not in self.token2id:
@@ -59,10 +59,6 @@ class Vocab:
                              f"({self.tokens[vocab_id] if vocab_id < len(self.tokens) else '?'}) "
                              f"is not an answer symbol")
         return self._answer_row[vocab_id]
-
-    @property
-    def sep_id(self) -> int:
-        return self.token2id[SEPARATOR]
 
     @property
     def size(self) -> int:

@@ -205,9 +205,10 @@ def bigru_encode(embedded: Tensor, lens, fwd_params: GRUParams,
     The backward pass runs BPTT for both directions and the whole batch at
     once, over the saved gates and candidates, and leaves the weight and
     input gradients to gemms over every (step, sequence) row; pad steps
-    receive no gradient, so they add exact zeros. It builds the gate-derivative factors in the gate-gradient
-    buffer and spends the saved candidates as scratch, so it runs once per
-    node: the node keeps no weight copy, and a second pass raises.
+    receive no gradient, so they add exact zeros. It builds the
+    gate-derivative factors in the gate-gradient buffer and spends the
+    saved candidates as scratch, so it runs once per node: the node keeps
+    no weight copy, and a second pass raises.
     """
     # time-major `(n, B, h_in)`, no copy of an `embed_sequence` node
     x = np.ascontiguousarray(embedded.data.transpose(1, 0, 2))

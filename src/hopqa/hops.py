@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .encoder import bigru_states
 from .exceptions import DimensionError, EmptySupportError
 from .model import ModelParams
 # keep `stacked` a module-level name: benches/tracer.py patches hops.stacked
@@ -230,13 +231,12 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
     """Encode one example and run the full retrieval cycle. The predicted
     symbol is `example.candidates[result.prediction]`.
 
-    `vocab` supplies the separator id and the vocab-id -> answer-row map.
-    The hop count is free to differ from the one used in training; hop
-    parameters are shared across hops.
+    `vocab` supplies the vocab-id -> answer-row map. The hop count is free
+    to differ from the one used in training; hop parameters are shared
+    across hops.
     """
-    support = build_support(
-        example, params, sep_id=vocab.sep_id, answer_row=vocab.answer_row,
-        dropout_rate=dropout_rate, rng=rng)
+    support = build_support(example, params, answer_row=vocab.answer_row,
+                            dropout_rate=dropout_rate, rng=rng)
     z_mat, y_i_mat, y_o_mat = stacked(support)
     cand_mat = ag.gather_rows(params.E_o,
                               example.index_lists(vocab.answer_row)[3])
@@ -251,7 +251,9 @@ def forward_batch(examples, params: ModelParams, vocab, hops: int):
     on biGRU states from the tape-free `bigru_states`. Returns the `(B, K)`
     candidate scores and probabilities, K the largest candidate count, with
     -inf scores and zero probabilities on the pads."""
-    sb = build_support_batch(examples, params, sep_id=vocab.sep_id,
-                             answer_row=vocab.answer_row)
+    states = bigru_states([ex.encoder_input() for ex in examples],
+                          params.E_i.data, params.gru_f, params.gru_b)
+    sb = build_support_batch(examples, params, answer_row=vocab.answer_row,
+                             states=ag.constant(states))
     scores = run_hops_batch(sb, params, hops)[0].data
     return scores, _masked_softmax(scores, sb.cand_mask)

@@ -8,9 +8,9 @@ encoded query share one bi-GRU run: one column of a `bigru_encode` node.
 The memory is held as matrices, one pair per row: all span queries come from
 one `column_span_queries` node and each answer-embedding matrix from one row
 gather. `build_support_batch` builds the padded, masked memories of B
-examples as such nodes, for a training chunk or, over tape-free states, for
-evaluation; `build_support` builds one example's, for `forward_pass`. Both
-read each example's index lists (`Example.index_lists`), built once.
+examples as such nodes over given biGRU states, taped or not;
+`build_support` builds one example's, for `forward_pass`. Both read each
+example's index lists (`Example.index_lists`), built once.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import (Document, bigru_encode, bigru_states,
-                      column_span_queries, embed_sequence, padded)
+from .encoder import (Document, bigru_encode, column_span_queries,
+                      embed_sequence, padded)
 from .exceptions import EmptySupportError
 from .model import ModelParams
 
@@ -40,6 +40,9 @@ class SupportSet:
     @property
     def m(self) -> int:
         return len(self.positions)
+
+
+SEP_ID = 1  # the separator's token id, second in every `data.Vocab`
 
 
 @dataclass
@@ -65,9 +68,9 @@ class Example:
         self.positions = [l for l, sym in enumerate(self.document.symbols,
                                                     start=1) if sym in cand]
 
-    def encoder_input(self, sep_id: int) -> list[int]:
+    def encoder_input(self) -> list[int]:
         """The token ids the biGRU reads: document, separator, query."""
-        return self.document.symbols + [sep_id] + self.query.symbols
+        return self.document.symbols + [SEP_ID] + self.query.symbols
 
     def index_lists(self, answer_row):
         """`(spans, syms, rows, cand_rows)`: the 1-based encoder-input
@@ -87,8 +90,8 @@ class Example:
         return self._index[1:]
 
 
-def build_support(example: Example, params: ModelParams, *, sep_id: int,
-                  answer_row, dropout_rate: float = 0.0,
+def build_support(example: Example, params: ModelParams, *, answer_row,
+                  dropout_rate: float = 0.0,
                   rng: np.random.Generator | None = None) -> SupportSet:
     """Encode document + separator + query once, as a batch of one; build
     the support matrices and the initial query vector.
@@ -97,8 +100,8 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
     """
     spans, syms, rows, _ = example.index_lists(answer_row)
     m = len(syms)
-    states = encode_batch([example], params, sep_id=sep_id,
-                          dropout_rate=dropout_rate, rng=rng)
+    states = encode_batch([example], params, dropout_rate=dropout_rate,
+                          rng=rng)
     n = len(example.document) + 1 + len(example.query)
     # the pairs' rows first, then the placeholder's
     zq = column_span_queries(states, 0, n, spans[1:] + spans[:1], params.W_q)
@@ -110,14 +113,13 @@ def build_support(example: Example, params: ModelParams, *, sep_id: int,
         query_z=ag.take_row(zq, m))
 
 
-def encode_batch(examples, params: ModelParams, *, sep_id: int,
-                 dropout_rate: float = 0.0,
+def encode_batch(examples, params: ModelParams, *, dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None) -> Tensor:
     """The biGRU of B examples as one `bigru_encode` node over one
     `embed_sequence` node, column b for `examples[b]`. The dropout masks are
     drawn example after example, so the RNG stream is the one B
     `build_support` calls draw."""
-    ids, mask = padded([ex.encoder_input(sep_id) for ex in examples])
+    ids, mask = padded([ex.encoder_input() for ex in examples])
     lens = mask.sum(axis=1)
     return bigru_encode(embed_sequence(ids, lens, params.E_i, dropout_rate,
                                        rng), lens, params.gru_f, params.gru_b)
@@ -136,29 +138,24 @@ class SupportBatch:
     cand_mask: np.ndarray  # (B, K)
 
 
-def build_support_batch(examples, params: ModelParams, *, sep_id: int,
-                        answer_row,
-                        states: Tensor | None = None) -> SupportBatch:
+def build_support_batch(examples, params: ModelParams, *, answer_row,
+                        states: Tensor) -> SupportBatch:
     """`build_support` for B examples: every span query from one
     `column_span_queries` node, each answer-embedding table from one padded
-    row gather. `states` is the examples' `encode_batch` node; without it
-    they are encoded by the tape-free `bigru_states`, without dropout, as
-    evaluation does. Raises `EmptySupportError` for an example without
-    support: its all-pad row has no softmax."""
+    row gather. `states` holds the examples' biGRU states, column b for
+    `examples[b]`: a training chunk's `encode_batch` node, or evaluation's
+    tape-free `bigru_states` as a constant. Raises `EmptySupportError` for
+    an example without support: its all-pad row has no softmax."""
     if not all(ex.positions for ex in examples):
         raise EmptySupportError("support set is empty")
     spans, syms, rows, cands = zip(*(ex.index_lists(answer_row)
                                      for ex in examples))
-    seqs = [ex.encoder_input(sep_id) for ex in examples]
-    if states is None:
-        states = ag.constant(bigru_states(seqs, params.E_i.data, params.gru_f,
-                                          params.gru_b))
+    lens = [[len(ex.document) + 1 + len(ex.query)] for ex in examples]
     # column 0 holds the placeholder's position, pads read position 1
     pos, mask = padded(spans)
     pos[~mask] = 1
-    queries = column_span_queries(states, np.arange(len(seqs))[:, None],
-                                  np.array([[len(s)] for s in seqs]), pos,
-                                  params.W_q)
+    queries = column_span_queries(states, np.arange(len(lens))[:, None],
+                                  np.array(lens), pos, params.W_q)
     y_i, _ = padded(syms)
     y_o, _ = padded(rows)
     cand, cand_mask = padded(cands)

@@ -16,7 +16,6 @@ scores chunks of `chunk_size(EVAL_BUDGET, h)` examples.
 from __future__ import annotations
 
 import mmap
-import operator
 from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
 
@@ -88,17 +87,17 @@ class Adam:
     """Adam over one flat buffer each for the parameters, their gradients
     (`grad`) and the moments `m` and `v`, read per name through views. The
     parameters are copied into the optimizer's buffer: each `.data` becomes
-    a view of it (replacing one afterwards makes `step` refuse to run), and
-    each `.grad` a view of `grad`, so a training step zeroes and scales
-    every gradient with one call each."""
+    a view of it and each `.grad` a view of `grad` (replacing either
+    afterwards makes `step` refuse to run), so a training step zeroes and
+    scales every gradient with one call each, and `step` reads them in
+    place."""
 
     BLOCK = 1 << 16  # elements per update block, the size of its scratch
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, lr: float):
         self.params = list(named_params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         names = [n for n, _ in self.params]
         shapes = [p.data.shape for _, p in self.params]
@@ -113,17 +112,14 @@ class Adam:
         self.m = dict(zip(names, _views(self._m, shapes)))
         self.v = dict(zip(names, _views(self._v, shapes)))
 
-    def step(self, grads: dict) -> None:
-        """One update in place, a block of the buffers at a time. Gradients
-        other than the parameters' own `.grad` views are first copied into
-        `grad`. A non-finite gradient anywhere refuses the whole step before
-        any parameter, moment or `t` changes."""
-        if any(p.data is not d for (_, p), d in zip(self.params, self._data)):
-            raise RuntimeError("a parameter's data was replaced after the "
-                               "optimizer took it")
-        given = [grads[n] for n, _ in self.params]
-        if not all(map(operator.is_, given, self._grads)):
-            np.concatenate([np.ravel(a) for a in given], out=self.grad)
+    def step(self) -> None:
+        """One update in place from the gradients in `grad`, a block of the
+        buffers at a time. A non-finite gradient anywhere refuses the whole
+        step before any parameter, moment or `t` changes."""
+        if any(p.data is not d or p.grad is not g for (_, p), d, g in
+               zip(self.params, self._data, self._grads)):
+            raise RuntimeError("a parameter's data or gradient was replaced "
+                               "after the optimizer took it")
         g = self.grad
         blocks = [slice(a, a + self.BLOCK)
                   for a in range(0, g.size, self.BLOCK)]
@@ -132,7 +128,7 @@ class Adam:
                         if not np.isfinite(a).all())
             raise RuntimeError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         scratch = np.empty((2, min(self.BLOCK, g.size)))
         for s in blocks:
             p, gb, m, v = self._p[s], g[s], self._m[s], self._v[s]
@@ -148,7 +144,7 @@ class Adam:
             np.multiply(1 - b2, gb, out=tmp)
             v += np.multiply(tmp, gb, out=tmp)
             np.sqrt(np.divide(v, 1 - b2 ** self.t, out=tmp), out=tmp)
-            tmp += self.eps
+            tmp += self.EPS
             np.divide(m, 1 - b1 ** self.t, out=upd)
             upd *= self.lr
             p -= np.divide(upd, tmp, out=upd)
@@ -257,10 +253,9 @@ def chunk_losses(chunk, params: ModelParams, vocab: Vocab, hops: int, *,
     support nodes, one `run_hops_batch` node and one cross-entropy node (pad
     candidates score -inf). The losses of one `example_loss` call per
     example up to float rounding, with the same dropout draws in order."""
-    states = encode_batch(chunk, params, sep_id=vocab.sep_id,
-                          dropout_rate=dropout, rng=rng)
-    sb = build_support_batch(chunk, params, sep_id=vocab.sep_id,
-                             answer_row=vocab.answer_row, states=states)
+    states = encode_batch(chunk, params, dropout_rate=dropout, rng=rng)
+    sb = build_support_batch(chunk, params, answer_row=vocab.answer_row,
+                             states=states)
     losses = loss_from_scores(run_hops_batch(sb, params, hops)[0],
                               [ex.candidates.index(ex.gold) for ex in chunk])
     return [example_loss(ex, params, vocab, hops, encoded=(losses, b))
@@ -426,7 +421,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
                 # free this chunk's tape before the next chunk builds its own
                 del losses, loss
             opt.grad /= len(batch)
-            opt.step({n: p.grad for n, p in params.trainable()})
+            opt.step()
             if state.step % config.checkpoint_every == 0:
                 measure(at_epoch_boundary=False)
         state.epochs_run = epoch + 1

@@ -54,7 +54,7 @@ def init_answer(q0: Tensor, params: ModelParams,
     contributes nothing, so the init is a zero vector (the gate is treated
     as fully closed)."""
     if params.identity_eo or ablate_query_gate:
-        return ag.zeros(params.answer_dim)
+        return ag.constant(np.zeros(params.answer_dim))
     return ag.smul(ag.sigmoid(params.g_a_q), ag.matmul(params.U_a_q, q0))
 
 
@@ -72,7 +72,7 @@ def answer_gate(q: Tensor, z_tilde: Tensor, a0: Tensor, y_o_tilde: Tensor,
     """Scalar accumulation gate over [q ⊙ z̃ ; a0 ⊙ ỹ^o ; η]."""
     if params.identity_eo:
         # a0 is zero in candidate-index space; its block stays a zero h-vector
-        mid = ag.zeros(params.h)
+        mid = ag.constant(np.zeros(params.h))
     else:
         mid = ag.mul(a0, y_o_tilde)
     gate_in = ag.concat([ag.mul(q, z_tilde), mid, ag.reshape(eta, (1,))])

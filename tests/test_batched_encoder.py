@@ -146,9 +146,9 @@ def test_bigru_encode_states_match_bigru_states(mixed):
     differ: zero vectors here, token 0's embedding there)."""
     params = params_for(mixed, False)
     exs = mixed.examples[:5]
-    seqs = [ex.encoder_input(mixed.vocab.sep_id) for ex in exs]
+    seqs = [ex.encoder_input() for ex in exs]
     assert len({len(s) for s in seqs}) > 1
-    states = encode_batch(exs, params, sep_id=mixed.vocab.sep_id)
+    states = encode_batch(exs, params)
     want = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
     assert states.data.shape == want.shape
     for b, s in enumerate(seqs):
@@ -201,13 +201,14 @@ def per_example_epoch(config, dataset):
     for start in range(0, len(order), config.batch_size):
         batch = [examples[int(i)]
                  for i in order[start:start + config.batch_size]]
-        zero_grads(params)
+        opt.grad.fill(0.0)
         for ex in batch:
             loss = train.example_loss(ex, params, vocab, config.hops,
                                       dropout=config.dropout, rng=rng)
             ag.backward(loss, accumulate=True)
             losses.append(float(loss.data))
-        opt.step({n: p.grad / len(batch) for n, p in params.trainable()})
+        opt.grad /= len(batch)
+        opt.step()
     return losses, params, rng
 
 

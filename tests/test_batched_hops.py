@@ -14,6 +14,7 @@ import hopqa.train as train
 from hopqa import autograd as ag
 from hopqa.data import (Dataset, SynthConfig, generate_splits, load_canonical,
                         save_canonical)
+from hopqa.encoder import bigru_states
 from hopqa.hops import forward_batch, forward_pass, run_hops_batch
 from hopqa.model import init_params
 from hopqa.support import (Example, SupportBatch, build_support_batch,
@@ -60,6 +61,13 @@ def params_for(dataset, identity_eo, h=8, seed=0):
                        embed_init_stddev=1.0)
 
 
+def eval_states(examples, params):
+    """The tape-free biGRU states that `forward_batch` reads."""
+    return ag.constant(bigru_states([ex.encoder_input() for ex in examples],
+                                    params.E_i.data, params.gru_f,
+                                    params.gru_b))
+
+
 def zero_grads(params):
     for _, t in params.named():
         t.grad = np.zeros_like(t.data)
@@ -78,8 +86,8 @@ def test_batch_of_one_is_forward_pass_bit_for_bit(mixed, identity_eo, hops):
         scores, probs = forward_batch([ex], params, vocab, hops)
         assert np.array_equal(scores[0], ref.scores.data)
         assert np.array_equal(probs[0], ref.probs.data)
-        sb = build_support_batch([ex], params, sep_id=vocab.sep_id,
-                                 answer_row=vocab.answer_row)
+        sb = build_support_batch([ex], params, answer_row=vocab.answer_row,
+                                 states=eval_states([ex], params))
         traces = run_hops_batch(sb, params, hops)[2]
         assert len(traces) == len(ref.traces) == hops
         for got, want in zip(traces, ref.traces):
@@ -139,9 +147,8 @@ def test_pad_rows_get_exactly_zero_gradient(mixed, identity_eo):
     vocab = mixed.vocab
     params = params_for(mixed, identity_eo)
     chunk = chunk_of(mixed)
-    states = encode_batch(chunk, params, sep_id=vocab.sep_id)
-    sb = leaves(build_support_batch(chunk, params, sep_id=vocab.sep_id,
-                                    answer_row=vocab.answer_row,
+    states = encode_batch(chunk, params)
+    sb = leaves(build_support_batch(chunk, params, answer_row=vocab.answer_row,
                                     states=states))
     losses = train.loss_from_scores(run_hops_batch(sb, params, 3)[0],
                                     [ex.candidates.index(ex.gold)
@@ -163,8 +170,8 @@ def test_pad_candidates_score_minus_inf(mixed):
     vocab = mixed.vocab
     params = params_for(mixed, False)
     chunk = chunk_of(mixed)
-    sb = build_support_batch(chunk, params, sep_id=vocab.sep_id,
-                             answer_row=vocab.answer_row)
+    sb = build_support_batch(chunk, params, answer_row=vocab.answer_row,
+                             states=encode_batch(chunk, params))
     scores = run_hops_batch(sb, params, 2)[0]
     losses = train.loss_from_scores(scores, [ex.candidates.index(ex.gold)
                                              for ex in chunk])

@@ -42,6 +42,28 @@ def test_reproduces_checked_in_summary():
     assert n == 12
 
 
+@pytest.mark.parametrize("better,before,after,want", [
+    # parent median 100, IQR 4 (4% of the median), bound 10%
+    ("higher", [98, 99, 100, 101, 102], [103, 104, 101, 99, 105], "better"),
+    ("higher", [98, 99, 100, 101, 102], [92, 95, 93, 94, 99], "no worse"),
+    ("higher", [98, 99, 100, 101, 102], [80, 85, 89, 70, 101], "worse"),
+    ("lower", [98, 99, 100, 101, 102], [80, 85, 89, 70, 101], "better"),
+    ("lower", [98, 99, 100, 101, 102], [105, 110, 108, 103, 99], "no worse"),
+    ("lower", [98, 99, 100, 101, 102], [111, 120, 115, 99, 130], "worse"),
+    # parent IQR 20% of its median: too wide to tell, unless every change
+    # run beats every parent run
+    ("higher", [80, 90, 100, 110, 120], [60, 70, 80, 90, 100], "unresolved"),
+    ("higher", [80, 90, 100, 110, 120], [101, 105, 115, 130, 125],
+     "unresolved"),
+    ("higher", [80, 90, 100, 110, 120], [121, 125, 122, 130, 140], "better"),
+    ("lower", [80, 90, 100, 110, 120], [50, 60, 70, 75, 79], "better"),
+])
+def test_verdict(better, before, after, want):
+    """A verdict per metric against a bound of 10% of the parent median."""
+    got = bench_pairs.summarise(before, after, better, 0.1)
+    assert got["verdict"] == want
+
+
 def run(seed, correct=True, value=1.0):
     return {"seed": seed, "result": {
         "correct": correct, "attempted": 3, "failed": 0 if correct else 1,

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from hopqa.checkpoint import load_checkpoint, save_checkpoint
 from hopqa.data import SynthConfig, generate_splits
-from hopqa.exceptions import ConfigError
+from hopqa.exceptions import ConfigError, DataError
 from hopqa.model import init_params
 from hopqa.train import Adam, RunState, TrainConfig, evaluate, train
 
@@ -28,8 +29,9 @@ def make_state(tiny, identity_eo=False, with_opt=True):
         opt = Adam(list(params.trainable()), lr=0.001)
         rng = np.random.default_rng(3)
         for _ in range(3):
-            opt.step({n: rng.normal(size=p.data.shape)
-                      for n, p in params.trainable()})
+            for _, p in params.trainable():
+                p.grad[...] = rng.normal(size=p.data.shape)
+            opt.step()
     return config, params, tr.vocab, opt
 
 
@@ -199,3 +201,54 @@ class TestValidation:
         bundle = load_checkpoint(path)
         with pytest.raises(ConfigError, match="optimizer.*last.ckpt"):
             train(config, tr, dev, resume=bundle)
+
+
+def resumable(tiny, path):
+    """A resumable checkpoint at `path` (Adam moments, run state and a best
+    snapshot); returns its arrays and its header, parsed."""
+    config, params, vocab, opt = make_state(tiny)
+    run = RunState(last_ckpt_acc=0.25, prev_epoch_acc=0.5,
+                   rng_state=np.random.default_rng(3).bit_generator.state)
+    run.record(0.5, True, params)
+    save_checkpoint(path, config=config, params=params, vocab=vocab,
+                    optimizer=opt, run=run)
+    arrays = dict(np.load(path, allow_pickle=False))
+    return arrays, json.loads(str(arrays["header"]))
+
+
+def rewrite(path, arrays, header):
+    arrays["header"] = np.array(json.dumps(header))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+class TestNonFinite:
+    """A NaN or an infinity anywhere a loaded value is read from would make
+    evaluation print a wrong accuracy, or training resume from garbage, with
+    exit 0; each is refused naming the file and the array or key."""
+
+    @pytest.mark.parametrize("key", ["param/W_q", "param/gru_b.U_h",
+                                     "adam_m/E_i", "adam_v/b_a", "best/U_q_c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_array_refused(self, tiny, tmp_path, key, value):
+        path = tmp_path / "m.ckpt"
+        arrays, header = resumable(tiny, path)
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = value
+        rewrite(path, arrays, header)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: checkpoint array {key} holds a non-finite value")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("part,key,value", [
+        ("optimizer", "lr", float("inf")), ("run", "best_acc", float("nan")),
+        ("run", "last_ckpt_acc", float("inf")),
+        ("run", "prev_epoch_acc", float("-inf"))])
+    def test_header_number_refused(self, tiny, tmp_path, part, key, value):
+        path = tmp_path / "m.ckpt"
+        arrays, header = resumable(tiny, path)
+        header[part][key] = value
+        rewrite(path, arrays, header)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: checkpoint header key {part}.{key}: bad value")):
+            load_checkpoint(path)

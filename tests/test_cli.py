@@ -162,6 +162,23 @@ class TestTrain:
         assert f"error: {field} must be {kind}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_config_field_exit_2(self, workdir, tmp_path, capsys):
+        cfg = write_json(tmp_path / "bad.json", dict(TRAIN_CFG, hop=2))
+        assert main(["train", "--config", cfg,
+                     "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad training config" in err and "'hop'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_config_file_exit_2(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "nope.json"
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"error: cannot read config {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_negative_dev_subsample_exit_2(self, workdir, tmp_path, capsys):
         cfg = write_json(tmp_path / "neg.json",
                          dict(TRAIN_CFG, dev_subsample=-7))
@@ -391,6 +408,36 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl"),
                      "--hop-sweep", "3..1"]) == 2
+
+    def test_sweep_without_range_exit_2(self, workdir, capsys):
+        assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "data" / "dev.jsonl"),
+                     "--hop-sweep", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "error: bad --hop-sweep '3', expected a..b" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_non_finite_checkpoint_exit_2(self, workdir, tmp_path, capsys,
+                                          command):
+        """A NaN weight would score every example and print an accuracy
+        (or NaN gates) with exit 0; it is refused before any output."""
+        with np.load(workdir / "run" / "best.ckpt") as npz:
+            arrays = dict(npz)
+        arrays["param/W_q"] = arrays["param/W_q"].copy()
+        arrays["param/W_q"][0, 0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        with open(ckpt, "wb") as f:
+            np.savez(f, **arrays)
+        argv = [command, "--checkpoint", str(ckpt),
+                "--data", str(workdir / "data" / "dev.jsonl")]
+        if command == "inspect":
+            argv += ["--example", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (f"error: {ckpt}: checkpoint array param/W_q holds a "
+                f"non-finite value") in captured.err
+        assert captured.out == ""
 
     def test_missing_checkpoint_exit_2(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "nope.ckpt"),
@@ -692,6 +739,34 @@ def test_cbt_data_dir_end_to_end(tmp_path, capsys):
     assert main(["inspect", "--checkpoint", ckpt,
                  "--data", str(data / "dev.jsonl"), "--example", "0"]) == 0
     assert "hop 1:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case,want", [
+    ("misnumbered", "passage 1: line numbered '7', expected 5"),
+    ("final-line", "passage 1: final line numbered '22', expected 21"),
+    ("no-fields", "passage 1: missing answer or candidate fields")])
+def test_cbt_malformed_passage_exit_2(tmp_path, capsys, case, want):
+    """A CBT passage with a context line out of order, a final line not
+    numbered 21, or no answer and candidate fields exits 2 naming the file
+    and the passage, before any output directory is made."""
+    data = tmp_path / "cbt"
+    data.mkdir()
+    bad = cbt_passage("dog").splitlines()
+    if case == "misnumbered":
+        bad[4] = "7" + bad[4][1:]
+    elif case == "final-line":
+        bad[20] = "22" + bad[20][2:]
+    else:
+        bad[20] = bad[20].split("\t")[0]
+    (data / "train.jsonl").write_text(
+        cbt_passage("mat") + "\n\n" + "\n".join(bad) + "\n")
+    (data / "dev.jsonl").write_text(cbt_passage("mat") + "\n")
+    assert main(["train", "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {data / 'train.jsonl'}: {want}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
 
 
 def test_readme_cli_lines_parse():

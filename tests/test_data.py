@@ -8,6 +8,7 @@ from hopqa.data import (PLACEHOLDER, Dataset, SynthConfig, Vocab,
                         chain_endpoints, generate_splits, load_canonical,
                         load_cbt, load_dataset, save_canonical)
 from hopqa.exceptions import ConfigError, DataError, ParseError
+from hopqa.support import SEP_ID
 
 
 def parse_facts(example, vocab):
@@ -392,7 +393,7 @@ class TestVocab:
     def test_builtin_symbols(self):
         v = Vocab()
         assert v.tokens == [PLACEHOLDER, "@sep"]
-        assert v.tokens[v.sep_id] == "@sep"
+        assert v.tokens[SEP_ID] == "@sep"
 
     def test_answer_rows_are_dense(self):
         v = Vocab()

@@ -176,7 +176,7 @@ def step_chain(emb, p, reverse):
     with the zero initial state first."""
     n, h = emb.data.shape[0], p.U_z.data.shape[0]
     xz, xr, xh = (ag.matmul(emb, w) for w in (p.W_z, p.W_r, p.W_h))
-    state = ag.zeros(h)
+    state = ag.constant(np.zeros(h))
     states = [state]
     for l in (range(n - 1, -1, -1) if reverse else range(n)):
         state = gru_step(xz, xr, xh, l, state, p)

@@ -12,7 +12,7 @@ from hopqa.exceptions import EmptySupportError
 from hopqa.hops import run_hops
 from hopqa.model import init_params
 from hopqa.support import (Example, build_support, build_support_batch,
-                           stacked)
+                           encode_batch, stacked)
 
 
 def make_doc(tokens, token2id, placeholder=None):
@@ -76,8 +76,7 @@ class TestBuildSupport:
 
     def test_answer_sequence_matches_occurrences(self):
         ex = news_example()
-        sup = build_support(ex, self.params(), sep_id=T2I["@sep"],
-                            answer_row=answer_row)
+        sup = build_support(ex, self.params(), answer_row=answer_row)
         assert sup.m == 3
         assert occurrence_symbols(ex, sup) == [T2I["Ukraine"], T2I["Germany"],
                                                T2I["Ukraine"]]
@@ -87,14 +86,13 @@ class TestBuildSupport:
         """Row k of `y_i` embeds the token at `positions[k]`."""
         ex = news_example()
         p = self.params()
-        sup = build_support(ex, p, sep_id=T2I["@sep"], answer_row=answer_row)
+        sup = build_support(ex, p, answer_row=answer_row)
         for y_i, l in zip(sup.y_i.data, sup.positions, strict=True):
             assert np.array_equal(y_i, p.E_i.data[ex.document.symbols[l - 1]])
 
     def test_repeated_candidate_distinct_z_same_y(self):
         ex = news_example()
-        sup = build_support(ex, self.params(), sep_id=T2I["@sep"],
-                            answer_row=answer_row)
+        sup = build_support(ex, self.params(), answer_row=answer_row)
         syms = occurrence_symbols(ex, sup)
         assert syms[0] == syms[2]
         assert np.array_equal(sup.y_i.data[0], sup.y_i.data[2])
@@ -103,10 +101,8 @@ class TestBuildSupport:
 
     def test_deterministic(self):
         ex = news_example()
-        a = build_support(ex, self.params(), sep_id=T2I["@sep"],
-                          answer_row=answer_row)
-        b = build_support(ex, self.params(), sep_id=T2I["@sep"],
-                          answer_row=answer_row)
+        a = build_support(ex, self.params(), answer_row=answer_row)
+        b = build_support(ex, self.params(), answer_row=answer_row)
         assert np.array_equal(a.query_z.data, b.query_z.data)
         for name in ("z", "y_i", "y_o"):
             assert np.array_equal(getattr(a, name).data,
@@ -122,7 +118,7 @@ class TestBuildSupport:
         query = make_doc(["@blank"], T2I, placeholder="@blank")
         ex = Example(document=doc, query=query, gold=T2I["Ukraine"],
                      candidates=[T2I["Ukraine"]])
-        sup = build_support(ex, p, sep_id=T2I["@sep"], answer_row=answer_row)
+        sup = build_support(ex, p, answer_row=answer_row)
         assert sup.m == 1
         # forward boundary state h^f_0 is exactly zero; z = 0 + h^b_2
         emb_ids = doc.symbols + [T2I["@sep"]] + query.symbols
@@ -139,8 +135,7 @@ class TestBuildSupport:
                          placeholder="@blank")
         ex = Example(document=doc, query=query, gold=T2I["Ukraine"],
                      candidates=[T2I["Ukraine"], T2I["Germany"]])
-        sup = build_support(ex, self.params(), sep_id=T2I["@sep"],
-                            answer_row=answer_row)
+        sup = build_support(ex, self.params(), answer_row=answer_row)
         assert sup.positions == [1]
         assert sup.z.data.shape == (1, 4)
 
@@ -149,11 +144,11 @@ class TestBuildSupport:
         q0 depends exactly on the span around @blank."""
         ex = news_example()
         p = self.params()
-        sup1 = build_support(ex, p, sep_id=T2I["@sep"], answer_row=answer_row)
+        sup1 = build_support(ex, p, answer_row=answer_row)
         # placeholder is the final token; its span query uses h^f at the
         # position before it, which depends on the preceding query tokens
         p.E_i.data[T2I["against"]] += 1.0
-        sup2 = build_support(ex, p, sep_id=T2I["@sep"], answer_row=answer_row)
+        sup2 = build_support(ex, p, answer_row=answer_row)
         assert not np.allclose(sup1.query_z.data, sup2.query_z.data)
 
 
@@ -190,8 +185,7 @@ class TestSupportMatrices:
         p = init_params(3, len(TOKENS), 2, rng)
 
         def f():
-            sup = build_support(ex, p, sep_id=T2I["@sep"],
-                                answer_row=answer_row)
+            sup = build_support(ex, p, answer_row=answer_row)
             return support_loss(sup, np.random.default_rng(1))
 
         tensors = [p.W_q, p.E_i, p.E_o] + [t for _, t in p.gru_b.named("b")]
@@ -210,8 +204,7 @@ class TestSupportMatrices:
             query = make_doc(["Germany", "@blank"], T2I, placeholder="@blank")
             ex = Example(document=doc, query=query, gold=T2I["Ukraine"],
                          candidates=[T2I["Ukraine"], T2I["Germany"]])
-            sup = build_support(ex, p, sep_id=T2I["@sep"],
-                                answer_row=answer_row)
+            sup = build_support(ex, p, answer_row=answer_row)
             assert sup.m == m
             counts[m] = tape_nodes(support_loss(sup, rng))
         assert counts[1] == counts[3] == counts[8], counts
@@ -221,8 +214,7 @@ class TestAnswerEmbeddings:
     def test_consistency_with_gather(self, rng):
         params = init_params(4, len(TOKENS), 2, rng)
         ex = news_example()
-        sup = build_support(ex, params, sep_id=T2I["@sep"],
-                            answer_row=answer_row)
+        sup = build_support(ex, params, answer_row=answer_row)
         syms = occurrence_symbols(ex, sup)
         assert np.array_equal(sup.y_i.data,
                               ag.gather_rows(params.E_i, syms).data)
@@ -231,8 +223,7 @@ class TestAnswerEmbeddings:
 
     def test_identity_mode_one_hot(self, rng):
         params = init_params(4, len(TOKENS), 2, rng, identity_eo=True)
-        sup = build_support(news_example(), params, sep_id=T2I["@sep"],
-                            answer_row=answer_row)
+        sup = build_support(news_example(), params, answer_row=answer_row)
         assert np.array_equal(sup.y_o.data, [[1.0, 0.0], [0.0, 1.0],
                                              [1.0, 0.0]])
 
@@ -242,8 +233,7 @@ class TestAnswerEmbeddings:
         doc = Document(symbols=cands, raw_tokens=[str(c) for c in cands])
         query = Document(symbols=[0], raw_tokens=["0"], placeholder_pos=1)
         ex = Example(document=doc, query=query, gold=2, candidates=cands)
-        sup = build_support(ex, params, sep_id=1,
-                            answer_row=lambda s: s - 2)
+        sup = build_support(ex, params, answer_row=lambda s: s - 2)
         rows = sup.y_o.data
         for i in range(10):
             for j in range(i + 1, 10):
@@ -252,15 +242,14 @@ class TestAnswerEmbeddings:
     def test_unknown_symbol_rejected(self, rng):
         params = init_params(4, len(TOKENS), 2, rng)
         with pytest.raises(IndexError):
-            build_support(news_example(), params, sep_id=T2I["@sep"],
-                          answer_row=lambda s: 9)
+            build_support(news_example(), params, answer_row=lambda s: 9)
 
 
 class TestStacked:
     def test_shapes(self):
         ex = news_example()
         p = init_params(4, len(TOKENS), 2, np.random.default_rng(0))
-        sup = build_support(ex, p, sep_id=T2I["@sep"], answer_row=answer_row)
+        sup = build_support(ex, p, answer_row=answer_row)
         z, y_i, y_o = stacked(sup)
         assert (z, y_i, y_o) == (sup.z, sup.y_i, sup.y_o)
         assert z.data.shape == (3, 4)
@@ -286,7 +275,7 @@ class TestStacked:
         ex = Example(document=doc, query=query, gold=T2I["Ukraine"],
                      candidates=[T2I["Ukraine"], T2I["Germany"]])
         sup = build_support(ex, init_params(4, len(TOKENS), 2, rng),
-                            sep_id=T2I["@sep"], answer_row=answer_row)
+                            answer_row=answer_row)
         assert sup.m == 0
         assert sup.z.data.shape == sup.y_i.data.shape == (0, 4)
         assert sup.query_z.data.shape == (4,)
@@ -332,8 +321,7 @@ class TestSupportPin:
             params = init_params(h, vocab.size, vocab.n_answers,
                                  np.random.default_rng(h))
             for ex in tr.examples:
-                sup = build_support(ex, params, sep_id=vocab.sep_id,
-                                    answer_row=vocab.answer_row)
+                sup = build_support(ex, params, answer_row=vocab.answer_row)
                 cand_mat = ag.gather_rows(
                     params.E_o, [vocab.answer_row(c) for c in ex.candidates])
                 res = run_hops(sup.query_z, sup.z, sup.y_i, sup.y_o,
@@ -361,11 +349,11 @@ def built(monkeypatch, dataset, params, answer_row):
         seen.append(np.array(positions))
         return spans(states, b, n, positions, w_q)
 
+    states = encode_batch(dataset.examples, params)
     monkeypatch.setattr(ag, "gather_rows", spy_gather)
     monkeypatch.setattr(support, "column_span_queries", spy_spans)
-    sb = build_support_batch(dataset.examples, params,
-                             sep_id=dataset.vocab.sep_id,
-                             answer_row=answer_row)
+    sb = build_support_batch(dataset.examples, params, answer_row=answer_row,
+                             states=states)
     monkeypatch.undo()
     return sb, seen
 
@@ -424,8 +412,8 @@ class TestIndexLists:
         def reversed_rows(sym):
             return vocab.n_answers - 1 - vocab.answer_row(sym)
         for row in (vocab.answer_row, reversed_rows, vocab.answer_row):
-            sb = build_support_batch(tr.examples, params, sep_id=vocab.sep_id,
-                                     answer_row=row)
+            sb = build_support_batch(tr.examples, params, answer_row=row,
+                                     states=encode_batch(tr.examples, params))
             for b, ex in enumerate(tr.examples):
                 syms = [ex.document.symbols[l - 1] for l in ex.positions]
                 m, k = len(syms), len(ex.candidates)
@@ -444,12 +432,12 @@ class TestIndexLists:
         vocab.register_answer("Ukraine")
         ex = news_example()
         params = init_params(4, len(TOKENS), 2, np.random.default_rng(0))
-        build_support_batch([ex], params, sep_id=T2I["@sep"],
-                            answer_row=answer_row)
+        states = encode_batch([ex], params)
+        build_support_batch([ex], params, answer_row=answer_row,
+                            states=states)
         for _ in range(2):
             with pytest.raises(IndexError, match="not an answer symbol"):
-                build_support_batch([ex], params, sep_id=T2I["@sep"],
-                                    answer_row=vocab.answer_row)
+                build_support_batch([ex], params, answer_row=vocab.answer_row,
+                                    states=states)
             with pytest.raises(IndexError, match="not an answer symbol"):
-                build_support(ex, params, sep_id=T2I["@sep"],
-                              answer_row=vocab.answer_row)
+                build_support(ex, params, answer_row=vocab.answer_row)

@@ -55,14 +55,16 @@ class TestAdam:
         # bias correction makes |update| = lr * g/sqrt(g^2) = lr at t=1
         w = ag.param(np.array([1.0, -2.0]), name="w")
         opt = Adam([("w", w)], lr=0.1)
-        opt.step({"w": np.array([0.5, -3.0])})
+        w.grad[...] = [0.5, -3.0]
+        opt.step()
         assert np.allclose(w.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
     def test_quadratic_bowl_convergence(self):
         w = ag.param(np.array([5.0, -4.0]), name="w")
         opt = Adam([("w", w)], lr=0.1)
         for _ in range(500):
-            opt.step({"w": 2.0 * (w.data - 3.0)})
+            w.grad[...] = 2.0 * (w.data - 3.0)
+            opt.step()
         assert np.allclose(w.data, 3.0, atol=1e-3)
 
     def test_state_roundtrip_is_bit_exact(self, rng):
@@ -70,21 +72,22 @@ class TestAdam:
         w2 = ag.param(w1.data.copy(), name="w")
         o1, o2 = Adam([("w", w1)], lr=0.01), Adam([("w", w2)], lr=0.01)
         for _ in range(5):
-            g = rng.normal(size=3)
-            o1.step({"w": g})
-            o2.step({"w": g})
+            w1.grad[...] = w2.grad[...] = rng.normal(size=3)
+            o1.step()
+            o2.step()
         o2.load_state(o1.state_dict())
-        g = rng.normal(size=3)
-        o1.step({"w": g})
-        o2.step({"w": g})
+        w1.grad[...] = w2.grad[...] = rng.normal(size=3)
+        o1.step()
+        o2.step()
         assert np.array_equal(w1.data, w2.data)
         assert o1.t == o2.t
 
     def test_non_finite_gradient_rejected(self):
         w = ag.param(np.zeros(2), name="w")
         opt = Adam([("w", w)], lr=0.1)
+        w.grad[...] = [1.0, np.nan]
         with pytest.raises(RuntimeError, match="w"):
-            opt.step({"w": np.array([1.0, np.nan])})
+            opt.step()
 
     def test_refused_step_changes_nothing(self):
         """A non-finite gradient in a later parameter refuses the whole
@@ -93,12 +96,13 @@ class TestAdam:
         a = ag.param(np.array([1.0, 1.0]), name="a")
         b = ag.param(np.array([2.0, 2.0]), name="b")
         opt = Adam([("a", a), ("b", b)], lr=0.1)
-        opt.step({"a": np.array([0.5, -1.0]), "b": np.array([1.0, 3.0])})
+        a.grad[...], b.grad[...] = [0.5, -1.0], [1.0, 3.0]
+        opt.step()
         before = opt.state_dict()
         values = [a.data.copy(), b.data.copy()]
+        a.grad[...], b.grad[...] = [1.0, 1.0], [np.nan, 1.0]
         with pytest.raises(RuntimeError, match="'b'"):
-            opt.step({"a": np.array([1.0, 1.0]),
-                      "b": np.array([np.nan, 1.0])})
+            opt.step()
         assert np.array_equal(a.data, values[0])
         assert np.array_equal(b.data, values[1])
         after = opt.state_dict()
@@ -122,7 +126,9 @@ class TestAdam:
         for t in range(1, 6):
             grads = {n: np.asarray(rng.normal(size=s))
                      for n, s in shapes.items()}
-            opt.step(grads)
+            for n, g in grads.items():
+                params[n].grad[...] = g
+            opt.step()
             for n, g in grads.items():
                 m[n] = b1 * m[n] + (1 - b1) * g
                 v[n] = b2 * v[n] + (1 - b2) * g * g
@@ -151,14 +157,13 @@ class TestFlatAdam:
     gradients, on a real parameter set."""
 
     @pytest.mark.parametrize("block", [7, Adam.BLOCK])
-    @pytest.mark.parametrize("given", ["views", "fresh", "reused"])
+    @pytest.mark.parametrize("given", ["views", "flat"])
     def test_five_steps_are_the_formula(self, rng, monkeypatch, block,
                                         given):
-        """Gradients given as the parameters' own `.grad` views (read in
-        place), as new separate arrays at each step or as the same separate
-        arrays refilled (copied each step), in blocks that split parameters
-        or one block for all: bit for bit the per-parameter update, and the
-        frozen identity E_o never moves."""
+        """Gradients written into the parameters' own `.grad` views or into
+        the flat `Adam.grad` buffer they view, in blocks that split
+        parameters or one block for all: bit for bit the per-parameter
+        update, and the frozen identity E_o never moves."""
         monkeypatch.setattr(Adam, "BLOCK", block)
         p = init_params(4, 20, 5, rng, identity_eo=True)
         opt = Adam(list(p.trainable()), lr=0.01)
@@ -167,19 +172,15 @@ class TestFlatAdam:
         want = {n: t.data.copy() for n, t in p.trainable()}
         m = {n: np.zeros_like(a) for n, a in want.items()}
         v = {n: np.zeros_like(a) for n, a in want.items()}
-        reused = {n: np.empty(a.shape) for n, a in want.items()}
         for t in range(1, 6):
             grads = {n: rng.normal(size=a.shape) for n, a in want.items()}
             if given == "views":
                 for n, tensor in p.trainable():
                     tensor.grad[...] = grads[n]
-                opt.step({n: tensor.grad for n, tensor in p.trainable()})
-            elif given == "reused":
-                for n, a in reused.items():
-                    a[...] = grads[n]
-                opt.step(reused)
             else:
-                opt.step(grads)
+                np.concatenate([grads[n].ravel() for n, _ in p.trainable()],
+                               out=opt.grad)
+            opt.step()
             want = adam_formula(want, grads, t, m, v)
         for n, tensor in p.trainable():
             assert np.array_equal(tensor.data, want[n]), n
@@ -194,15 +195,14 @@ class TestFlatAdam:
         monkeypatch.setattr(Adam, "BLOCK", 64)
         p = init_params(4, 20, 5, rng)
         opt = Adam(list(p.trainable()), lr=0.01)
-        step = {n: t.grad for n, t in p.trainable()}
         for _, t in p.trainable():
             t.grad[...] = rng.normal(size=t.grad.shape)
-        opt.step(step)
+        opt.step()
         before = opt.state_dict()
         values = {n: t.data.copy() for n, t in p.trainable()}
         p.gru_b.U_h.grad[1, 2] = np.nan
         with pytest.raises(RuntimeError, match="'gru_b.U_h'"):
-            opt.step(step)
+            opt.step()
         after = opt.state_dict()
         assert (after["t"], after["lr"]) == (before["t"], before["lr"])
         for n, t in p.trainable():
@@ -218,7 +218,18 @@ class TestFlatAdam:
         opt = Adam([("w", w)], lr=0.1)
         w.data = np.ones(2)
         with pytest.raises(RuntimeError, match="replaced"):
-            opt.step({"w": np.ones(2)})
+            opt.step()
+
+    def test_replaced_grad_refused(self):
+        """`step` reads the gradients in `Adam.grad`; a `.grad` replaced
+        after the optimizer took the parameter would go unread, so the step
+        refuses and nothing moves."""
+        w = ag.param(np.zeros(2), name="w")
+        opt = Adam([("w", w)], lr=0.1)
+        w.grad = np.ones(2)
+        with pytest.raises(RuntimeError, match="replaced"):
+            opt.step()
+        assert opt.t == 0 and np.array_equal(w.data, np.zeros(2))
 
     def test_backward_keeps_grad_views(self, tiny_task):
         """A non-accumulating backward zeroes each parameter's gradient in
@@ -406,9 +417,7 @@ class TestSingleStep:
         opt = Adam(list(p.trainable()), lr=1e-4)
         before = example_loss(ex, p, tr.vocab, hops=1)
         ag.backward(before)
-        grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for n, t in p.trainable()}
-        opt.step(grads)
+        opt.step()
         after = example_loss(ex, p, tr.vocab, hops=1)
         assert float(after.data) < float(before.data)
 

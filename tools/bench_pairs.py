@@ -72,13 +72,23 @@ def _r(values, digits=4) -> list[float]:
 
 def summarise(before, after, better: str, bound: float) -> dict:
     """Per-run values of one metric on both sides, paired by position:
-    quartiles, median ratio, the pairs the change won, and the median gap
-    in units of the parent's interquartile range (positive when the change
-    is better)."""
+    quartiles, median ratio, the pairs the change won, the median gap in
+    units of the parent's interquartile range (positive when the change
+    is better), and a verdict: `better` when every change run beats every
+    parent run, else `unresolved` when the parent's IQR exceeds `bound` of
+    its median, else `better`, `no worse` (worse by at most `bound` of the
+    parent's median) or `worse` by the medians."""
     sign = 1.0 if better == "higher" else -1.0
     qb, qa = (np.percentile(v, [25, 50, 75]) for v in (before, after))
     iqr = qb[2] - qb[0]
     gap = sign * (qa[1] - qb[1])
+    if (sign * np.asarray(after)).min() > (sign * np.asarray(before)).max():
+        verdict = "better"
+    elif iqr > bound * qb[1]:
+        verdict = "unresolved"
+    else:
+        verdict = ("better" if gap > 0 else "no worse"
+                   if gap >= -bound * qb[1] else "worse")
     return {
         "before": _r(before),
         "after": _r(after),
@@ -90,6 +100,7 @@ def summarise(before, after, better: str, bound: float) -> dict:
         else None,
         "bound_fraction_of_parent_median": bound,
         "parent_iqr_over_median": round(float(iqr / qb[1]), 4),
+        "verdict": verdict,
     }
 
 
