@@ -1,7 +1,9 @@
-"""Versioned checkpoint container: one .npz file holding every named
-parameter tensor, the config, the vocab and, for a resumable checkpoint,
-the Adam moments and the `RunState` (its best-dev snapshot as `best/<name>`
-arrays). Round-trips are bit-exact (float64 arrays stored as-is)."""
+"""Versioned checkpoint container, the one module that knows its format:
+one .npz file of `param/<name>` arrays and a JSON `header` (version,
+config, vocab, `meta`). A resumable checkpoint adds, written, read and
+required together, the `RunState` (its scalars as the header's `run` part,
+its best-dev snapshot as `best/<name>` arrays) and the Adam moments
+(`adam_m/<name>`, `adam_v/<name>`). Round-trips are bit-exact."""
 
 from __future__ import annotations
 
@@ -9,17 +11,18 @@ import contextlib
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .data import Vocab
 from .exceptions import ConfigError, DataError
 # benches/tracer.py patches the name checkpoint.init_params
-from .model import ModelParams, init_params, make_params  # noqa: F401
+from .model import (ModelParams, init_params,  # noqa: F401
+                    make_params, param_shapes)
 from .train import Adam, RunState, TrainConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -27,6 +30,8 @@ class CheckpointBundle:
     config: TrainConfig
     params: ModelParams
     vocab: Vocab
+    # the Adam moments, {"m": {name: array}, "v": {name: array}}, and the
+    # run state: both None (a best.ckpt) or both present (a last.ckpt)
     optimizer_state: dict | None
     run: RunState | None
     meta: dict
@@ -36,27 +41,23 @@ def save_checkpoint(path, *, config: TrainConfig, params: ModelParams,
                     vocab: Vocab, optimizer: Adam | None = None,
                     run: RunState | None = None,
                     meta: dict | None = None) -> None:
-    arrays = {}
-    for name, t in params.named():
-        arrays[f"param/{name}"] = t.data
-    if optimizer is not None:
-        state = optimizer.state_dict()
-        for name, a in state["m"].items():
-            arrays[f"adam_m/{name}"] = a
-        for name, a in state["v"].items():
-            arrays[f"adam_v/{name}"] = a
-        opt_meta = {"t": state["t"], "lr": state["lr"]}
-    else:
-        opt_meta = None
+    """Write a checkpoint; with `optimizer` and `run` (which must have
+    recorded a measurement, so it holds a best snapshot) a resumable one."""
+    arrays = {f"param/{n}": t.data for n, t in params.named()}
     run_meta = None
-    if run is not None:
-        run_meta, best = run.to_checkpoint()
-        arrays.update(best)
+    if optimizer is not None or run is not None:
+        if optimizer is None or run is None or run.best is None:
+            raise ValueError("a resumable checkpoint needs the optimizer and "
+                             "a run state with a best snapshot")
+        run_meta = {f.name: getattr(run, f.name) for f in fields(run)
+                    if f.name != "best"}
+        for prefix, named in (("best", run.best), ("adam_m", optimizer.m),
+                              ("adam_v", optimizer.v)):
+            arrays.update({f"{prefix}/{n}": a for n, a in named.items()})
     header = {
         "version": FORMAT_VERSION,
         "config": asdict(config),
         "vocab": vocab.to_dict(),
-        "optimizer": opt_meta,
         "run": run_meta,
         "meta": meta or {},
     }
@@ -124,28 +125,27 @@ def _rng_state(v) -> bool:
     return True
 
 
-# each key of a resumable checkpoint's `optimizer` and `run` headers, with
-# the test its value must pass
+# each key of a resumable checkpoint's `run` header, one per `RunState`
+# scalar, with the test its value must pass
 HEADER_KEYS = {
-    "optimizer": {"t": _count, "lr": lambda v: _real(v) and v > 0},
-    "run": {"step": _count, "epochs_run": _count, "last_ckpt_acc": _acc,
-            "prev_epoch_acc": _acc, "best_acc": _real,
-            "best_step": _count, "best_epoch": _count,
-            "rng_state": _rng_state},
+    "step": _count, "lr": lambda v: _real(v) and v > 0,
+    "epochs_run": _count, "last_ckpt_acc": _acc, "prev_epoch_acc": _acc,
+    "best_acc": _real, "best_step": _count, "best_epoch": _count,
+    "rng_state": _rng_state,
 }
 
 
-def _header(path, header: dict, part: str) -> dict:
-    """`header[part]`, refused with a `DataError` naming the file and the
-    key unless it holds exactly the keys of `HEADER_KEYS[part]`, each value
-    passing its test."""
-    obj, tests = header[part], HEADER_KEYS[part]
+def _run_header(path, obj) -> dict:
+    """The `run` header `obj`, refused with a `DataError` naming the file
+    and the key unless it holds exactly the keys of `HEADER_KEYS`, each
+    value passing its test."""
     keys = obj.keys() if isinstance(obj, dict) else set()
-    for name in sorted(keys | tests.keys()):
-        if name not in tests or name not in keys or not tests[name](obj[name]):
-            what = ("unknown" if name not in tests else "missing"
+    for name in sorted(keys | HEADER_KEYS.keys()):
+        if (name not in HEADER_KEYS or name not in keys
+                or not HEADER_KEYS[name](obj[name])):
+            what = ("unknown" if name not in HEADER_KEYS else "missing"
                     if name not in keys else f"bad value {obj[name]!r}")
-            raise DataError(f"{path}: checkpoint header key {part}.{name}: "
+            raise DataError(f"{path}: checkpoint header key run.{name}: "
                             f"{what}")
     return obj
 
@@ -176,27 +176,19 @@ def load_checkpoint(path) -> CheckpointBundle:
         except (TypeError, KeyError, ConfigError) as e:
             raise DataError(f"{path}: bad checkpoint config or vocab: "
                             f"{e}") from e
-        params = make_params(
-            {k[len("param/"):]: _finite(npz, path, k) for k in npz.files
-             if k.startswith("param/")},
-            config.h, vocab.size, vocab.n_answers, config.identity_eo)
-        # the Adam moments and the best-dev snapshot are checked here, so a
-        # damaged resumable checkpoint is refused before any training
-        trainable = {n: t.data.shape for n, t in params.trainable()}
-        opt_state = None
-        if header.get("optimizer") is not None:
-            opt_state = {
-                **_header(path, header, "optimizer"),
-                "m": _arrays(npz, path, "adam_m", trainable),
-                "v": _arrays(npz, path, "adam_v", trainable),
-            }
-        run = None
+        dims = (config.h, vocab.size, vocab.n_answers, config.identity_eo)
+        shapes = param_shapes(*dims)
+        params = make_params(_arrays(npz, path, "param", shapes), *dims)
+        # the run state, the best-dev snapshot and the Adam moments are
+        # checked here, so a damaged resumable checkpoint is refused before
+        # any training
+        opt_state = run = None
         if header.get("run") is not None:
-            best = None
-            if any(k.startswith("best/") for k in npz.files):
-                best = _arrays(npz, path, "best",
-                               {n: t.data.shape for n, t in params.named()})
-            run = RunState(**_header(path, header, "run"), best=best)
+            run = RunState(**_run_header(path, header["run"]),
+                           best=_arrays(npz, path, "best", shapes))
+            trainable = {n: shapes[n] for n, _ in params.trainable()}
+            opt_state = {m: _arrays(npz, path, f"adam_{m}", trainable)
+                         for m in ("m", "v")}
     return CheckpointBundle(config=config, params=params, vocab=vocab,
                             optimizer_state=opt_state, run=run,
                             meta=header.get("meta", {}))

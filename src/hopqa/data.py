@@ -134,8 +134,10 @@ class SynthConfig:
         for name in ("n_relations", "n_examples", "n_dev", "n_test"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.n_distractor_facts < 0:
-            raise ConfigError("n_distractor_facts must be >= 0")
+        for name in ("n_distractor_facts", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got "
+                                  f"{getattr(self, name)}")
 
 
 def chain_endpoints(facts, start: str, rels: list[str]) -> set[str]:

@@ -16,7 +16,7 @@ scores chunks of `chunk_size(EVAL_BUDGET, h)` examples.
 from __future__ import annotations
 
 import mmap
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -58,6 +58,8 @@ class TrainConfig:
         if self.dev_subsample < 0:
             raise ConfigError(f"dev_subsample must be 0 (full dev set) or "
                               f"positive, got {self.dev_subsample}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def loss_from_scores(scores: Tensor, gold_pos) -> Tensor:
@@ -90,15 +92,14 @@ class Adam:
     a view of it and each `.grad` a view of `grad` (replacing either
     afterwards makes `step` refuse to run), so a training step zeroes and
     scales every gradient with one call each, and `step` reads them in
-    place."""
+    place. The step count and learning rate are the caller's (`RunState`);
+    the optimizer holds only its buffers."""
 
     BLOCK = 1 << 16  # elements per update block, the size of its scratch
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, named_params, lr: float):
+    def __init__(self, named_params):
         self.params = list(named_params)
-        self.lr = lr
-        self.t = 0
         names = [n for n, _ in self.params]
         shapes = [p.data.shape for _, p in self.params]
         size = sum(p.data.size for _, p in self.params)
@@ -112,10 +113,11 @@ class Adam:
         self.m = dict(zip(names, _views(self._m, shapes)))
         self.v = dict(zip(names, _views(self._v, shapes)))
 
-    def step(self) -> None:
-        """One update in place from the gradients in `grad`, a block of the
-        buffers at a time. A non-finite gradient anywhere refuses the whole
-        step before any parameter, moment or `t` changes."""
+    def step(self, t: int, lr: float) -> None:
+        """Update `t` (counted from 1) at rate `lr`, in place from the
+        gradients in `grad`, a block of the buffers at a time. A non-finite
+        gradient anywhere refuses the whole step before any parameter or
+        moment changes."""
         if any(p.data is not d or p.grad is not g for (_, p), d, g in
                zip(self.params, self._data, self._grads)):
             raise RuntimeError("a parameter's data or gradient was replaced "
@@ -127,7 +129,6 @@ class Adam:
             name = next(n for (n, _), a in zip(self.params, self._grads)
                         if not np.isfinite(a).all())
             raise RuntimeError(f"non-finite gradient for parameter {name!r}")
-        self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         scratch = np.empty((2, min(self.BLOCK, g.size)))
         for s in blocks:
@@ -143,23 +144,11 @@ class Adam:
             v *= b2
             np.multiply(1 - b2, gb, out=tmp)
             v += np.multiply(tmp, gb, out=tmp)
-            np.sqrt(np.divide(v, 1 - b2 ** self.t, out=tmp), out=tmp)
+            np.sqrt(np.divide(v, 1 - b2 ** t, out=tmp), out=tmp)
             tmp += self.EPS
-            np.divide(m, 1 - b1 ** self.t, out=upd)
-            upd *= self.lr
+            np.divide(m, 1 - b1 ** t, out=upd)
+            upd *= lr
             p -= np.divide(upd, tmp, out=upd)
-
-    def state_dict(self) -> dict:
-        return {"t": self.t, "lr": self.lr,
-                "m": {n: a.copy() for n, a in self.m.items()},
-                "v": {n: a.copy() for n, a in self.v.items()}}
-
-    def load_state(self, state: dict) -> None:
-        self.t = state["t"]
-        self.lr = state["lr"]
-        for n in self.m:
-            self.m[n][...] = state["m"][n]
-            self.v[n][...] = state["v"][n]
 
 
 # Examples x h per chunk. A taped training chunk (`chunk_losses`) keeps its
@@ -264,11 +253,14 @@ def chunk_losses(chunk, params: ModelParams, vocab: Vocab, hops: int, *,
 
 @dataclass
 class RunState:
-    """Run counters and schedule state: with the parameters and the Adam
-    moments, everything a resumed run needs to continue bit-exactly.
-    `best` is the parameter snapshot (name -> array) of the best dev
-    accuracy; `rng_state` is the training RNG's state when the run ended."""
+    """The one record of a run's scalars: the step count and learning rate
+    `Adam.step` is given, and the schedule state. With the parameters and
+    the Adam moments, everything a resumed run needs to continue
+    bit-exactly. `best` is the parameter snapshot (name -> array) of the
+    best dev accuracy; `rng_state` is the training RNG's state when the run
+    ended."""
     step: int = 0
+    lr: float = TrainConfig.lr0
     epochs_run: int = 0
     last_ckpt_acc: float | None = None
     prev_epoch_acc: float | None = None
@@ -279,9 +271,17 @@ class RunState:
     best: dict[str, np.ndarray] | None = None
 
     def record(self, acc: float, at_epoch_boundary: bool,
-               params: ModelParams) -> None:
-        """Take a dev measurement into the schedule state and, if it is the
-        best so far, snapshot `params`."""
+               params: ModelParams) -> bool:
+        """Take a dev measurement `acc` into the schedule and, if it is the
+        best so far, snapshot `params`. A drop since the last measurement
+        halves `lr` once a full epoch has passed; a drop since the last
+        epoch-boundary measurement, at an epoch boundary, returns True:
+        training stops."""
+        if (self.last_ckpt_acc is not None and acc < self.last_ckpt_acc
+                and self.epochs_run >= 1):
+            self.lr /= 2.0
+        stop = (at_epoch_boundary and self.prev_epoch_acc is not None
+                and acc < self.prev_epoch_acc)
         self.last_ckpt_acc = acc
         if at_epoch_boundary:
             self.prev_epoch_acc = acc
@@ -289,24 +289,7 @@ class RunState:
             self.best_acc, self.best_step = acc, self.step
             self.best_epoch = self.epochs_run
             self.best = {n: t.data.copy() for n, t in params.named()}
-
-    def to_checkpoint(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """The scalars for the JSON header, and `best` as `best/<name>`
-        arrays."""
-        scalars = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name != "best"}
-        return scalars, {f"best/{n}": a for n, a in (self.best or {}).items()}
-
-
-def schedule(state: RunState, acc: float,
-             at_epoch_boundary: bool) -> tuple[bool, bool]:
-    """(halve the learning rate, stop training) for a new dev measurement
-    `acc`, judged against the measurements recorded in `state`."""
-    halve = (state.last_ckpt_acc is not None and acc < state.last_ckpt_acc
-             and state.epochs_run >= 1)
-    stop = (at_epoch_boundary and state.prev_epoch_acc is not None
-            and acc < state.prev_epoch_acc)
-    return halve, stop
+        return stop
 
 
 @dataclass
@@ -353,12 +336,12 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
 
     rng = np.random.default_rng(config.seed)
     if resume is None:
-        state = RunState()
+        state = RunState(lr=config.lr0)
         params = init_params(config.h, vocab.size, vocab.n_answers, rng,
                              identity_eo=config.identity_eo,
                              embed_init_stddev=config.embed_init_stddev)
     else:
-        if resume.optimizer_state is None or resume.run is None:
+        if resume.run is None:
             raise ConfigError("checkpoint holds no optimizer or run state "
                               "(a best.ckpt); resume from the run's last.ckpt")
         if resume.vocab != vocab:
@@ -375,9 +358,11 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
                               f"{', '.join(drift)}; a resumed run keeps its "
                               f"config, only max_epochs may change")
         rng.bit_generator.state = state.rng_state
-    opt = Adam(list(params.trainable()), config.lr0)
+    opt = Adam(list(params.trainable()))
     if resume is not None:
-        opt.load_state(resume.optimizer_state)
+        for n in opt.m:
+            opt.m[n][...] = resume.optimizer_state["m"][n]
+            opt.v[n][...] = resume.optimizer_state["v"][n]
 
     chunk = chunk_size(TRAIN_BUDGET, config.h)
     frozen = [p for n, p in params.named() if n not in opt.m]
@@ -388,12 +373,9 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
         """Dev-evaluate, apply the schedule and log a metrics row. Returns
         whether training stops."""
         acc = evaluator(params)
-        halve, stop = schedule(state, acc, at_epoch_boundary)
-        if halve:
-            opt.lr /= 2.0
-        state.record(acc, at_epoch_boundary, params)
+        stop = state.record(acc, at_epoch_boundary, params)
         metrics.append({
-            "step": state.step, "lr": opt.lr,
+            "step": state.step, "lr": state.lr,
             "train_loss": window[0] / window[1] if window[1] else None,
             "dev_acc": acc,
         })
@@ -421,7 +403,7 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
                 # free this chunk's tape before the next chunk builds its own
                 del losses, loss
             opt.grad /= len(batch)
-            opt.step()
+            opt.step(state.step, state.lr)
             if state.step % config.checkpoint_every == 0:
                 measure(at_epoch_boundary=False)
         state.epochs_run = epoch + 1

@@ -365,19 +365,19 @@ def test_schedule_conformance(verdict):
     checks = []
     # a drop between epoch checkpoints halves lr once and stops training
     r = run([0.5, 0.4, 0.9])
-    checks.append(("halve+stop", r.optimizer.lr == pytest.approx(0.0005)
+    checks.append(("halve+stop", r.state.lr == pytest.approx(0.0005)
                    and r.epochs_run == 2))
     # drops before one full epoch never halve
     r = run([0.5, 0.4, 0.6, 0.7, 0.8, 0.9], checkpoint_every=1, max_epochs=2)
-    checks.append(("no-early-halve", r.optimizer.lr == pytest.approx(0.001)))
+    checks.append(("no-early-halve", r.state.lr == pytest.approx(0.001)))
     # a mid-epoch drop after epoch 1 halves but does not stop
     r = run([0.1, 0.2, 0.3, 0.25, 0.35, 0.4], checkpoint_every=1,
             max_epochs=2)
-    checks.append(("mid-epoch-halve", r.optimizer.lr == pytest.approx(0.0005)
+    checks.append(("mid-epoch-halve", r.state.lr == pytest.approx(0.0005)
                    and r.epochs_run == 2))
     # monotone improvement runs the full budget at full lr
     r = run([0.3, 0.6, 0.9])
-    checks.append(("full-budget", r.optimizer.lr == pytest.approx(0.001)
+    checks.append(("full-budget", r.state.lr == pytest.approx(0.001)
                    and r.epochs_run == 3 and r.best_acc == 0.9))
     failed = [n for n, ok in checks if not ok]
     verdict(not failed, "schedule conformance",

@@ -247,7 +247,7 @@ class TestAddRowsAt:
         from hopqa.train import Adam
         rng = np.random.default_rng(11)
         e = ag.param(rng.normal(size=(7, 4)))
-        opt = Adam([("a", ag.param(np.zeros((5, 3)))), ("E", e)], 0.1)
+        opt = Adam([("a", ag.param(np.zeros((5, 3)))), ("E", e)])
         e.grad[...] = self.spread(rng, (7, 4))
         ids = rng.integers(0, 7, size=40)
         vals = self.spread(rng, (40, 4))

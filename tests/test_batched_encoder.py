@@ -194,11 +194,11 @@ def per_example_epoch(config, dataset):
     params = init_params(config.h, vocab.size, vocab.n_answers, rng,
                          identity_eo=config.identity_eo,
                          embed_init_stddev=config.embed_init_stddev)
-    opt = train.Adam(list(params.trainable()), config.lr0)
+    opt = train.Adam(list(params.trainable()))
     examples = dataset.examples
     order = rng.permutation(len(examples))
     losses = []
-    for start in range(0, len(order), config.batch_size):
+    for t, start in enumerate(range(0, len(order), config.batch_size), 1):
         batch = [examples[int(i)]
                  for i in order[start:start + config.batch_size]]
         opt.grad.fill(0.0)
@@ -208,7 +208,7 @@ def per_example_epoch(config, dataset):
             ag.backward(loss, accumulate=True)
             losses.append(float(loss.data))
         opt.grad /= len(batch)
-        opt.step()
+        opt.step(t, config.lr0)
     return losses, params, rng
 
 

@@ -26,13 +26,23 @@ def make_state(tiny, identity_eo=False, with_opt=True):
                          np.random.default_rng(9), identity_eo=identity_eo)
     opt = None
     if with_opt:
-        opt = Adam(list(params.trainable()), lr=0.001)
+        opt = Adam(list(params.trainable()))
         rng = np.random.default_rng(3)
-        for _ in range(3):
+        for t in range(1, 4):
             for _, p in params.trainable():
                 p.grad[...] = rng.normal(size=p.data.shape)
-            opt.step()
+            opt.step(t, 0.001)
     return config, params, tr.vocab, opt
+
+
+def recorded_run(params, **scalars):
+    """A `RunState` at step 3 (the steps `make_state` takes) that recorded
+    one measurement, so it holds the best snapshot a resumable checkpoint
+    needs."""
+    run = RunState(**{"step": 3, "rng_state": np.random.default_rng(3)
+                      .bit_generator.state, **scalars})
+    run.record(0.5, True, params)
+    return run
 
 
 class TestRoundTrip:
@@ -40,7 +50,8 @@ class TestRoundTrip:
         config, params, vocab, opt = make_state(tiny)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab,
-                        optimizer=opt, meta={"step": 3})
+                        optimizer=opt, run=recorded_run(params),
+                        meta={"step": 3})
         bundle = load_checkpoint(path)
         for (n1, t1), (n2, t2) in zip(params.named(),
                                       bundle.params.named()):
@@ -51,16 +62,15 @@ class TestRoundTrip:
         config, params, vocab, opt = make_state(tiny)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab,
-                        optimizer=opt)
+                        optimizer=opt, run=recorded_run(params))
         bundle = load_checkpoint(path)
-        state = opt.state_dict()
-        assert bundle.optimizer_state["t"] == 3
-        assert bundle.optimizer_state["lr"] == 0.001
-        for name in state["m"]:
+        assert bundle.run.step == 3
+        assert bundle.run.lr == 0.001
+        for name in opt.m:
             assert np.array_equal(bundle.optimizer_state["m"][name],
-                                  state["m"][name])
+                                  opt.m[name])
             assert np.array_equal(bundle.optimizer_state["v"][name],
-                                  state["v"][name])
+                                  opt.v[name])
 
     def test_config_vocab_meta_roundtrip(self, tiny, tmp_path):
         config, params, vocab, _ = make_state(tiny, with_opt=False)
@@ -95,21 +105,26 @@ class TestRoundTrip:
         """An int learning rate (from an int `lr0`) and int accuracies (from
         a custom evaluator) are numbers the header check takes."""
         config, params, vocab, _ = make_state(tiny, with_opt=False)
-        opt = Adam(list(params.trainable()), lr=1)
-        run = RunState(last_ckpt_acc=1, prev_epoch_acc=0, best_acc=1,
+        opt = Adam(list(params.trainable()))
+        run = RunState(lr=1,
                        rng_state=np.random.default_rng(3).bit_generator.state)
+        run.record(0, True, params)
+        run.record(1, False, params)
+        assert (run.last_ckpt_acc, run.prev_epoch_acc, run.best_acc) == \
+            (1, 0, 1)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab,
                         optimizer=opt, run=run)
         bundle = load_checkpoint(path)
-        assert bundle.optimizer_state["lr"] == 1
+        assert bundle.run.lr == 1
+        bundle.run.best = run.best = None
         assert bundle.run == run
 
     def test_identity_mode_preserved(self, tiny, tmp_path):
         config, params, vocab, opt = make_state(tiny, identity_eo=True)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab,
-                        optimizer=opt)
+                        optimizer=opt, run=recorded_run(params))
         bundle = load_checkpoint(path)
         assert bundle.params.identity_eo
         assert np.array_equal(bundle.params.E_o.data,
@@ -146,7 +161,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(np, "savez", savez_then_fail)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(path, config=config, params=params, vocab=vocab,
-                            optimizer=opt)
+                            optimizer=opt, run=recorded_run(params))
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
@@ -155,35 +170,38 @@ class TestAtomicWrite:
         path = tmp_path / "last.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab)
         save_checkpoint(str(path), config=config, params=params, vocab=vocab,
-                        optimizer=opt)
-        assert load_checkpoint(path).optimizer_state["t"] == 3
+                        optimizer=opt, run=recorded_run(params))
+        assert load_checkpoint(path).run.step == 3
         assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
 
 
 class TestValidation:
-    def test_unsupported_version(self, tiny, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version(self, tiny, tmp_path, version):
+        """Version 1 kept the step count and learning rate in an
+        `optimizer` header part; no reader is kept for it."""
         config, params, vocab, _ = make_state(tiny, with_opt=False)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab)
-        # rewrite the header with a bogus version
+        # rewrite the header with another version
         arrays = dict(np.load(path, allow_pickle=False))
         header = json.loads(str(arrays["header"]))
-        header["version"] = 99
+        header["version"] = version
         arrays["header"] = np.array(json.dumps(header))
         with open(path, "wb") as f:
             np.savez(f, **arrays)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=f"version {version}"):
             load_checkpoint(path)
 
     def test_optional_header_keys(self, tiny, tmp_path):
         """Only version, config and vocab are required; a header without
-        optimizer, run or meta loads as a checkpoint with none of them."""
+        run or meta loads as a checkpoint with none of them."""
         config, params, vocab, _ = make_state(tiny, with_opt=False)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab)
         arrays = dict(np.load(path, allow_pickle=False))
         header = json.loads(str(arrays["header"]))
-        for key in ("optimizer", "run", "meta"):
+        for key in ("run", "meta"):
             del header[key]
         arrays["header"] = np.array(json.dumps(header))
         with open(path, "wb") as f:
@@ -192,6 +210,21 @@ class TestValidation:
         assert (bundle.optimizer_state, bundle.run, bundle.meta) == \
             (None, None, {})
         assert bundle.config == config and bundle.vocab == vocab
+
+    @pytest.mark.parametrize("given", ["optimizer", "run", "unrecorded"])
+    def test_resumable_parts_saved_together(self, tiny, tmp_path, given):
+        """The run header, the best snapshot and the Adam moments are
+        written together or not at all: a save with only some of them, or
+        with a run that recorded no measurement, writes nothing."""
+        config, params, vocab, opt = make_state(tiny)
+        parts = {"optimizer": {"optimizer": opt},
+                 "run": {"run": recorded_run(params)},
+                 "unrecorded": {"optimizer": opt, "run": RunState()}}[given]
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="resumable checkpoint needs"):
+            save_checkpoint(path, config=config, params=params, vocab=vocab,
+                            **parts)
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_requires_optimizer(self, tiny, tmp_path):
         tr, dev, _ = tiny
@@ -241,7 +274,7 @@ class TestNonFinite:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("part,key,value", [
-        ("optimizer", "lr", float("inf")), ("run", "best_acc", float("nan")),
+        ("run", "lr", float("inf")), ("run", "best_acc", float("nan")),
         ("run", "last_ckpt_acc", float("inf")),
         ("run", "prev_epoch_acc", float("-inf"))])
     def test_header_number_refused(self, tiny, tmp_path, part, key, value):

@@ -113,6 +113,15 @@ class TestGen:
         assert f"error: {field} must be int" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        """A negative seed would reach numpy's generator and fail there,
+        exit 1, after the output directory was made."""
+        gen_cfg = write_json(tmp_path / "gen.json", GEN_CFG)
+        assert main(["gen", "--config", gen_cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_out_is_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
@@ -187,6 +196,13 @@ class TestTrain:
         assert "dev_subsample" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_negative_seed_exit_2(self, workdir, tmp_path, capsys):
+        cfg = write_json(tmp_path / "neg.json", dict(TRAIN_CFG, seed=-3))
+        assert main(["train", "--config", cfg, "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_matches_straight_run(self, workdir, tmp_path):
         """1 epoch + resume for a 2nd epoch reproduces a straight 2-epoch run
         bit-exactly."""
@@ -251,7 +267,7 @@ class TestTrain:
         assert main(["train", "--config", cfg1, "--data", data,
                      "--out", str(tmp_path / "a")]) == 0
         last = tmp_path / "a" / "last.ckpt"
-        assert json.loads(str(np.load(last)["header"]))["optimizer"]["lr"] == 1
+        assert json.loads(str(np.load(last)["header"]))["run"]["lr"] == 1
         assert main(["train", "--config", cfg2, "--data", data,
                      "--resume", str(last),
                      "--out", str(tmp_path / "a2")]) == 0
@@ -357,25 +373,40 @@ class TestTrain:
         assert (f"{bad}: checkpoint array best/E_i has shape (17, 3), "
                 f"expected (17, 4)" in capsys.readouterr().err)
 
+    def test_resume_missing_best_exit_2(self, workdir, tmp_path,
+                                        monkeypatch, capsys):
+        """A run without its best-dev snapshot would otherwise train and
+        fail only at the end, if no new best replaced it."""
+        def drop_best(arrays):
+            for key in [k for k in arrays if k.startswith("best/")]:
+                del arrays[key]
+        code, bad = self.resume_damaged(workdir, tmp_path, monkeypatch,
+                                        drop_best)
+        assert code == 2
+        assert (f"{bad}: checkpoint lacks array best/E_i"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h["run"].update(bogus=1),
          "checkpoint header key run.bogus: unknown"),
-        (lambda h: h["optimizer"].pop("t"),
-         "checkpoint header key optimizer.t: missing"),
-        (lambda h: h["optimizer"].update(t="12"),
-         "checkpoint header key optimizer.t: bad value '12'"),
+        (lambda h: h["run"].pop("step"),
+         "checkpoint header key run.step: missing"),
+        (lambda h: h["run"].update(step="12"),
+         "checkpoint header key run.step: bad value '12'"),
+        (lambda h: h["run"].update(lr=0),
+         "checkpoint header key run.lr: bad value 0"),
         (lambda h: h["run"].update(rng_state=None),
          "checkpoint header key run.rng_state: bad value None"),
         (lambda h: h["run"].update(rng_state={"bit_generator": "PCG64",
                                               "state": {"state": 1}}),
          "checkpoint header key run.rng_state: bad value "
          "{'bit_generator': 'PCG64', 'state': {'state': 1}}"),
-    ], ids=["extra_run_key", "missing_optimizer_t", "string_t",
+    ], ids=["extra_run_key", "missing_step", "string_step", "zero_lr",
             "no_rng_state", "bad_rng_state"])
     def test_resume_bad_header_exit_2(self, workdir, tmp_path, monkeypatch,
                                       capsys, edit, message):
-        """A damaged `optimizer` or `run` header is refused before any
-        training, naming the file and the key."""
+        """A damaged `run` header is refused before any training, naming
+        the file and the key."""
         def edit_header(arrays):
             header = json.loads(str(arrays["header"]))
             edit(header)
@@ -437,6 +468,27 @@ class TestEval:
         captured = capsys.readouterr()
         assert (f"error: {ckpt}: checkpoint array param/W_q holds a "
                 f"non-finite value") in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("edit, want", [
+        (lambda a: a.update({"param/E_i": a["param/E_i"][:, :3]}),
+         "checkpoint array param/E_i has shape (17, 3), expected (17, 4)"),
+        (lambda a: a.pop("param/W_q"), "checkpoint lacks array param/W_q"),
+    ], ids=["cut_E_i", "no_W_q"])
+    def test_damaged_param_exit_2(self, workdir, tmp_path, capsys, edit,
+                                  want):
+        """A missing or misshapen parameter is refused naming the file and
+        the array, as every other damaged checkpoint is."""
+        with np.load(workdir / "run" / "best.ckpt") as npz:
+            arrays = dict(npz)
+        edit(arrays)
+        ckpt = tmp_path / "cut.ckpt"
+        with open(ckpt, "wb") as f:
+            np.savez(f, **arrays)
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workdir / "data" / "dev.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {ckpt}: {want}" in captured.err
         assert captured.out == ""
 
     def test_missing_checkpoint_exit_2(self, workdir, capsys):

@@ -54,60 +54,56 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         # bias correction makes |update| = lr * g/sqrt(g^2) = lr at t=1
         w = ag.param(np.array([1.0, -2.0]), name="w")
-        opt = Adam([("w", w)], lr=0.1)
+        opt = Adam([("w", w)])
         w.grad[...] = [0.5, -3.0]
-        opt.step()
+        opt.step(1, 0.1)
         assert np.allclose(w.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
     def test_quadratic_bowl_convergence(self):
         w = ag.param(np.array([5.0, -4.0]), name="w")
-        opt = Adam([("w", w)], lr=0.1)
-        for _ in range(500):
+        opt = Adam([("w", w)])
+        for t in range(1, 501):
             w.grad[...] = 2.0 * (w.data - 3.0)
-            opt.step()
+            opt.step(t, 0.1)
         assert np.allclose(w.data, 3.0, atol=1e-3)
 
     def test_state_roundtrip_is_bit_exact(self, rng):
         w1 = ag.param(rng.normal(size=3), name="w")
         w2 = ag.param(w1.data.copy(), name="w")
-        o1, o2 = Adam([("w", w1)], lr=0.01), Adam([("w", w2)], lr=0.01)
-        for _ in range(5):
+        o1, o2 = Adam([("w", w1)]), Adam([("w", w2)])
+        for t in range(1, 6):
             w1.grad[...] = w2.grad[...] = rng.normal(size=3)
-            o1.step()
-            o2.step()
-        o2.load_state(o1.state_dict())
+            o1.step(t, 0.01)
+            o2.step(t, 0.01)
+        o2.m["w"][...], o2.v["w"][...] = o1.m["w"], o1.v["w"]
         w1.grad[...] = w2.grad[...] = rng.normal(size=3)
-        o1.step()
-        o2.step()
+        o1.step(6, 0.01)
+        o2.step(6, 0.01)
         assert np.array_equal(w1.data, w2.data)
-        assert o1.t == o2.t
 
     def test_non_finite_gradient_rejected(self):
         w = ag.param(np.zeros(2), name="w")
-        opt = Adam([("w", w)], lr=0.1)
+        opt = Adam([("w", w)])
         w.grad[...] = [1.0, np.nan]
         with pytest.raises(RuntimeError, match="w"):
-            opt.step()
+            opt.step(1, 0.1)
 
     def test_refused_step_changes_nothing(self):
         """A non-finite gradient in a later parameter refuses the whole
-        step: no parameter, moment or step count moves, earlier parameters
-        included."""
+        step: no parameter or moment moves, earlier parameters included."""
         a = ag.param(np.array([1.0, 1.0]), name="a")
         b = ag.param(np.array([2.0, 2.0]), name="b")
-        opt = Adam([("a", a), ("b", b)], lr=0.1)
+        opt = Adam([("a", a), ("b", b)])
         a.grad[...], b.grad[...] = [0.5, -1.0], [1.0, 3.0]
-        opt.step()
-        before = opt.state_dict()
+        opt.step(1, 0.1)
+        before = moments(opt)
         values = [a.data.copy(), b.data.copy()]
         a.grad[...], b.grad[...] = [1.0, 1.0], [np.nan, 1.0]
         with pytest.raises(RuntimeError, match="'b'"):
-            opt.step()
+            opt.step(2, 0.1)
         assert np.array_equal(a.data, values[0])
         assert np.array_equal(b.data, values[1])
-        after = opt.state_dict()
-        assert (after["t"], after["lr"]) == (before["t"], before["lr"]) \
-            == (1, 0.1)
+        after = moments(opt)
         for key in ("m", "v"):
             for name in ("a", "b"):
                 assert np.array_equal(after[key][name], before[key][name])
@@ -119,7 +115,7 @@ class TestAdam:
         shapes = {"w": (3, 4), "s": ()}
         params = {n: ag.param(np.asarray(rng.normal(size=s)), name=n)
                   for n, s in shapes.items()}
-        opt = Adam(list(params.items()), lr=lr)
+        opt = Adam(list(params.items()))
         want = {n: p.data.copy() for n, p in params.items()}
         m = {n: np.zeros(s) for n, s in shapes.items()}
         v = {n: np.zeros(s) for n, s in shapes.items()}
@@ -128,7 +124,7 @@ class TestAdam:
                      for n, s in shapes.items()}
             for n, g in grads.items():
                 params[n].grad[...] = g
-            opt.step()
+            opt.step(t, lr)
             for n, g in grads.items():
                 m[n] = b1 * m[n] + (1 - b1) * g
                 v[n] = b2 * v[n] + (1 - b2) * g * g
@@ -138,6 +134,12 @@ class TestAdam:
             assert np.array_equal(p.data, want[n]), n
             assert np.array_equal(opt.m[n], m[n]), n
             assert np.array_equal(opt.v[n], v[n]), n
+
+
+def moments(opt):
+    """Copies of the Adam moments, {"m": {name: array}, "v": ...}."""
+    return {k: {n: a.copy() for n, a in getattr(opt, k).items()}
+            for k in ("m", "v")}
 
 
 def adam_formula(params, grads, t, m, v, lr=0.01, b1=0.9, b2=0.999,
@@ -166,7 +168,7 @@ class TestFlatAdam:
         update, and the frozen identity E_o never moves."""
         monkeypatch.setattr(Adam, "BLOCK", block)
         p = init_params(4, 20, 5, rng, identity_eo=True)
-        opt = Adam(list(p.trainable()), lr=0.01)
+        opt = Adam(list(p.trainable()))
         for _, t in p.trainable():
             assert np.shares_memory(t.grad, opt.grad)
         want = {n: t.data.copy() for n, t in p.trainable()}
@@ -180,7 +182,7 @@ class TestFlatAdam:
             else:
                 np.concatenate([grads[n].ravel() for n, _ in p.trainable()],
                                out=opt.grad)
-            opt.step()
+            opt.step(t, 0.01)
             want = adam_formula(want, grads, t, m, v)
         for n, tensor in p.trainable():
             assert np.array_equal(tensor.data, want[n]), n
@@ -190,21 +192,20 @@ class TestFlatAdam:
 
     def test_nan_refused_whole(self, rng, monkeypatch):
         """A NaN in one named gradient, in a later block than the first:
-        the step is refused naming that parameter, and no parameter,
-        moment or `t` moves."""
+        the step is refused naming that parameter, and no parameter or
+        moment moves."""
         monkeypatch.setattr(Adam, "BLOCK", 64)
         p = init_params(4, 20, 5, rng)
-        opt = Adam(list(p.trainable()), lr=0.01)
+        opt = Adam(list(p.trainable()))
         for _, t in p.trainable():
             t.grad[...] = rng.normal(size=t.grad.shape)
-        opt.step()
-        before = opt.state_dict()
+        opt.step(1, 0.01)
+        before = moments(opt)
         values = {n: t.data.copy() for n, t in p.trainable()}
         p.gru_b.U_h.grad[1, 2] = np.nan
         with pytest.raises(RuntimeError, match="'gru_b.U_h'"):
-            opt.step()
-        after = opt.state_dict()
-        assert (after["t"], after["lr"]) == (before["t"], before["lr"])
+            opt.step(2, 0.01)
+        after = moments(opt)
         for n, t in p.trainable():
             assert np.array_equal(t.data, values[n]), n
             assert np.array_equal(after["m"][n], before["m"][n]), n
@@ -215,21 +216,22 @@ class TestFlatAdam:
         `.data` replaced after that would no longer be updated, so the
         step refuses."""
         w = ag.param(np.zeros(2), name="w")
-        opt = Adam([("w", w)], lr=0.1)
+        opt = Adam([("w", w)])
         w.data = np.ones(2)
         with pytest.raises(RuntimeError, match="replaced"):
-            opt.step()
+            opt.step(1, 0.1)
 
     def test_replaced_grad_refused(self):
         """`step` reads the gradients in `Adam.grad`; a `.grad` replaced
         after the optimizer took the parameter would go unread, so the step
         refuses and nothing moves."""
         w = ag.param(np.zeros(2), name="w")
-        opt = Adam([("w", w)], lr=0.1)
+        opt = Adam([("w", w)])
         w.grad = np.ones(2)
         with pytest.raises(RuntimeError, match="replaced"):
-            opt.step()
-        assert opt.t == 0 and np.array_equal(w.data, np.zeros(2))
+            opt.step(1, 0.1)
+        assert np.array_equal(w.data, np.zeros(2))
+        assert not opt.m["w"].any() and not opt.v["w"].any()
 
     def test_backward_keeps_grad_views(self, tiny_task):
         """A non-accumulating backward zeroes each parameter's gradient in
@@ -238,7 +240,7 @@ class TestFlatAdam:
         tr, _, _ = tiny_task
         p = init_params(4, tr.vocab.size, tr.vocab.n_answers,
                         np.random.default_rng(1))
-        opt = Adam(list(p.trainable()), lr=0.01)
+        opt = Adam(list(p.trainable()))
         views = {n: t.grad for n, t in p.trainable()}
         ag.backward(example_loss(tr.examples[0], p, tr.vocab, hops=1))
         once = opt.grad.copy()
@@ -414,10 +416,10 @@ class TestSingleStep:
         ex = tr.examples[0]
         p = init_params(4, tr.vocab.size, tr.vocab.n_answers,
                         np.random.default_rng(2))
-        opt = Adam(list(p.trainable()), lr=1e-4)
+        opt = Adam(list(p.trainable()))
         before = example_loss(ex, p, tr.vocab, hops=1)
         ag.backward(before)
-        opt.step()
+        opt.step(1, 1e-4)
         after = example_loss(ex, p, tr.vocab, hops=1)
         assert float(after.data) < float(before.data)
 
@@ -437,7 +439,7 @@ class TestSchedule:
         # only epoch-boundary evals (checkpoint_every > steps/epoch)
         res = self.run_scripted(tiny_task, [0.5, 0.4, 0.9], max_epochs=3)
         assert res.epochs_run == 2  # stopped after the drop
-        assert res.optimizer.lr == pytest.approx(0.001 / 2)
+        assert res.state.lr == pytest.approx(0.001 / 2)
         assert res.best_acc == 0.5
 
     def test_no_halving_before_one_epoch(self, tiny_task):
@@ -445,20 +447,20 @@ class TestSchedule:
         res = self.run_scripted(tiny_task, [0.5, 0.4, 0.6, 0.7, 0.8, 0.9],
                                 checkpoint_every=1, max_epochs=2)
         # the drop at step 2 happens with epochs_done=0: no halving
-        assert res.optimizer.lr == pytest.approx(0.001)
+        assert res.state.lr == pytest.approx(0.001)
         assert res.epochs_run == 2
 
     def test_mid_epoch_drop_halves_after_first_epoch(self, tiny_task):
         # rises through epoch 1, drops mid-epoch 2, recovers
         res = self.run_scripted(tiny_task, [0.1, 0.2, 0.3, 0.25, 0.35, 0.4],
                                 checkpoint_every=1, max_epochs=2)
-        assert res.optimizer.lr == pytest.approx(0.001 / 2)
+        assert res.state.lr == pytest.approx(0.001 / 2)
         assert res.epochs_run == 2  # epoch accs 0.3 -> 0.4 never dropped
 
     def test_monotone_improvement_runs_to_max_epochs(self, tiny_task):
         res = self.run_scripted(tiny_task, [0.3, 0.6, 0.9], max_epochs=3)
         assert res.epochs_run == 3
-        assert res.optimizer.lr == pytest.approx(0.001)
+        assert res.state.lr == pytest.approx(0.001)
         assert res.best_acc == 0.9
 
     def test_best_checkpoint_wins_not_last(self, tiny_task):
