@@ -22,7 +22,7 @@ from .model import (ModelParams, init_params,  # noqa: F401
                     make_params, param_shapes)
 from .train import Adam, RunState, TrainConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass

@@ -42,83 +42,65 @@ class Document:
 
 @dataclass
 class GRUParams:
-    """One direction of the encoder. `b_z` is the update-gate bias."""
-    W_z: Tensor
-    U_z: Tensor
-    b_z: Tensor
-    W_r: Tensor
-    U_r: Tensor
-    b_r: Tensor
-    W_h: Tensor
+    """Both directions of the encoder, direction d = 0 (forward) or 1
+    (backward) on the leading axis, each stored as the recurrence multiplies
+    it: `W` `(2, h_in, 3h)` is `[W_z | W_r | W_h]`, applied to input rows on
+    the right; `U_zr` `(2, 2h, h)` is `[U_z; U_r]` and `U_h` `(2, h, h)`,
+    applied to column states on the left; `b` `(2, 3h)` is
+    `[b_z | b_r | b_h]`, `b_z` the update-gate bias."""
+    W: Tensor
+    U_zr: Tensor
     U_h: Tensor
-    b_h: Tensor
+    b: Tensor
 
-    def named(self, prefix: str):
-        for f in ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h",
-                  "b_h"):
+    def named(self, prefix: str = "gru"):
+        for f in ("W", "U_zr", "U_h", "b"):
             yield f"{prefix}.{f}", getattr(self, f)
 
 
 # test reference for bigru_encode; benches/tracer.py patches encoder.gru_step
 def gru_step(xz: Tensor, xr: Tensor, xh: Tensor, l: int, h_prev: Tensor,
-             p: GRUParams) -> Tensor:
-    """One recurrence step as a single fused tape node.
+             p: GRUParams, d: int) -> Tensor:
+    """One recurrence step of direction `d` as a single fused tape node.
 
     `xz`, `xr`, `xh` are the whole-sequence input projections; row `l` feeds
     this step. Update gate z keeps the old state, reset gate r masks the old
-    state inside the candidate.
+    state inside the candidate. It reads and writes direction d's blocks of
+    `p`'s recurrent maps and biases.
     """
-    hp = h_prev.data
-    z = ag.stable_sigmoid(xz.data[l] + p.U_z.data @ hp + p.b_z.data)
-    r = ag.stable_sigmoid(xr.data[l] + p.U_r.data @ hp + p.b_r.data)
+    hp, h = h_prev.data, h_prev.data.shape[0]
+    U_z, U_r, U_h = p.U_zr.data[d, :h], p.U_zr.data[d, h:], p.U_h.data[d]
+    b_z, b_r, b_h = (p.b.data[d, i * h:(i + 1) * h] for i in range(3))
+    z = ag.stable_sigmoid(xz.data[l] + U_z @ hp + b_z)
+    r = ag.stable_sigmoid(xr.data[l] + U_r @ hp + b_r)
     rh = r * hp
-    c = np.tanh(xh.data[l] + p.U_h.data @ rh + p.b_h.data)
+    c = np.tanh(xh.data[l] + U_h @ rh + b_h)
     out = Tensor(z * hp + (1.0 - z) * c,
-                 parents=(xz, xr, xh, h_prev, p.U_z, p.U_r, p.U_h,
-                          p.b_z, p.b_r, p.b_h))
+                 parents=(xz, xr, xh, h_prev, p.U_zr, p.U_h, p.b))
 
     def bw(g):
         dz = g * (hp - c)
         da_c = (g * (1.0 - z)) * (1.0 - c * c)
         da_z = dz * z * (1.0 - z)
-        drh = p.U_h.data.T @ da_c
+        drh = U_h.T @ da_c
         da_r = (drh * hp) * r * (1.0 - r)
-        h_prev.grad += (g * z + drh * r
-                        + p.U_z.data.T @ da_z + p.U_r.data.T @ da_r)
+        h_prev.grad += g * z + drh * r + U_z.T @ da_z + U_r.T @ da_r
         xz.grad[l] += da_z
         xr.grad[l] += da_r
         xh.grad[l] += da_c
-        p.U_z.grad += np.outer(da_z, hp)
-        p.U_r.grad += np.outer(da_r, hp)
-        p.U_h.grad += np.outer(da_c, rh)
-        p.b_z.grad += da_z
-        p.b_r.grad += da_r
-        p.b_h.grad += da_c
+        p.U_zr.grad[d, :h] += np.outer(da_z, hp)
+        p.U_zr.grad[d, h:] += np.outer(da_r, hp)
+        p.U_h.grad[d] += np.outer(da_c, rh)
+        p.b.grad[d] += np.concatenate((da_z, da_r, da_c))
     out.backward_fn = bw
     return out
 
 
-def _input_weights(dirs):
-    """Both directions' input projections stacked on a leading axis,
-    `(2, h_in, 3h)` as `[W_z | W_r | W_h]`, and their biases `(2, 1, 3h)`."""
-    w = np.stack([np.concatenate((p.W_z.data, p.W_r.data, p.W_h.data), axis=1)
-                  for p in dirs])
-    bias = np.stack([np.concatenate((p.b_z.data, p.b_r.data, p.b_h.data))
-                     for p in dirs])[:, None]
-    return w, bias
-
-
-def _recurrent_maps(dirs):
+def _recurrent_maps(gru: GRUParams):
     """Both directions' recurrent maps `(2, h, 2h)` as `[U_z^T | U_r^T]`
     and `(2, h, h)` as `U_h^T`, applied to row states on the right: views
-    of the C-contiguous `[U_z; U_r]` and `U_h` stacks BPTT multiplies by,
-    filled in place rather than concatenated per direction."""
-    h = dirs[0].U_h.data.shape[0]
-    u_zr_t, u_h_t = np.empty((2, 2 * h, h)), np.empty((2, h, h))
-    for d, p in enumerate(dirs):
-        u_zr_t[d, :h], u_zr_t[d, h:], u_h_t[d] = (p.U_z.data, p.U_r.data,
-                                                  p.U_h.data)
-    return u_zr_t.transpose(0, 2, 1), u_h_t.transpose(0, 2, 1)
+    of the parameters, which BPTT multiplies by untransposed."""
+    return gru.U_zr.data.transpose(0, 2, 1), gru.U_h.data.transpose(0, 2, 1)
 
 
 def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
@@ -168,29 +150,26 @@ def _reversed(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def bigru_states(seqs, e_i: np.ndarray, fwd_params: GRUParams,
-                 bwd_params: GRUParams) -> np.ndarray:
+def bigru_states(seqs, e_i: np.ndarray, gru: GRUParams) -> np.ndarray:
     """The states of `bigru_encode` for B token-id sequences, without a
     tape: the same `(2, n+1, B, h)` layout and recurrence."""
     fwd, mask = padded(seqs)
     (B, n), lens = fwd.shape, mask.sum(axis=1)
     ids = np.stack((fwd.T, _reversed(fwd.T, lens)), axis=1)
-    dirs = (fwd_params, bwd_params)
-    w, bias = _input_weights(dirs)
     # each distinct token's input projection, (2, tokens, 3h), gathered per
     # step: projecting every (step, sequence) up front holds a (2, n, B, 3h)
     # array, which raised peak RSS at h=256 and ran slower there
     tokens, ids = np.unique(ids, return_inverse=True)
     ids = ids.reshape(n, 2, B)
     ids[:, 1] += len(tokens)  # the backward direction's half of the table
-    xw = (e_i[tokens] @ w + bias).reshape(2 * len(tokens), -1)
+    xw = (e_i[tokens] @ gru.W.data + gru.b.data[:, None]).reshape(
+        2 * len(tokens), -1)
     x = np.empty((2, B, xw.shape[1]))
     return _recurrence(lambda k: xw.take(ids[k], axis=0, out=x, mode="clip"),
-                       n, B, *_recurrent_maps(dirs))[0]
+                       n, B, *_recurrent_maps(gru))[0]
 
 
-def bigru_encode(embedded: Tensor, lens, fwd_params: GRUParams,
-                 bwd_params: GRUParams) -> Tensor:
+def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
     """Both directions over B embedded sequences as one tape node.
 
     `embedded` is the `(B, n, h_in)` `embed_sequence` node of B sequences
@@ -207,8 +186,9 @@ def bigru_encode(embedded: Tensor, lens, fwd_params: GRUParams,
     input gradients to gemms over every (step, sequence) row; pad steps
     receive no gradient, so they add exact zeros. It builds the
     gate-derivative factors in the gate-gradient buffer and spends the
-    saved candidates as scratch, so it runs once per node: the node keeps
-    no weight copy, and a second pass raises.
+    saved candidates as scratch, so it runs once per node, and a second
+    pass raises. The recurrent gemms read the parameters in place: neither
+    pass copies a weight.
     """
     # time-major `(n, B, h_in)`, no copy of an `embed_sequence` node
     x = np.ascontiguousarray(embedded.data.transpose(1, 0, 2))
@@ -218,18 +198,15 @@ def bigru_encode(embedded: Tensor, lens, fwd_params: GRUParams,
                          f"to {n} tokens")
     if lens.min() < 1:
         raise ValueError("cannot encode an empty sequence")
-    dirs = (fwd_params, bwd_params)
-    w, bias = _input_weights(dirs)
-    XW = np.empty((2, n, B, w.shape[-1]))
+    XW = np.empty((2, n, B, gru.W.data.shape[-1]))
     for d, xd in enumerate((x, _reversed(x, lens))):
-        np.matmul(xd.reshape(n * B, h_in), w[d],
+        np.matmul(xd.reshape(n * B, h_in), gru.W.data[d],
                   out=XW[d].reshape(n * B, -1))
-    XW += bias[:, None]
-    del w, xd  # before the recurrence allocates its states
-    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, *_recurrent_maps(dirs),
+    XW += gru.b.data[:, None, None]
+    del xd  # before the recurrence allocates its states
+    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, *_recurrent_maps(gru),
                            keep=True)
-    out = Tensor(H, parents=(embedded, *(t for p in dirs for _, t in
-                                         p.named(""))))
+    out = Tensor(H, parents=(embedded, gru.W, gru.U_zr, gru.U_h, gru.b))
 
     def bw(G):
         nonlocal ZR, C
@@ -250,39 +227,31 @@ def bigru_encode(embedded: Tensor, lens, fwd_params: GRUParams,
         np.multiply(Hp, R, out=da_r)
         da_r *= np.subtract(1.0, R, out=C)
         C = None
-        u_zr_t, u_h_t = (u.transpose(0, 2, 1) for u in _recurrent_maps(dirs))
+        U_zr, U_h = gru.U_zr.data, gru.U_h.data
         dh = np.zeros((2, B, h))
         for k in reversed(range(n)):
             g = G[:, k + 1] + dh
             da = DA[:, k]
             da[..., :h] *= g
-            drh = np.multiply(da[..., 2 * h:], g, out=da[..., 2 * h:]) @ u_h_t
+            drh = np.multiply(da[..., 2 * h:], g, out=da[..., 2 * h:]) @ U_h
             da[..., h:2 * h] *= drh
-            dh = g * Z[:, k] + drh * R[:, k] + da[..., :2 * h] @ u_zr_t
-        del u_zr_t, u_h_t, g, dh, drh
+            dh = g * Z[:, k] + drh * R[:, k] + da[..., :2 * h] @ U_zr
+        del g, dh, drh
         # the weight gradients as gemms over every (step, sequence) row
         rows = np.empty((n, B, h))  # hp, then r * hp, of one direction
         d_x = embedded.grad.transpose(1, 0, 2)
-        for d, p in enumerate(dirs):
+        for d in range(2):
             da = DA[d].reshape(n * B, 3 * h)
             # each gradient product freed before the next is made
             np.copyto(rows, Hp[d])
-            d_w = da[:, :2 * h].T @ rows.reshape(n * B, h)
-            p.U_z.grad += d_w[:h]
-            p.U_r.grad += d_w[h:]
-            del d_w
+            gru.U_zr.grad[d] += da[:, :2 * h].T @ rows.reshape(n * B, h)
             np.multiply(R[d], Hp[d], out=rows)
-            p.U_h.grad += da[:, 2 * h:].T @ rows.reshape(n * B, h)
+            gru.U_h.grad[d] += da[:, 2 * h:].T @ rows.reshape(n * B, h)
             xd = (x if d == 0 else _reversed(x, lens)).reshape(n * B, h_in)
-            d_w, d_b = xd.T @ da, da.sum(axis=0)
+            gru.W.grad[d] += xd.T @ da
             del xd
-            for i, (wt, bt) in enumerate(((p.W_z, p.b_z), (p.W_r, p.b_r),
-                                          (p.W_h, p.b_h))):
-                wt.grad += d_w[:, i * h:(i + 1) * h]
-                bt.grad += d_b[i * h:(i + 1) * h]
-            del d_w
-            dx = (da @ np.concatenate((p.W_z.data, p.W_r.data, p.W_h.data),
-                                      axis=1).T).reshape(n, B, h_in)
+            gru.b.grad[d] += da.sum(axis=0)
+            dx = (da @ gru.W.data[d].T).reshape(n, B, h_in)
             d_x += dx if d == 0 else _reversed(dx, lens)
             del dx
         ZR = None

@@ -252,7 +252,7 @@ def forward_batch(examples, params: ModelParams, vocab, hops: int):
     candidate scores and probabilities, K the largest candidate count, with
     -inf scores and zero probabilities on the pads."""
     states = bigru_states([ex.encoder_input() for ex in examples],
-                          params.E_i.data, params.gru_f, params.gru_b)
+                          params.E_i.data, params.gru)
     sb = build_support_batch(examples, params, answer_row=vocab.answer_row,
                              states=ag.constant(states))
     scores = run_hops_batch(sb, params, hops)[0].data

@@ -122,7 +122,7 @@ def encode_batch(examples, params: ModelParams, *, dropout_rate: float = 0.0,
     ids, mask = padded([ex.encoder_input() for ex in examples])
     lens = mask.sum(axis=1)
     return bigru_encode(embed_sequence(ids, lens, params.E_i, dropout_rate,
-                                       rng), lens, params.gru_f, params.gru_b)
+                                       rng), lens, params.gru)
 
 
 @dataclass

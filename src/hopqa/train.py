@@ -347,9 +347,6 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
         if resume.vocab != vocab:
             raise ConfigError("checkpoint vocab differs from the training "
                               "data's; resume on the data the run used")
-        state = replace(resume.run)
-        params = make_params({n: t.data.copy() for n, t in
-                              resume.params.named()}, *dims)
         old, new = asdict(resume.config), asdict(config)
         drift = [f"{k} {old[k]!r} -> {new[k]!r}" for k in new
                  if k != "max_epochs" and new[k] != old[k]]
@@ -357,6 +354,9 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
             raise ConfigError(f"config differs from the checkpoint's: "
                               f"{', '.join(drift)}; a resumed run keeps its "
                               f"config, only max_epochs may change")
+        state = replace(resume.run)
+        params = make_params({n: t.data.copy() for n, t in
+                              resume.params.named()}, *dims)
         rng.bit_generator.state = state.rng_state
     opt = Adam(list(params.trainable()))
     if resume is not None:

@@ -13,11 +13,32 @@ def pytest_configure(config):
 
 
 def zero_gru(h: int) -> GRUParams:
-    def z():
-        return ag.param(np.zeros((h, h)))
-    return GRUParams(W_z=z(), U_z=z(), b_z=ag.param(np.zeros(h)),
-                     W_r=z(), U_r=z(), b_r=ag.param(np.zeros(h)),
-                     W_h=z(), U_h=z(), b_h=ag.param(np.zeros(h)))
+    return GRUParams(*(ag.param(np.zeros(s)) for s in (
+        (2, h, 3 * h), (2, 2 * h, h), (2, h, h), (2, 3 * h))))
+
+
+def gru_gates(gru: GRUParams, d: int) -> dict[str, np.ndarray]:
+    """Direction d's per-gate arrays, as views of the stacked parameters
+    under the names and in the order one `GRUParams` per direction had
+    them: `W_z` is `x @ W_z`'s matrix, `U_z` is `U_z @ h`'s, and so on."""
+    h = gru.U_h.data.shape[-1]
+    W, U_zr, U_h, b = (t.data[d] for _, t in gru.named())
+    return {"W_z": W[:, :h], "U_z": U_zr[:h], "b_z": b[:h],
+            "W_r": W[:, h:2 * h], "U_r": U_zr[h:], "b_r": b[h:2 * h],
+            "W_h": W[:, 2 * h:], "U_h": U_h, "b_h": b[2 * h:]}
+
+
+def named_per_gate(params: ModelParams):
+    """`params.named()` as (name, array) pairs with the GRU as per-gate
+    views under the names and in the order the parameter set had before
+    the GRU was stacked: gru_f.W_z ... gru_f.b_h, then gru_b's."""
+    for name, t in params.named():
+        if name == "gru.W":
+            for d, prefix in enumerate(("gru_f", "gru_b")):
+                for gate, a in gru_gates(params.gru, d).items():
+                    yield f"{prefix}.{gate}", a
+        elif not name.startswith("gru."):
+            yield name, t.data
 
 
 def hand_params(h: int, vocab_size: int = 4, n_answers: int = 2,
@@ -45,7 +66,7 @@ def hand_params(h: int, vocab_size: int = 4, n_answers: int = 2,
     return ModelParams(
         h=h, vocab_size=vocab_size, n_answers=n_answers,
         identity_eo=identity_eo,
-        gru_f=zero_gru(h), gru_b=zero_gru(h),
+        gru=zero_gru(h),
         **{k: ag.param(v, name=k) for k, v in fields.items()})
 
 

@@ -19,7 +19,7 @@ from hopqa.model import init_params
 from hopqa.support import Example
 from hopqa.train import TrainConfig, train, evaluate
 
-from conftest import hand_params
+from conftest import gru_gates, hand_params
 
 
 @pytest.fixture
@@ -118,16 +118,16 @@ def oracle_forward(ex, p, vocab, hops):
     emb = npd(p.E_i)[full]
 
     def gru(direction, order):
-        g = p.gru_f if direction == "f" else p.gru_b
+        g = gru_gates(p.gru, 0 if direction == "f" else 1)
         h = np.zeros(p.h)
         states = {}
         for l in order:
             x = emb[l]
-            z = 1.0 / (1.0 + np.exp(-(x @ npd(g.W_z) + npd(g.U_z) @ h
-                                      + npd(g.b_z))))
-            r = 1.0 / (1.0 + np.exp(-(x @ npd(g.W_r) + npd(g.U_r) @ h
-                                      + npd(g.b_r))))
-            c = np.tanh(x @ npd(g.W_h) + npd(g.U_h) @ (r * h) + npd(g.b_h))
+            z = 1.0 / (1.0 + np.exp(-(x @ g["W_z"] + g["U_z"] @ h
+                                      + g["b_z"])))
+            r = 1.0 / (1.0 + np.exp(-(x @ g["W_r"] + g["U_r"] @ h
+                                      + g["b_r"])))
+            c = np.tanh(x @ g["W_h"] + g["U_h"] @ (r * h) + g["b_h"])
             h = z * h + (1.0 - z) * c
             states[l] = h
         return states

@@ -20,6 +20,8 @@ from hopqa.encoder import bigru_states
 from hopqa.model import init_params
 from hopqa.support import encode_batch
 
+from conftest import named_per_gate
+
 TOL = 1e-12
 
 
@@ -113,9 +115,9 @@ def test_one_epoch_bit_exact(monkeypatch, name):
     losses, res = recorded_run(monkeypatch, train_set, max_epochs=1, **cfg)
     assert len(losses) == n
     digest = hashlib.sha256(np.array(losses).tobytes())
-    for param_name, t in res.final_params.named():
+    for param_name, a in named_per_gate(res.final_params):
         digest.update(param_name.encode())
-        digest.update(t.data.tobytes())
+        digest.update(a.tobytes())
     assert digest.hexdigest() == want
 
 
@@ -149,7 +151,7 @@ def test_bigru_encode_states_match_bigru_states(mixed):
     seqs = [ex.encoder_input() for ex in exs]
     assert len({len(s) for s in seqs}) > 1
     states = encode_batch(exs, params)
-    want = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
+    want = bigru_states(seqs, params.E_i.data, params.gru)
     assert states.data.shape == want.shape
     for b, s in enumerate(seqs):
         np.testing.assert_allclose(states.data[:, :len(s) + 1, b],

@@ -64,8 +64,7 @@ def params_for(dataset, identity_eo, h=8, seed=0):
 def eval_states(examples, params):
     """The tape-free biGRU states that `forward_batch` reads."""
     return ag.constant(bigru_states([ex.encoder_input() for ex in examples],
-                                    params.E_i.data, params.gru_f,
-                                    params.gru_b))
+                                    params.E_i.data, params.gru))
 
 
 def zero_grads(params):

@@ -4,6 +4,7 @@ layout of the checked-in BENCH files: fed the per-run values of
 and gaps."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,3 +132,36 @@ def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
     assert calls == [("train-h256", 1)] * 2 + [("train-h256", 2)] * 2
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert list(doc["workloads"]) == ["train-h256"]
+    assert doc["checkouts"]["after"] == {"checkout": str(tmp_path.resolve()),
+                                         "tree": "not a git checkout"}
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                    "-c", "user.email=t@example.com", *args],
+                   check=True, capture_output=True)
+
+
+def test_tree_state(tmp_path):
+    """A committed tree reads as its commit, an edited or added file marks
+    it uncommitted, and neither a plain directory nor a directory inside a
+    repository is a checkout of its own."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "a")
+    sha = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"],
+                         capture_output=True, text=True).stdout.strip()
+    assert len(sha) == 40
+    assert bench_pairs.tree_state(repo) == sha
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.tree_state(repo) == f"{sha} + uncommitted changes"
+    git(repo, "checkout", "-q", "--", "src/a.py")
+    (repo / "new.py").write_text("")
+    assert bench_pairs.tree_state(repo) == f"{sha} + uncommitted changes"
+    assert bench_pairs.tree_state(repo / "src") == "not a git checkout"
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.tree_state(plain) == "not a git checkout"

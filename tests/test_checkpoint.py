@@ -176,10 +176,11 @@ class TestAtomicWrite:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_version(self, tiny, tmp_path, version):
         """Version 1 kept the step count and learning rate in an
-        `optimizer` header part; no reader is kept for it."""
+        `optimizer` header part, and versions 1 and 2 stored the GRU as
+        nine per-gate arrays per direction; no reader is kept for them."""
         config, params, vocab, _ = make_state(tiny, with_opt=False)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, config=config, params=params, vocab=vocab)
@@ -260,7 +261,7 @@ class TestNonFinite:
     evaluation print a wrong accuracy, or training resume from garbage, with
     exit 0; each is refused naming the file and the array or key."""
 
-    @pytest.mark.parametrize("key", ["param/W_q", "param/gru_b.U_h",
+    @pytest.mark.parametrize("key", ["param/W_q", "param/gru.U_h",
                                      "adam_m/E_i", "adam_v/b_a", "best/U_q_c"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_array_refused(self, tiny, tmp_path, key, value):

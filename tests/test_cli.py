@@ -238,7 +238,7 @@ class TestTrain:
                      "--data", str(workdir / "data"),
                      "--resume", str(workdir / "run" / "last.ckpt"),
                      "--out", str(tmp_path / "run")]) == 2
-        assert "'E_i' has shape (17, 4), expected (17, 8)" in \
+        assert "config differs from the checkpoint's: h 4 -> 8;" in \
             capsys.readouterr().err
 
     def test_resume_config_drift_exit_2(self, workdir, tmp_path, capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hopqa import autograd as ag
-from hopqa.encoder import (bigru_encode, column_span_queries, embed_sequence,
-                           gru_step, init_wq)
+from hopqa.encoder import (GRUParams, _recurrent_maps, bigru_encode,
+                           column_span_queries, embed_sequence, gru_step,
+                           init_wq)
 from hopqa.exceptions import ConfigError
 from hopqa.model import init_params
 
-from conftest import zero_gru
+from conftest import gru_gates, zero_gru
 
 
 def embed_one(ids, e_i, *args):
@@ -95,13 +96,12 @@ class TestEmbedSequence:
 
 def encode_one(ids, params):
     """A lone token-id sequence as a batch of one: states `[d, k, 0]`."""
-    return bigru_encode(embed_one(ids, params.E_i), [len(ids)], params.gru_f,
-                        params.gru_b)
+    return bigru_encode(embed_one(ids, params.E_i), [len(ids)], params.gru)
 
 
-def encode_rows(x, gru_f, gru_b):
+def encode_rows(x, gru):
     """A lone sequence of `(n, h)` input rows as a batch of one."""
-    return bigru_encode(ag.constant(x[None]), [len(x)], gru_f, gru_b)
+    return bigru_encode(ag.constant(x[None]), [len(x)], gru)
 
 
 class TestBigru:
@@ -115,8 +115,8 @@ class TestBigru:
     def test_zero_weights_update_bias_keeps_state_near_zero(self):
         h = 3
         gru = zero_gru(h)
-        gru.b_z.data[...] = 1.0
-        states = encode_rows(np.ones((4, h)), gru, zero_gru(h))
+        gru_gates(gru, 0)["b_z"][...] = 1.0
+        states = encode_rows(np.ones((4, h)), gru)
         # update gate sigmoid(1) ~ 0.73 keeps the zero state; candidate is 0
         for l in range(1, 5):
             assert np.allclose(states.data[0, l, 0], 0.0)
@@ -125,9 +125,9 @@ class TestBigru:
         # one token, all weights zero except candidate input path W_h = I
         h = 2
         gru = zero_gru(h)
-        gru.W_h.data[...] = np.eye(h)
+        gru_gates(gru, 0)["W_h"][...] = np.eye(h)
         x = np.array([[0.5, -1.0]])
-        states = encode_rows(x, gru, zero_gru(h))
+        states = encode_rows(x, gru)
         # z = sigmoid(0) = 0.5, r = 0.5, c = tanh(x), h = 0.5*tanh(x)
         assert np.allclose(states.data[0, 1, 0], 0.5 * np.tanh(x[0]))
 
@@ -136,8 +136,7 @@ class TestBigru:
         params = init_params(h, 6, 2, rng)
         doc = [1, 3, 5, 0, 2]
         weight = rng.normal(size=2 * (n + 1) * h)
-        gru_tensors = [t for _, t in params.gru_f.named("f")] + \
-                      [t for _, t in params.gru_b.named("b")]
+        gru_tensors = [t for _, t in params.gru.named()]
 
         def f():
             states = encode_one(doc, params)
@@ -154,9 +153,8 @@ class TestBigru:
         doc = [1, 3, 5, 0, 2, 4]
         positions = [4, 1, 2, 6, 2]
         weight = rng.normal(size=(len(positions), h))
-        tensors = ([params.E_i, params.W_q]
-                   + [t for _, t in params.gru_f.named("f")]
-                   + [t for _, t in params.gru_b.named("b")])
+        tensors = [params.E_i, params.W_q] + [t for _, t in
+                                              params.gru.named()]
 
         def f():
             states = encode_one(doc, params)
@@ -167,26 +165,33 @@ class TestBigru:
 
         assert ag.grad_check(f, tensors, eps=1e-4) < 1e-5
         ag.backward(f())
-        for _, t in params.gru_b.named("b"):
-            assert np.any(t.grad != 0.0)
+        grads = GRUParams(*(ag.constant(t.grad) for _, t in
+                            params.gru.named()))
+        for name, g in gru_gates(grads, 1).items():
+            assert np.any(g != 0.0), name
 
 
-def step_chain(emb, p, reverse):
-    """Reference: one `gru_step` node per position, states in reading order
-    with the zero initial state first."""
-    n, h = emb.data.shape[0], p.U_z.data.shape[0]
-    xz, xr, xh = (ag.matmul(emb, w) for w in (p.W_z, p.W_r, p.W_h))
+def step_chain(emb, p, d):
+    """Reference: one `gru_step` node per position of direction d (1 reads
+    right to left), states in reading order with the zero initial state
+    first. The inputs are projected through per-gate copies of d's `W`
+    blocks, returned second: `gru_step` writes the other gradients into
+    `p` itself."""
+    n, h = emb.data.shape[0], p.U_h.data.shape[-1]
+    gates = gru_gates(p, d)
+    w = [ag.param(gates[f].copy()) for f in ("W_z", "W_r", "W_h")]
+    xz, xr, xh = (ag.matmul(emb, t) for t in w)
     state = ag.constant(np.zeros(h))
     states = [state]
-    for l in (range(n - 1, -1, -1) if reverse else range(n)):
-        state = gru_step(xz, xr, xh, l, state, p)
+    for l in (range(n - 1, -1, -1) if d else range(n)):
+        state = gru_step(xz, xr, xh, l, state, p, d)
         states.append(state)
-    return states
+    return states, w
 
 
 def random_gru(h, rng):
-    p = init_params(h, 4, 2, rng).gru_f
-    for _, t in p.named("p"):
+    p = init_params(h, 4, 2, rng).gru
+    for _, t in p.named():
         t.data[...] = rng.normal(size=t.data.shape)
     return p
 
@@ -203,34 +208,44 @@ def grads_of(loss, tensors):
     return grads
 
 
-def assert_node_matches_chains(embs, dirs, weights):
+def assert_node_matches_chains(embs, gru, weights):
     """One `bigru_encode` node over `embs`, padded into one `(B, n, h)`
     input, against one `step_chain` per sequence and direction: each
     column's states to 1e-12 and, under the loss sum(weights * states), the
-    gradients of every input and of all 9 weights per direction to 1e-10;
-    pad input rows get exact zeros. `weights` is zero past each column's
-    own length. Returns the node's gradients, the padded input's first."""
+    gradients of every input and of the 4 stacked weights to 1e-10, the
+    chains' `W` gradient assembled from their per-gate copies; pad input
+    rows get exact zeros. `weights` is zero past each column's own length.
+    Returns the node's gradients, the padded input's first."""
     lens = [e.data.shape[0] for e in embs]
     padded = ag.param(np.zeros((len(embs), max(lens), embs[0].data.shape[1])))
     for b, e in enumerate(embs):
         padded.data[b, :lens[b]] = e.data
-    weight_params = [t for p in dirs for _, t in p.named("p")]
-    node = bigru_encode(padded, lens, *dirs)
+    weight_params = [t for _, t in gru.named()]
+    node = bigru_encode(padded, lens, gru)
     got_g = grads_of(weighted_sum(node, weights), [padded] + weight_params)
-    terms = []
+    terms, copies = [], []
     for b, emb in enumerate(embs):
         n = emb.data.shape[0]
-        for d, p in enumerate(dirs):
-            rows = step_chain(emb, p, reverse=bool(d))
+        for d in range(2):
+            rows, w = step_chain(emb, gru, d)
+            copies.append((d, w))
             want = np.stack([r.data for r in rows])
             assert np.max(np.abs(node.data[d, :n + 1, b] - want)) < 1e-12
             terms.append(weighted_sum(ag.stack_rows(rows),
                                       weights[d, :n + 1, b]))
-    want_g = grads_of(reduce(ag.add, terms), list(embs) + weight_params)
+    E = len(embs)
+    want_g = grads_of(reduce(ag.add, terms), list(embs) + weight_params[1:]
+                      + [t for _, w in copies for t in w])
+    # each chain's W_z, W_r, W_h copies, side by side in its direction's W
+    want_w = np.zeros_like(gru.W.data)
+    for k, (d, _) in enumerate(copies):
+        want_w[d] += np.concatenate(want_g[E + 3 + 3 * k:E + 6 + 3 * k],
+                                    axis=1)
     for b, n in enumerate(lens):
         assert np.max(np.abs(got_g[0][b, :n] - want_g[b])) < 1e-10, b
         assert not np.any(got_g[0][b, n:]), b
-    for k, (g1, g2) in enumerate(zip(got_g[1:], want_g[len(embs):])):
+    want_weights = [want_w] + want_g[E:E + 3]
+    for k, (g1, g2) in enumerate(zip(got_g[1:], want_weights, strict=True)):
         assert np.max(np.abs(g1 - g2)) < 1e-10, k
     return got_g
 
@@ -245,44 +260,51 @@ class TestGruSequence:
         """A batch of one, the loss reading one direction: the other
         direction's weights get exactly zero gradient."""
         rng = np.random.default_rng(100 * n + 10 * h + reverse)
-        dirs = (random_gru(h, rng), random_gru(h, rng))
+        gru = random_gru(h, rng)
         emb = ag.param(rng.normal(size=(n, h)))
         weights = np.zeros((2, n + 1, 1, h))
         weights[int(reverse)] = rng.normal(size=(n + 1, 1, h))
-        grads = assert_node_matches_chains([emb], dirs, weights)
-        other = grads[1:10] if reverse else grads[10:]
-        assert not any(np.any(g) for g in other)
+        grads = assert_node_matches_chains([emb], gru, weights)
+        assert not any(np.any(g[1 - int(reverse)]) for g in grads[1:])
 
     def test_mixed_length_batch_matches_per_column_chains(self):
         """Three sequences of lengths 4, 1 and 6 in one node: each column
         is held to its own chains, and a pad step adds nothing."""
         rng = np.random.default_rng(7)
         h, lens = 3, (4, 1, 6)
-        dirs = (random_gru(h, rng), random_gru(h, rng))
+        gru = random_gru(h, rng)
         embs = [ag.param(rng.normal(size=(n, h))) for n in lens]
         weights = np.zeros((2, max(lens) + 1, len(lens), h))
         for b, n in enumerate(lens):
             weights[:, :n + 1, b] = rng.normal(size=(2, n + 1, h))
-        assert_node_matches_chains(embs, dirs, weights)
+        assert_node_matches_chains(embs, gru, weights)
 
     def test_one_node_for_both_directions(self, rng):
         params = init_params(3, 6, 2, rng)
         emb = embed_one([1, 2, 3, 4], params.E_i)
-        states = bigru_encode(emb, [4], params.gru_f, params.gru_b)
-        weights = [t for p in (params.gru_f, params.gru_b)
-                   for _, t in p.named("")]
+        states = bigru_encode(emb, [4], params.gru)
+        gru = params.gru
         assert states.parents[0] is emb
-        assert len(states.parents) == 1 + len(weights) == 19
-        assert all(a is b for a, b in zip(states.parents[1:], weights))
+        assert len(states.parents) == 5
+        assert all(a is b for a, b in zip(
+            states.parents[1:], (gru.W, gru.U_zr, gru.U_h, gru.b)))
         assert states.data.shape == (2, 5, 1, 3)
+
+    def test_recurrent_maps_are_parameter_views(self, rng):
+        """The recurrence multiplies by the parameters themselves: no call
+        copies the recurrent maps."""
+        gru = init_params(3, 6, 2, rng).gru
+        u_zr, u_h = _recurrent_maps(gru)
+        assert np.shares_memory(u_zr, gru.U_zr.data)
+        assert np.shares_memory(u_h, gru.U_h.data)
 
     def test_empty_sequence_rejected(self, rng):
         params = init_params(3, 6, 2, rng)
         emb = embed_sequence([[1, 2], [0, 0]], [2, 0], params.E_i)
         with pytest.raises(ValueError, match="empty sequence"):
-            bigru_encode(emb, [2, 0], params.gru_f, params.gru_b)
+            bigru_encode(emb, [2, 0], params.gru)
         with pytest.raises(ValueError, match="padded to 2 tokens"):
-            bigru_encode(emb, [2, 3], params.gru_f, params.gru_b)
+            bigru_encode(emb, [2, 3], params.gru)
 
     def test_backward_runs_once(self, rng):
         """The backward pass spends the saved candidates: a second pass
@@ -300,8 +322,8 @@ class TestGruSequence:
         params = init_params(3, 6, 2, rng)
         states = encode_one([1, 2, 3], params)
         emb = ag.gather_rows(params.E_i, [1, 2, 3])
-        fwd = step_chain(emb, params.gru_f, False)
-        bwd = step_chain(emb, params.gru_b, True)
+        fwd = step_chain(emb, params.gru, 0)[0]
+        bwd = step_chain(emb, params.gru, 1)[0]
         assert states.data.shape[1] == 4
         for k in range(4):
             assert np.allclose(states.data[0, k, 0], fwd[k].data)
@@ -321,7 +343,7 @@ def encoded(rng, *lens, h=3):
     params = init_params(h, 6, 2, rng)
     ids = rng.integers(0, 6, size=(len(lens), max(lens)))
     emb = embed_sequence(ids, lens, params.E_i)
-    return params, bigru_encode(emb, lens, params.gru_f, params.gru_b)
+    return params, bigru_encode(emb, lens, params.gru)
 
 
 class TestSpanQuery:

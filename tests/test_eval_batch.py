@@ -134,11 +134,11 @@ def test_bigru_states_rows_match_bigru_encode(mixed):
     alone, in both directions."""
     params = params_for(mixed, 4, False, 3)
     seqs = [ex.document.symbols for ex in mixed.examples[:5]]
-    H = bigru_states(seqs, params.E_i.data, params.gru_f, params.gru_b)
+    H = bigru_states(seqs, params.E_i.data, params.gru)
     assert H.shape == (2, max(map(len, seqs)) + 1, 5, 4)
     for b, s in enumerate(seqs):
         alone = bigru_encode(embed_sequence([s], [len(s)], params.E_i),
-                             [len(s)], params.gru_f, params.gru_b)
+                             [len(s)], params.gru)
         np.testing.assert_allclose(H[:, :len(s) + 1, b], alone.data[:, :, 0],
                                    rtol=TOL, atol=TOL)
 

@@ -124,7 +124,7 @@ class TestBuildSupport:
         emb_ids = doc.symbols + [T2I["@sep"]] + query.symbols
         states = bigru_encode(embed_sequence([emb_ids], [len(emb_ids)],
                                              p.E_i), [len(emb_ids)],
-                              p.gru_f, p.gru_b)
+                              p.gru)
         # h^b_2 is backward row n+1-2 = 2 of the n = 3 token sequence
         assert np.allclose(sup.z.data[0], states.data[1, 2, 0])
 
@@ -172,6 +172,22 @@ def support_loss(sup, rng):
     return ag.add(ag.add(terms[0], terms[1]), ag.add(terms[2], terms[3]))
 
 
+class Direction:
+    """Direction d's block of a stacked GRU parameter, as `ag.grad_check`
+    reads a parameter: its `data`, perturbed in place, and its `grad`."""
+
+    def __init__(self, t, d):
+        self.t, self.d, self.name = t, d, f"{t.name}[{d}]"
+
+    @property
+    def data(self):
+        return self.t.data[self.d]
+
+    @property
+    def grad(self):
+        return None if self.t.grad is None else self.t.grad[self.d]
+
+
 class TestSupportMatrices:
     def test_gradients_match_finite_differences(self, rng):
         """Through all of `build_support` to W_q, E_i and E_o (and the
@@ -188,7 +204,8 @@ class TestSupportMatrices:
             sup = build_support(ex, p, answer_row=answer_row)
             return support_loss(sup, np.random.default_rng(1))
 
-        tensors = [p.W_q, p.E_i, p.E_o] + [t for _, t in p.gru_b.named("b")]
+        tensors = [p.W_q, p.E_i, p.E_o] + [Direction(t, 1)
+                                           for _, t in p.gru.named()]
         assert ag.grad_check(f, tensors, eps=1e-5) < 1e-6
         ag.backward(f())
         for t in (p.W_q, p.E_i, p.E_o):
@@ -258,7 +275,7 @@ class TestStacked:
         symbols = ex.document.symbols + [T2I["@sep"]] + ex.query.symbols
         states = bigru_encode(embed_sequence([symbols], [len(symbols)],
                                              p.E_i), [len(symbols)],
-                              p.gru_f, p.gru_b)
+                              p.gru)
         n = len(symbols)
         q_pos = len(ex.document) + 1 + ex.query.placeholder_pos
         for k, l in enumerate(sup.positions):

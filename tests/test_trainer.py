@@ -13,6 +13,8 @@ from hopqa.train import (EVAL_BUDGET, TRAIN_BUDGET, Adam, TrainConfig,
                          chunk_size, evaluate, example_loss, loss_from_scores,
                          train)
 
+from conftest import gru_gates, named_per_gate
+
 
 @pytest.fixture(scope="module")
 def tiny_task():
@@ -202,8 +204,8 @@ class TestFlatAdam:
         opt.step(1, 0.01)
         before = moments(opt)
         values = {n: t.data.copy() for n, t in p.trainable()}
-        p.gru_b.U_h.grad[1, 2] = np.nan
-        with pytest.raises(RuntimeError, match="'gru_b.U_h'"):
+        p.gru.U_h.grad[1, 1, 2] = np.nan
+        with pytest.raises(RuntimeError, match="'gru.U_h'"):
             opt.step(2, 0.01)
         after = moments(opt)
         for n, t in p.trainable():
@@ -318,16 +320,16 @@ class TestInitStatistics:
 
     def test_update_gate_bias_ones(self):
         p = init_params(8, 20, 5, np.random.default_rng(0))
-        for gru in (p.gru_f, p.gru_b):
-            assert np.array_equal(gru.b_z.data, np.ones(8))
-            assert np.array_equal(gru.b_r.data, np.zeros(8))
-            assert np.array_equal(gru.b_h.data, np.zeros(8))
+        for gru in (gru_gates(p.gru, 0), gru_gates(p.gru, 1)):
+            assert np.array_equal(gru["b_z"], np.ones(8))
+            assert np.array_equal(gru["b_r"], np.zeros(8))
+            assert np.array_equal(gru["b_h"], np.zeros(8))
 
     def test_glorot_bounds(self):
         h = 8
         p = init_params(h, 20, 5, np.random.default_rng(0))
         bound = np.sqrt(6.0 / (h + h))
-        assert np.max(np.abs(p.gru_f.U_z.data)) <= bound
+        assert np.max(np.abs(gru_gates(p.gru, 0)["U_z"])) <= bound
 
     def test_wq_noisy_stacked_identity(self):
         p = init_params(8, 20, 5, np.random.default_rng(0))
@@ -345,16 +347,18 @@ class TestMakeParams:
     def test_init_draws_pinned(self):
         """Digest of every parameter's name, shape and bytes, recorded from
         the code that drew and wrapped each tensor one by one: the draw
-        order E_i, E_o, gru_f, gru_b, W_q, U_q_c, U_q_g, U_a_q, u_a_g."""
+        order E_i, E_o, gru_f, gru_b, W_q, U_q_c, U_q_g, U_a_q, u_a_g. The
+        GRU is digested as per-gate views under its old names."""
         digest = hashlib.sha256()
         for identity_eo in (False, True):
             p = init_params(5, 11, 4, np.random.default_rng(123),
                             identity_eo=identity_eo, embed_init_stddev=0.3)
             for name, t in p.named():
                 assert t.name == name
+            for name, a in named_per_gate(p):
                 digest.update(name.encode())
-                digest.update(str(t.data.shape).encode())
-                digest.update(t.data.tobytes())
+                digest.update(str(a.shape).encode())
+                digest.update(a.tobytes())
         assert digest.hexdigest() == ("09309d8825837db9895b6a1e6774ba9a"
                                       "9a3110a83e2062f4021072edd30ae729")
 

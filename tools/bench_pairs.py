@@ -11,8 +11,9 @@ each checkout, strictly one process at a time: the parent first on even
 seeds, the change first on odd ones, so that slow drift of a shared host
 falls on both sides alike. The file records every run's end-to-end values,
 the quartiles and median of each side, the pairs the change won, the
-operations attempted and failed on each side, and the provenance the runs
-printed. Each checkout runs its own `src/` with its own `benches/`.
+operations attempted and failed on each side, each side's checkout and git
+state, and the provenance the runs printed. Each checkout runs its own
+`src/` with its own `benches/`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,24 @@ def pick_workloads(names: list[str], text: str | None) -> list[str]:
         raise ValueError(f"unknown workload {unknown[0]!r}; choose from "
                          f"{', '.join(names)}")
     return picked
+
+
+def tree_state(checkout: Path) -> str:
+    """The git state of the tree in `checkout`, read before any run:
+    `<sha>`, `<sha> + uncommitted changes` (untracked files included), or
+    `not a git checkout` when `checkout` is not itself the top of a git
+    work tree, as a `git archive` copy inside another repository is not."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    if (top.returncode != 0
+            or Path(top.stdout.strip()).resolve() != checkout.resolve()):
+        return "not a git checkout"
+    sha = git("rev-parse", "HEAD").stdout.strip()
+    return (f"{sha} + uncommitted changes"
+            if git("status", "--porcelain").stdout.strip() else sha)
 
 
 def run_once(checkout: Path, command, workload: str, seed: int,
@@ -168,6 +187,11 @@ def main(argv=None) -> int:
                   f"seeds, change first on odd seeds; one process at a time, "
                   f"each side in its own checkout (tools/bench_pairs.py)",
         "parent": "before", "change": "after",
+        # a run's own `git_commit` reads the checkout's `.git/HEAD`, which
+        # names neither uncommitted changes nor an archived copy
+        "checkouts": {s: {"checkout": str(c.resolve()),
+                          "tree": tree_state(c)}
+                      for s, c in checkouts.items()},
         "workloads": {},
     }
     for w in workloads:
@@ -193,7 +217,6 @@ def main(argv=None) -> int:
                                                  "blas", "blas_threads")}
             doc["host"]["blas_threads_set_by"] = first["blas_threads_set_by"]
         doc["workloads"][w]["provenance"] = {s: {
-            "git_commit": sorted({v["git_commit"] or "" for v in prov[s]}),
             "src_sha256": sorted({v["src_sha256"] for v in prov[s]}),
             "loadavg_1m_before": [v["loadavg_1m_before"] for v in prov[s]],
         } for s in SIDES}
