@@ -87,14 +87,16 @@ def _finite(npz, path, key: str) -> np.ndarray:
 
 
 def _arrays(npz, path, prefix: str, shapes: dict) -> dict[str, np.ndarray]:
-    """The `<prefix>/<name>` array of every name in `shapes`; a missing,
-    misshapen or non-finite one is a `DataError` naming the file and it."""
+    """The `<prefix>/<name>` array of every name in `shapes`, read-only; a
+    missing, misshapen or non-finite one is a `DataError` naming the file
+    and it."""
     out = {}
     for name, shape in shapes.items():
         key = f"{prefix}/{name}"
         if key not in npz.files:
             raise DataError(f"{path}: checkpoint lacks array {key}")
         out[name] = _finite(npz, path, key)
+        out[name].setflags(write=False)
         if out[name].shape != shape:
             raise DataError(f"{path}: checkpoint array {key} has shape "
                             f"{out[name].shape}, expected {shape}")
@@ -151,6 +153,9 @@ def _run_header(path, obj) -> dict:
 
 
 def load_checkpoint(path) -> CheckpointBundle:
+    """Read and check a checkpoint. Its arrays are read-only, so an in-place
+    write to the loaded model raises `ValueError`, and `train.evaluate` may
+    reuse what it built from them; `train(resume=)` trains copies."""
     try:
         npz = np.load(path, allow_pickle=False)
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:

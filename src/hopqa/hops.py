@@ -16,7 +16,7 @@ and `run_hops`, over one example's support matrices, is its B=1 view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -245,15 +245,25 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
         ablate_query_gate=ablate_query_gate)
 
 
-def forward_batch(examples, params: ModelParams, vocab, hops: int):
-    """`forward_pass` without dropout for B examples, none of them without
-    support (`Example.positions` empty): the forward of `run_hops_batch`,
-    on biGRU states from the tape-free `bigru_states`. Returns the `(B, K)`
-    candidate scores and probabilities, K the largest candidate count, with
-    -inf scores and zero probabilities on the pads."""
+def support_batch(examples, params: ModelParams, vocab) -> SupportBatch:
+    """`forward_batch`'s hop-independent part: the padded support memory of
+    B examples on tape-free `bigru_states`, as constants that hold no tape
+    and so no biGRU states."""
     states = bigru_states([ex.encoder_input() for ex in examples],
                           params.E_i.data, params.gru)
     sb = build_support_batch(examples, params, answer_row=vocab.answer_row,
                              states=ag.constant(states))
+    return replace(sb, **{n: ag.constant(getattr(sb, n).data)
+                          for n in ("queries", "y_i", "y_o", "cand")})
+
+
+def forward_batch(examples, params: ModelParams, vocab, hops: int,
+                  support: SupportBatch | None = None):
+    """`forward_pass` without dropout for B examples, none of them without
+    support (`Example.positions` empty): the forward of `run_hops_batch`
+    over their `support_batch`, built here unless `support` passes it.
+    Returns the `(B, K)` candidate scores and probabilities, K the largest
+    candidate count, with -inf scores and zero probabilities on the pads."""
+    sb = support_batch(examples, params, vocab) if support is None else support
     scores = run_hops_batch(sb, params, hops)[0].data
     return scores, _masked_softmax(scores, sb.cand_mask)

@@ -9,7 +9,7 @@ mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class ModelParams:
     g_a_q: Tensor
     u_a_g: Tensor
     b_a: Tensor
+    # `train.evaluate`'s last support batches, kept for read-only arrays
+    _support: tuple | None = field(init=False, default=None, repr=False,
+                                   compare=False)
 
     @property
     def answer_dim(self) -> int:
