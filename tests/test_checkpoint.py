@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,47 @@ class TestValidation:
         bundle = load_checkpoint(path)
         with pytest.raises(ConfigError, match="optimizer.*last.ckpt"):
             train(config, tr, dev, resume=bundle)
+
+
+class TestReadOnly:
+    """A loaded checkpoint's arrays are read-only, so a stray in-place write
+    to a loaded model raises instead of changing it silently."""
+
+    def test_in_place_write_raises(self, tiny, tmp_path):
+        path = tmp_path / "m.ckpt"
+        resumable(tiny, path)
+        bundle = load_checkpoint(path)
+        arrays = [t.data for _, t in bundle.params.named()]
+        arrays += [*bundle.run.best.values(),
+                   *bundle.optimizer_state["m"].values(),
+                   *bundle.optimizer_state["v"].values()]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+
+    def test_resume_trains_a_copy(self, tiny, tmp_path):
+        """`train(resume=)` trains writable copies and leaves the loaded
+        bundle's arrays bit-unchanged."""
+        tr, dev, _ = tiny
+        path = tmp_path / "m.ckpt"
+        resumable(tiny, path)
+        bundle = load_checkpoint(path)
+        saved = {n: t.data.tobytes() for n, t in bundle.params.named()}
+        moments = {m: {n: a.tobytes() for n, a in named.items()}
+                   for m, named in bundle.optimizer_state.items()}
+        result = train(replace(bundle.config, max_epochs=1), tr, dev,
+                       resume=bundle)
+        assert result.state.epochs_run == 1
+        assert result.state.step > bundle.run.step
+        final = dict(result.final_params.named())
+        assert all(t.data.flags.writeable for t in final.values())
+        assert any(final[n].data.tobytes() != b for n, b in saved.items())
+        assert {n: t.data.tobytes() for n, t in bundle.params.named()} \
+            == saved
+        assert {m: {n: a.tobytes() for n, a in named.items()}
+                for m, named in bundle.optimizer_state.items()} == moments
 
 
 def resumable(tiny, path):

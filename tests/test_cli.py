@@ -435,6 +435,21 @@ class TestEval:
         lines = capsys.readouterr().out.strip().splitlines()
         assert [l.split("\t")[0] for l in lines[1:]] == ["1", "2", "3"]
 
+    def test_hop_sweep_equals_single_runs(self, workdir, capsys):
+        """A sweep reuses its loaded parameters' support memory across hop
+        counts; its table is that of six `--hops t` runs, line for line."""
+        args = ["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                "--data", str(workdir / "data" / "dev.jsonl")]
+        assert main(args + ["--hop-sweep", "1..6"]) == 0
+        sweep = capsys.readouterr().out.splitlines()
+        single = sweep[:1]
+        for t in range(1, 7):
+            assert main(args + ["--hops", str(t)]) == 0
+            header, *rows = capsys.readouterr().out.splitlines()
+            assert header == sweep[0]
+            single += rows
+        assert len(sweep) == 7 and sweep == single
+
     def test_bad_sweep_exit_2(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),
                      "--data", str(workdir / "data" / "dev.jsonl"),

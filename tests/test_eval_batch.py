@@ -3,19 +3,25 @@
 `forward_pass`: scores to 1e-12 and identical predictions, across output
 embedding modes, sizes, hop counts, mixed document lengths and candidate
 counts, and chunk edges; and they pin the outcome of an example without
-support pairs. Chunks hold `EVAL_BUDGET` = 32 x 256 examples x h."""
+support pairs. Chunks hold `EVAL_BUDGET` = 32 x 256 examples x h. A loaded
+checkpoint's read-only parameters reuse their support batches across calls;
+the reused path is held bit-equal to a writable copy's fresh one."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import hopqa.train as train
-from hopqa.data import (Dataset, SynthConfig, generate_splits, load_canonical,
-                        save_canonical)
+from hopqa.checkpoint import load_checkpoint, save_checkpoint
+from hopqa.data import (Dataset, SynthConfig, Vocab, generate_splits,
+                        load_canonical, save_canonical)
 from hopqa.encoder import (Document, bigru_encode, bigru_states,
                            embed_sequence)
 from hopqa.exceptions import EmptySupportError
-from hopqa.hops import forward_batch, forward_pass
-from hopqa.model import init_params
+from hopqa.hops import forward_batch, forward_pass, support_batch
+from hopqa.model import init_params, make_params
 from hopqa.support import Example
 
 TOL = 1e-12
@@ -193,3 +199,131 @@ class TestAbstention:
 def test_hops_must_be_positive(mixed):
     with pytest.raises(ValueError, match="hops"):
         train.evaluate(params_for(mixed, 4, False), subset(mixed, 2), 0)
+
+
+def loaded(params, vocab, path):
+    """`params` saved to a checkpoint at `path` and loaded back, read-only."""
+    config = train.TrainConfig(h=params.h, identity_eo=params.identity_eo)
+    save_checkpoint(path, config=config, params=params, vocab=vocab)
+    return load_checkpoint(path).params
+
+
+def writable_copy(params):
+    return make_params({n: t.data.copy() for n, t in params.named()},
+                       params.h, params.vocab_size, params.n_answers,
+                       params.identity_eo)
+
+
+def count_builds(monkeypatch):
+    """The example count of every `support_batch` call `evaluate` makes."""
+    builds = []
+
+    def spy(examples, *args):
+        builds.append(len(examples))
+        return support_batch(examples, *args)
+
+    monkeypatch.setattr(train, "support_batch", spy)
+    return builds
+
+
+def assert_same_scores(calls, ref_calls):
+    """Bit-equal `forward_batch` scores on the same chunks."""
+    assert [exs for exs, _ in calls] == [exs for exs, _ in ref_calls]
+    for (_, s), (_, ref) in zip(calls, ref_calls):
+        assert s.shape == ref.shape and s.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("identity_eo", [True, False])
+def test_reused_sweep_matches_fresh(mixed, monkeypatch, tmp_path,
+                                    identity_eo):
+    """A warm hop sweep on a loaded checkpoint over three chunks builds no
+    support batch, and its predictions and scores are bit-equal to those of
+    the same sweep on a writable copy, which builds every chunk's anew; at
+    every hop count the warm path also matches `forward_pass`."""
+    monkeypatch.setattr(train, "EVAL_BUDGET", 32 * 4)
+    params = loaded(params_for(mixed, 4, identity_eo, 5), mixed.vocab,
+                    tmp_path / "m.ckpt")
+    for hops in range(1, 7):
+        train.evaluate(params, mixed, hops)
+    fresh = writable_copy(params)
+    builds = count_builds(monkeypatch)
+    for hops in range(1, 7):
+        warm, calls = spied_evaluate(monkeypatch, params, mixed, hops)
+        assert builds == [32, 32, 1] * (hops - 1)
+        ref, ref_calls = spied_evaluate(monkeypatch, fresh, mixed, hops)
+        assert builds == [32, 32, 1] * hops
+        assert warm.predictions == ref.predictions
+        assert warm.accuracy == ref.accuracy
+        assert_same_scores(calls, ref_calls)
+        assert_matches_tape(monkeypatch, params, mixed, hops)
+
+
+def test_writable_params_changed_in_place(mixed, monkeypatch):
+    """Writable parameters, as training's, keep nothing: a change made in
+    place between two calls shows in the second."""
+    data = subset(mixed, 12)
+    params = params_for(data, 4, False, 6)
+    before = spied_evaluate(monkeypatch, params, data, 2)[1][0][1]
+    assert params._support is None
+    params.E_i.data *= 1.5
+    params.W_q.data[...] = params.W_q.data[::-1]
+    after = spied_evaluate(monkeypatch, params, data, 2)[1][0][1]
+    assert not np.allclose(before, after)
+    assert_matches_tape(monkeypatch, params, data, 2)
+
+
+def permuted_vocab(vocab):
+    """An equal token table whose answer rows run in reverse order."""
+    return Vocab.from_dict({"tokens": list(vocab.tokens),
+                            "answer_tokens": vocab.answer_tokens[::-1]})
+
+
+@pytest.mark.parametrize("change", ["dataset", "max_examples", "answer_row",
+                                    "rebound"])
+def test_changed_input_is_evaluated_anew(mixed, monkeypatch, tmp_path,
+                                         change):
+    """After a call that filled the reuse, another dataset, another
+    `max_examples`, another `answer_row` or a parameter whose `.data` was
+    rebound (to another read-only array) builds fresh support batches,
+    whose scores are bit-equal to a writable copy's and differ from the
+    first call's."""
+    data = subset(mixed, 24)
+    params = loaded(params_for(data, 4, False, 7), data.vocab,
+                    tmp_path / "m.ckpt")
+    kw = {}
+    first = spied_evaluate(monkeypatch, params, data, 3)[1]
+    if change == "dataset":
+        data = Dataset(name="other", examples=mixed.examples[24:48],
+                       vocab=mixed.vocab)
+    elif change == "max_examples":
+        kw["max_examples"] = 20
+    elif change == "answer_row":
+        data = Dataset(name="permuted", examples=data.examples,
+                       vocab=permuted_vocab(data.vocab))
+    else:
+        a = params.E_i.data * 1.5
+        a.setflags(write=False)
+        params.E_i.data = a
+    builds = count_builds(monkeypatch)
+    res, calls = spied_evaluate(monkeypatch, params, data, 3, **kw)
+    assert builds == [len(calls[0][0])]
+    assert not np.array_equal(calls[0][1], first[0][1])
+    ref, ref_calls = spied_evaluate(monkeypatch, writable_copy(params), data,
+                                    3, **kw)
+    assert res.predictions == ref.predictions
+    assert_same_scores(calls, ref_calls)
+
+
+def test_reuse_dies_with_params(mixed, tmp_path):
+    """The kept support batches hold no tape (so no biGRU states) and no
+    reference back to their parameter set, which is freed when dropped."""
+    params = loaded(params_for(mixed, 4, False, 8), mixed.vocab,
+                    tmp_path / "m.ckpt")
+    train.evaluate(params, subset(mixed, 12), 2)
+    (sb,) = params._support[1]
+    for t in (sb.queries, sb.y_i, sb.y_o, sb.cand):
+        assert t.parents == () and t.backward_fn is None
+    ref = weakref.ref(params)
+    del params, sb, t
+    gc.collect()
+    assert ref() is None
