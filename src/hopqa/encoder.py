@@ -2,7 +2,7 @@
 
 `bigru_encode` runs both directions over B embedded sequences as one tape
 node, one column per sequence; a lone sequence is a batch of one.
-`bigru_states` is the same recurrence on token ids, without a tape.
+`bigru_span_rows` runs the same recurrence on token ids without a tape.
 
 A token's query vector is built from the forward state just left of it and
 the backward state just right of it, projected by a matrix initialized to
@@ -104,20 +104,29 @@ def _recurrent_maps(gru: GRUParams):
 
 
 def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
-                keep: bool = False):
+                reads=None):
     """Both directions of B left-aligned sequences, n steps each.
 
     `x_at(k)` is step k's input projection `(2, B, 3h)`, bias included.
-    Returns the `(2, n+1, B, h)` states and, when `keep`, the saved z/r
-    gates `(2, n, B, 2h)` and candidates `(2, n, B, h)` that BPTT needs, as
-    views of time-major arrays: each step is one contiguous block."""
+    Returns the `(2, n+1, B, h)` states with the z/r gates `(2, n, B, 2h)`
+    and candidates `(2, n, B, h)` that BPTT needs, as views of time-major
+    arrays: each step is one contiguous block. With `reads`, flat index
+    arrays `(at, src, dst)` ordered by `at`, it keeps two state slots
+    instead and returns only the `(len(at), h)` rows they name: row
+    `dst[i]` is row `src[i]` of the `(2B, h)` states after `at[i] <= n`
+    steps."""
     h = u_h.shape[-1]
-    H = np.zeros((n + 1, 2, B, h))
+    keep = reads is None
+    H = np.zeros((n + 1 if keep else 2, 2, B, h))
     ZR = np.empty((n if keep else 1, 2, B, 2 * h))
     C = np.empty((n if keep else 1, 2, B, h))
     tmp = np.empty((2, B, h))
+    if not keep:  # rows read after no step keep the zero state
+        at, src, dst = reads
+        ends = np.searchsorted(at, np.arange(1, n + 2))
+        rows = np.zeros((len(at), h))
     for k in range(n):
-        hp, x = H[k], x_at(k)
+        hp, x, out = H[k % len(H)], x_at(k), H[(k + 1) % len(H)]
         zr, c = (ZR[k], C[k]) if keep else (ZR[0], C[0])
         ag.stable_sigmoid(np.add(x[..., :2 * h], np.matmul(hp, u_zr, out=zr),
                                  out=zr), out=zr)
@@ -125,9 +134,12 @@ def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
         np.matmul(np.multiply(zr[..., h:], hp, out=tmp), u_h, out=c)
         np.tanh(np.add(x[..., 2 * h:], c, out=c), out=c)
         np.multiply(np.subtract(1.0, z, out=tmp), c, out=tmp)
-        np.add(np.multiply(z, hp, out=H[k + 1]), tmp, out=H[k + 1])
+        np.add(np.multiply(z, hp, out=out), tmp, out=out)
+        if not keep:  # this step's rows, one contiguous run of the reads
+            s = slice(ends[k], ends[k + 1])
+            rows[dst[s]] = out.reshape(2 * B, h).take(src[s], axis=0)
     H, ZR, C = (a.transpose(1, 0, 2, 3) for a in (H, ZR, C))
-    return (H, ZR, C) if keep else (H, None, None)
+    return (H, ZR, C) if keep else rows
 
 
 def padded(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -150,11 +162,19 @@ def _reversed(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def bigru_states(seqs, e_i: np.ndarray, gru: GRUParams) -> np.ndarray:
-    """The states of `bigru_encode` for B token-id sequences, without a
-    tape: the same `(2, n+1, B, h)` layout and recurrence."""
+def bigru_span_rows(seqs, positions, e_i: np.ndarray,
+                    gru: GRUParams) -> np.ndarray:
+    """The rows of `bigru_encode`'s states that `column_span_queries` reads,
+    for B token-id sequences, without a tape and without holding every
+    step's states: the `(B, P, 2h)` array whose row [b, p] is
+    [h^f_{l-1}; h^b_{n_b-l}] of the 1-based position l = positions[b, p] of
+    sequence b, n_b tokens long."""
     fwd, mask = padded(seqs)
     (B, n), lens = fwd.shape, mask.sum(axis=1)
+    pos = np.asarray(positions, dtype=np.intp)
+    bad = (pos < 1) | (pos > lens[:, None])
+    if bad.any():
+        raise IndexError(f"position {pos[bad][0]} outside its sequence")
     ids = np.stack((fwd.T, _reversed(fwd.T, lens)), axis=1)
     # each distinct token's input projection, (2, tokens, 3h), gathered per
     # step: projecting every (step, sequence) up front holds a (2, n, B, 3h)
@@ -165,8 +185,16 @@ def bigru_states(seqs, e_i: np.ndarray, gru: GRUParams) -> np.ndarray:
     xw = (e_i[tokens] @ gru.W.data + gru.b.data[:, None]).reshape(
         2 * len(tokens), -1)
     x = np.empty((2, B, xw.shape[1]))
-    return _recurrence(lambda k: xw.take(ids[k], axis=0, out=x, mode="clip"),
-                       n, B, *_recurrent_maps(gru))[0]
+    # each row's two reads, in step order: row d B + b of the `(2B, h)`
+    # states after l - 1 forward and n_b - l backward steps
+    at = np.stack((pos - 1, lens[:, None] - pos), axis=-1).ravel()
+    src = np.broadcast_to(np.arange(2) * B + np.arange(B)[:, None, None],
+                          (*pos.shape, 2)).ravel()
+    order = np.argsort(at, kind="stable")
+    rows = _recurrence(lambda k: xw.take(ids[k], axis=0, out=x, mode="clip"),
+                       int(at.max()), B, *_recurrent_maps(gru),
+                       reads=(at[order], src[order], order))
+    return rows.reshape(*pos.shape, -1)
 
 
 def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
@@ -204,8 +232,7 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
                   out=XW[d].reshape(n * B, -1))
     XW += gru.b.data[:, None, None]
     del xd  # before the recurrence allocates its states
-    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, *_recurrent_maps(gru),
-                           keep=True)
+    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, *_recurrent_maps(gru))
     out = Tensor(H, parents=(embedded, gru.W, gru.U_zr, gru.U_h, gru.b))
 
     def bw(G):

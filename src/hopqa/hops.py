@@ -9,20 +9,19 @@ representation is scored against the candidate embeddings.
 `run_hops_batch` records the whole cycle for B padded, masked examples as
 one tape node with a hand-written backward: one reverse sweep over the hops,
 and one gemm over every (hop, example) row per weight gradient. Training
-records it once per chunk, evaluation (`forward_batch`) reads its forward,
+records it once per chunk, evaluation (`forward_batch`) runs it untaped,
 and `run_hops`, over one example's support matrices, is its B=1 view.
 `tests/hop_oracle.py` builds the cycle op by op as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import bigru_states
 from .exceptions import DimensionError, EmptySupportError
 from .model import ModelParams
 # keep `stacked` a module-level name: benches/tracer.py patches hops.stacked
@@ -69,14 +68,16 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
                    ablate_query_gate: bool = False,
-                   force_answer_gate: float | None = None
+                   force_answer_gate: float | None = None,
+                   taped: bool = True
                    ) -> tuple[Tensor, np.ndarray, list[HopTrace]]:
     """The cycle for the B examples of `sb` as one tape node, the `(B, K)`
     candidate scores with -inf on pad candidates; also returns the answers
     and the batch traces. Every softmax is masked and every weight product
     a `(B, .)` gemm. The backward is one reverse sweep over the hops; it
     writes into the four tensors of `sb` (zero on pads) and the hop
-    parameters."""
+    parameters. Untaped, the scores are a constant and no hop's arrays are
+    saved for a backward pass."""
     if hops < 1:
         raise ValueError("need at least one hop")
     p, sig, h, B = params, ag.stable_sigmoid, params.h, len(sb.mask)
@@ -110,8 +111,9 @@ def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
         x_g = np.concatenate((q, z_t), axis=1)
         q_c = np.tanh(x_c @ p.U_q_c.data.T)
         g_q = sig(x_g @ p.U_q_g.data.T + p.b_q_g.data)
-        saved.append((q, alpha, z_t, y_o_t, pc, j, x_a, g_a, x_c, x_g, q_c,
-                      g_q))
+        if taped:
+            saved.append((q, alpha, z_t, y_o_t, pc, j, x_a, g_a, x_c, x_g,
+                          q_c, g_q))
         # the sum over h, then one division: `np.mean`'s value, at half its
         # cost on small rows
         traces.append(HopTrace(hop=t + 1, alpha=alpha, g_a=g_a, eta=eta,
@@ -183,6 +185,8 @@ def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
     used += [p.U_a_q, p.g_a_q] if use_a0 else []
     used += [p.u_a_g, p.b_a] if force_answer_gate is None else []
     scores = np.where(sb.cand_mask, (cand @ a[..., None])[..., 0], -np.inf)
+    if not taped:
+        return ag.constant(scores), a, traces
     return Tensor(scores, parents=(sb.queries, sb.y_i, sb.y_o, sb.cand,
                                    *used), backward_fn=bw), a, traces
 
@@ -247,23 +251,18 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
 
 def support_batch(examples, params: ModelParams, vocab) -> SupportBatch:
     """`forward_batch`'s hop-independent part: the padded support memory of
-    B examples on tape-free `bigru_states`, as constants that hold no tape
-    and so no biGRU states."""
-    states = bigru_states([ex.encoder_input() for ex in examples],
-                          params.E_i.data, params.gru)
-    sb = build_support_batch(examples, params, answer_row=vocab.answer_row,
-                             states=ag.constant(states))
-    return replace(sb, **{n: ag.constant(getattr(sb, n).data)
-                          for n in ("queries", "y_i", "y_o", "cand")})
+    B examples, built without a tape (`build_support_batch` without
+    states) as constants that hold only what the hop loop reads."""
+    return build_support_batch(examples, params, answer_row=vocab.answer_row)
 
 
 def forward_batch(examples, params: ModelParams, vocab, hops: int,
                   support: SupportBatch | None = None):
     """`forward_pass` without dropout for B examples, none of them without
-    support (`Example.positions` empty): the forward of `run_hops_batch`
-    over their `support_batch`, built here unless `support` passes it.
-    Returns the `(B, K)` candidate scores and probabilities, K the largest
-    candidate count, with -inf scores and zero probabilities on the pads."""
+    support (`Example.positions` empty): `run_hops_batch` untaped over
+    their `support_batch`, built here unless `support` passes it. Returns
+    the `(B, K)` candidate scores and probabilities, K the largest candidate
+    count, with -inf scores and zero probabilities on the pads."""
     sb = support_batch(examples, params, vocab) if support is None else support
-    scores = run_hops_batch(sb, params, hops)[0].data
+    scores = run_hops_batch(sb, params, hops, taped=False)[0].data
     return scores, _masked_softmax(scores, sb.cand_mask)

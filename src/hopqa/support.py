@@ -8,7 +8,7 @@ encoded query share one bi-GRU run: one column of a `bigru_encode` node.
 The memory is held as matrices, one pair per row: all span queries come from
 one `column_span_queries` node and each answer-embedding matrix from one row
 gather. `build_support_batch` builds the padded, masked memories of B
-examples as such nodes over given biGRU states, taped or not;
+examples as such nodes, or as tape-free constants for evaluation;
 `build_support` builds one example's, for `forward_pass`. Both read each
 example's index lists (`Example.index_lists`), built once.
 """
@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import (Document, bigru_encode, column_span_queries,
-                      embed_sequence, padded)
+from .encoder import (Document, bigru_encode, bigru_span_rows,
+                      column_span_queries, embed_sequence, padded)
 from .exceptions import EmptySupportError
 from .model import ModelParams
 
@@ -127,9 +127,9 @@ def encode_batch(examples, params: ModelParams, *, dropout_rate: float = 0.0,
 
 @dataclass
 class SupportBatch:
-    """The support memories of B examples as tape nodes, padded to the
-    largest support (M) and candidate (K) counts; pad rows are real rows of
-    the tables, carry False in their mask and receive zero gradient."""
+    """The support memories of B examples as tape nodes (in evaluation,
+    constants), padded to the largest support (M) and candidate (K) counts;
+    pad rows are real rows, carry False in their mask and get no gradient."""
     queries: Tensor  # (B, M + 1, h): the initial query, then the pairs' z
     y_i: Tensor  # (B, M, h) input embeddings of the answers
     y_o: Tensor  # (B, M, answer_dim) output embeddings of the answers
@@ -139,30 +139,36 @@ class SupportBatch:
 
 
 def build_support_batch(examples, params: ModelParams, *, answer_row,
-                        states: Tensor) -> SupportBatch:
+                        states: Tensor | None = None) -> SupportBatch:
     """`build_support` for B examples: every span query from one
     `column_span_queries` node, each answer-embedding table from one padded
-    row gather. `states` holds the examples' biGRU states, column b for
-    `examples[b]`: a training chunk's `encode_batch` node, or evaluation's
-    tape-free `bigru_states` as a constant. Raises `EmptySupportError` for
-    an example without support: its all-pad row has no softmax."""
+    row gather, over `states`, a training chunk's `encode_batch` node
+    (column b for `examples[b]`). Without `states`, evaluation's batch of
+    constants, built without a tape: the same gemm projects the rows that
+    `bigru_span_rows` gives. Raises `EmptySupportError` for an example
+    without support: its all-pad row has no softmax."""
     if not all(ex.positions for ex in examples):
         raise EmptySupportError("support set is empty")
     spans, syms, rows, cands = zip(*(ex.index_lists(answer_row)
                                      for ex in examples))
-    lens = [[len(ex.document) + 1 + len(ex.query)] for ex in examples]
     # column 0 holds the placeholder's position, pads read position 1
     pos, mask = padded(spans)
     pos[~mask] = 1
-    queries = column_span_queries(states, np.arange(len(lens))[:, None],
-                                  np.array(lens), pos, params.W_q)
-    y_i, _ = padded(syms)
-    y_o, _ = padded(rows)
-    cand, cand_mask = padded(cands)
-    return SupportBatch(
-        queries=queries, y_i=ag.gather_rows(params.E_i, y_i),
-        y_o=ag.gather_rows(params.E_o, y_o), mask=mask[:, 1:],
-        cand=ag.gather_rows(params.E_o, cand), cand_mask=cand_mask)
+    (y_i, _), (y_o, _), (cand, cand_mask) = map(padded, (syms, rows, cands))
+    tables = ((params.E_i, y_i), (params.E_o, y_o), (params.E_o, cand))
+    if states is None:
+        outer = bigru_span_rows([ex.encoder_input() for ex in examples], pos,
+                                params.E_i.data, params.gru)
+        queries = ag.constant((outer.reshape(-1, outer.shape[-1])
+                               @ params.W_q.data.T).reshape(*pos.shape, -1))
+        y_i, y_o, cand = (ag.constant(e.data[i]) for e, i in tables)
+    else:
+        lens = [[len(ex.document) + 1 + len(ex.query)] for ex in examples]
+        queries = column_span_queries(states, np.arange(len(lens))[:, None],
+                                      np.array(lens), pos, params.W_q)
+        y_i, y_o, cand = (ag.gather_rows(e, i) for e, i in tables)
+    return SupportBatch(queries=queries, y_i=y_i, y_o=y_o, mask=mask[:, 1:],
+                        cand=cand, cand_mask=cand_mask)
 
 
 def stacked(support: SupportSet) -> tuple[Tensor, Tensor, Tensor]:

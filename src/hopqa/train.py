@@ -154,23 +154,19 @@ class Adam:
 
 
 # Examples x h per chunk. A taped training chunk (`chunk_losses`) keeps its
-# tape alive until its backward pass, and a tape-free `forward_batch` call
-# in `evaluate` holds its chunk's biGRU states; both grow with examples and
-# h. Peak RSS of the train-h256 benchmark (2 cores, one BLAS thread) with
-# one embedding node per chunk and BPTT's gate factors built in its
-# gate-gradient buffer: 106.2 MiB with training chunks of 8, 112.9 with 16
+# tape alive until its backward pass; a tape-free `forward_batch` call in
+# `evaluate` holds only the biGRU state rows its span queries read and saves
+# no hop's arrays. Peak RSS of the train-h256 benchmark (2 cores, one BLAS
+# thread) was 106.2 MiB with training chunks of 8, 112.9 with 16
 # (BENCH_lean_gru_tape.json, median of 10) and 128.9 with whole minibatches
-# of 32, against 109.4 for chunks of 8 when every example had its own
-# embedding nodes and BPTT its own factor arrays (121.9 with 16 then). So
-# 16 x 256: 16 examples at h=256, a
-# minibatch of up to 256 at h=16. After one h=256 training epoch, scoring
-# 128 dev examples in one batch raised peak RSS from 109 to 128 MiB, and
-# batches of 32 stayed at the training peak. So 32 x 256: 32 examples at
-# h=256, 512 at h=16, where train-h16's 120 dev examples are one chunk; its
-# peak RSS rose from 41.8 MiB with chunks of 32 to 42.8
-# (BENCH_eval_chunks.json, median of 10).
+# of 32. So 16 x 256: 16 examples at h=256, up to 256 at h=16. One
+# `forward_batch` call over 128 L2 examples at h=256 peaks at 13.7 MB
+# traced, below a training chunk of 16 (17.9 MB); holding every biGRU state
+# and every hop's arrays, it took 24.0 MB. So 128 x 256: 128 examples at
+# h=256, where train-h256's 128 dev examples are one chunk (peak RSS
+# 111.2 -> 112.9 MiB), and 2,048 at h=16.
 TRAIN_BUDGET = 16 * 256
-EVAL_BUDGET = 32 * 256
+EVAL_BUDGET = 128 * 256
 
 
 def chunk_size(budget: int, h: int) -> int:
@@ -210,8 +206,8 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
              max_examples: int = 0) -> EvalResult:
     """Deterministic accuracy (dropout off) on the first `max_examples`
     examples, or on all of them when it is 0. Scores chunks of
-    `chunk_size(EVAL_BUDGET, h)` examples (32 at h=256, 512 at h=16), one
-    tape-free `forward_batch` call each; its predictions are those of
+    `chunk_size(EVAL_BUDGET, h)` examples (128 at h=256, 2,048 at h=16),
+    one tape-free `forward_batch` call each; its predictions are those of
     `forward_pass`, the reference path. The support memories do not depend
     on `hops`: with read-only parameters, as `load_checkpoint` gives, a
     later call on the same examples reuses them, so a sweep encodes once."""

@@ -16,11 +16,11 @@ import hopqa.train as train
 from hopqa import autograd as ag
 from hopqa.data import (Dataset, SynthConfig, generate_splits, load_canonical,
                         save_canonical)
-from hopqa.encoder import bigru_states
 from hopqa.model import init_params
 from hopqa.support import encode_batch
 
 from conftest import named_per_gate
+from gru_reference import bigru_states
 
 TOL = 1e-12
 

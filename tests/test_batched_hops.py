@@ -14,11 +14,12 @@ import hopqa.train as train
 from hopqa import autograd as ag
 from hopqa.data import (Dataset, SynthConfig, generate_splits, load_canonical,
                         save_canonical)
-from hopqa.encoder import bigru_states
 from hopqa.hops import forward_batch, forward_pass, run_hops_batch
 from hopqa.model import init_params
 from hopqa.support import (Example, SupportBatch, build_support_batch,
                            encode_batch)
+
+from gru_reference import bigru_states
 
 TOL = 1e-12
 

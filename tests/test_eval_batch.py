@@ -3,26 +3,39 @@
 `forward_pass`: scores to 1e-12 and identical predictions, across output
 embedding modes, sizes, hop counts, mixed document lengths and candidate
 counts, and chunk edges; and they pin the outcome of an example without
-support pairs. Chunks hold `EVAL_BUDGET` = 32 x 256 examples x h. A loaded
+support pairs. Chunks hold `EVAL_BUDGET` = 128 x 256 examples x h. A loaded
 checkpoint's read-only parameters reuse their support batches across calls;
-the reused path is held bit-equal to a writable copy's fresh one."""
+the reused path is held bit-equal to a writable copy's fresh one.
+
+Evaluation's support batch is built without a tape from the state rows its
+span queries read (`encoder.bigru_span_rows`). It is held bit-equal to
+`build_support_batch` over the full-state reference recurrence
+(`gru_reference.bigru_states`) as a constant, and its rows to those a
+`bigru_encode` node gives; a memory guard keeps one evaluation chunk of 128
+at h=256 below the traced peak of one training chunk of 16."""
 
 import gc
+import tracemalloc
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import hopqa.train as train
+from hopqa import autograd as ag
 from hopqa.checkpoint import load_checkpoint, save_checkpoint
 from hopqa.data import (Dataset, SynthConfig, Vocab, generate_splits,
                         load_canonical, save_canonical)
-from hopqa.encoder import (Document, bigru_encode, bigru_states,
-                           embed_sequence)
+from hopqa.encoder import (Document, bigru_encode, bigru_span_rows,
+                           embed_sequence, padded)
 from hopqa.exceptions import EmptySupportError
-from hopqa.hops import forward_batch, forward_pass, support_batch
+from hopqa.hops import (forward_batch, forward_pass, run_hops_batch,
+                        support_batch)
 from hopqa.model import init_params, make_params
-from hopqa.support import Example
+from hopqa.support import Example, build_support_batch, encode_batch
+
+from gru_reference import bigru_states
 
 TOL = 1e-12
 
@@ -112,7 +125,7 @@ def test_matches_tape_path(mixed, monkeypatch, identity_eo, h, hops):
                                        (65, [32, 32, 1])])
 def test_chunk_edges(mixed, monkeypatch, n, chunks):
     """With a budget of 32 x 4 examples x h, a chunk holds 32 examples at
-    h=4, as `EVAL_BUDGET` gives at h=256."""
+    h=4, a quarter of the 128 that `EVAL_BUDGET` gives at h=256."""
     data = subset(mixed, n)
     monkeypatch.setattr(train, "EVAL_BUDGET", 32 * 4)
     assert assert_matches_tape(monkeypatch, params_for(data, 4, False, 1),
@@ -126,7 +139,7 @@ def test_max_examples(mixed, monkeypatch):
 
 
 def test_h16_dev_set_is_one_batch(monkeypatch):
-    """At h=16 a chunk holds 512 examples: the acceptance recipe's 120 L2
+    """At h=16 a chunk holds 2,048 examples: the acceptance recipe's 120 L2
     dev examples are one `forward_batch` call."""
     _, dev, _ = generate_splits(SynthConfig(
         chain_length=2, n_distractor_facts=2, n_examples=1, n_dev=120,
@@ -147,6 +160,120 @@ def test_bigru_states_rows_match_bigru_encode(mixed):
                              [len(s)], params.gru)
         np.testing.assert_allclose(H[:, :len(s) + 1, b], alone.data[:, :, 0],
                                    rtol=TOL, atol=TOL)
+
+
+def span_positions(examples, vocab):
+    """The `(B, P)` span positions `build_support_batch` reads: each
+    example's placeholder, then its pairs, pads at position 1."""
+    pos, mask = padded([ex.index_lists(vocab.answer_row)[0]
+                        for ex in examples])
+    pos[~mask] = 1
+    return pos
+
+
+@pytest.mark.parametrize("h", [1, 4, 16])
+def test_span_rows_match_bigru_encode(mixed, h):
+    """Row [b, p] of `bigru_span_rows` is [h^f_{l-1}; h^b_{n_b-l}] of the
+    states a `bigru_encode` node gives, to 1e-12, and those of the
+    full-state reference bit for bit, over mixed lengths and pads."""
+    params = params_for(mixed, h, False, 9)
+    examples = mixed.examples
+    seqs = [ex.encoder_input() for ex in examples]
+    pos = span_positions(examples, mixed.vocab)
+    assert (pos == 1).any() and len(set(map(len, seqs))) > 1
+    rows = bigru_span_rows(seqs, pos, params.E_i.data, params.gru)
+    assert rows.shape == (*pos.shape, 2 * h)
+    n = np.array([len(s) for s in seqs])[:, None]
+    b = np.arange(len(seqs))[:, None]
+
+    def outer(H):
+        return np.concatenate((H[0, pos - 1, b], H[1, n - pos, b]), axis=-1)
+
+    H = encode_batch(examples, params).data
+    np.testing.assert_allclose(rows, outer(H), rtol=TOL, atol=TOL)
+    ref = outer(bigru_states(seqs, params.E_i.data, params.gru))
+    assert rows.tobytes() == ref.tobytes()
+
+
+def test_span_rows_refuse_positions_outside(mixed):
+    params = params_for(mixed, 4, False)
+    seqs = [ex.encoder_input() for ex in mixed.examples[:2]]
+    for bad in (0, len(seqs[1]) + 1):
+        with pytest.raises(IndexError, match=f"position {bad} "):
+            bigru_span_rows(seqs, [[1, 2], [3, bad]], params.E_i.data,
+                            params.gru)
+
+
+@pytest.mark.parametrize("identity_eo", [True, False])
+@pytest.mark.parametrize("h", [4, 16])
+@pytest.mark.parametrize("picked", [slice(0, 1), slice(2, 5), slice(None)])
+def test_support_batch_is_reference_bit_for_bit(mixed, identity_eo, h,
+                                                picked):
+    """Evaluation's support batch equals `build_support_batch` over the
+    full-state reference as a constant, bit for bit: one long document,
+    a mix, and all 65 examples with their padded pairs and candidates."""
+    params = params_for(mixed, h, identity_eo, 10)
+    examples = mixed.examples[picked]
+    sb = support_batch(examples, params, mixed.vocab)
+    ref = build_support_batch(
+        examples, params, answer_row=mixed.vocab.answer_row,
+        states=ag.constant(bigru_states([ex.encoder_input()
+                                         for ex in examples],
+                                        params.E_i.data, params.gru)))
+    for name in ("queries", "y_i", "y_o", "cand"):
+        got, want = getattr(sb, name), getattr(ref, name).data
+        assert got.parents == () and got.backward_fn is None, name
+        assert got.data.shape == want.shape, name
+        assert got.data.tobytes() == want.tobytes(), name
+    assert np.array_equal(sb.mask, ref.mask)
+    assert np.array_equal(sb.cand_mask, ref.cand_mask)
+
+
+def traced_peak(fn):
+    """Traced (tracemalloc) peak of `fn()`, in bytes over its start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_eval_chunk_peak_below_training_chunk():
+    """One `forward_batch` over 128 L2 examples at h=256, 4 hops, the
+    `TrainConfig` default and one `EVAL_BUDGET` chunk, peaks below one
+    taped training chunk of 16 (forward and backward, dropout 0.2):
+    13.7 MB against 17.9 MB when measured, and 24.0 MB when evaluation kept
+    every biGRU state and every hop's arrays. Its support batch and scores
+    hold no tape."""
+    train_set, dev, _ = generate_splits(SynthConfig(
+        chain_length=2, n_distractor_facts=2, n_examples=16, n_dev=128,
+        n_test=1, seed=0))
+    vocab = dev.vocab
+    params = init_params(256, vocab.size, vocab.n_answers,
+                         np.random.default_rng(0))
+    assert train.chunk_size(train.EVAL_BUDGET, 256) == len(dev.examples)
+    forward_batch(dev.examples, params, vocab, 4)  # warm-up
+    eval_peak = traced_peak(
+        lambda: forward_batch(dev.examples, params, vocab, 4))
+    for _, t in params.named():
+        t.grad = np.zeros_like(t.data)
+
+    def train_chunk():
+        losses = train.chunk_losses(train_set.examples, params, vocab, 4,
+                                    dropout=0.2, rng=np.random.default_rng(1))
+        ag.backward(reduce(ag.add, losses), accumulate=True)
+
+    assert eval_peak < traced_peak(train_chunk)
+    sb = support_batch(dev.examples[:4], params, vocab)
+    scores = run_hops_batch(sb, params, 4, taped=False)[0]
+    for t in (sb.queries, sb.y_i, sb.y_o, sb.cand, scores):
+        assert t.parents == () and t.backward_fn is None
 
 
 def no_support(ex, vocab):

@@ -256,13 +256,13 @@ class TestFlatAdam:
 class TestChunkRule:
     def test_sizes(self):
         """Training chunks hold 16 x 256 examples x h and evaluation chunks
-        32 x 256: 16 and 32 at h=256."""
+        128 x 256: 16 and 128 at h=256."""
         assert chunk_size(TRAIN_BUDGET, 256) == 16
         assert chunk_size(TRAIN_BUDGET, 16) == 256
         assert chunk_size(TRAIN_BUDGET, 4096) == 1
-        assert chunk_size(EVAL_BUDGET, 256) == 32
-        assert chunk_size(EVAL_BUDGET, 16) == 512
-        assert chunk_size(EVAL_BUDGET, 16384) == 1
+        assert chunk_size(EVAL_BUDGET, 256) == 128
+        assert chunk_size(EVAL_BUDGET, 16) == 2048
+        assert chunk_size(EVAL_BUDGET, 65536) == 1
 
     @pytest.mark.parametrize("h, batch, per_step",
                              [(16, 16, 1), (256, 16, 1), (256, 32, 2)])
