@@ -164,7 +164,8 @@ class Adam:
 # traced, below a training chunk of 16 (17.9 MB); holding every biGRU state
 # and every hop's arrays, it took 24.0 MB. So 128 x 256: 128 examples at
 # h=256, where train-h256's 128 dev examples are one chunk (peak RSS
-# 111.2 -> 112.9 MiB), and 2,048 at h=16.
+# 111.3 -> 113.1 MiB, BENCH_lean_eval.json, median of 10), and 2,048 at
+# h=16.
 TRAIN_BUDGET = 16 * 256
 EVAL_BUDGET = 128 * 256
 
