@@ -187,10 +187,11 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def stable_sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """exp(min(x, 0)) / (1 + exp(-|x|)): never exponentiates a large
-    positive argument. `out` may be `x` itself."""
-    e = np.exp(-np.abs(x))
+    positive argument. `out` may be `x` itself; `scratch`, an array of x's
+    shape, holds the denominator, so that the call allocates nothing."""
+    e = np.exp(np.negative(np.abs(x, out=scratch), out=scratch), out=scratch)
     e += 1.0
     num = np.exp(np.minimum(x, 0.0, out=out), out=out)
     return np.divide(num, e, out=out)

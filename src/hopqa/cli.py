@@ -19,6 +19,7 @@ from . import BLAS_THREADS
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (Dataset, SynthConfig, generate_splits, load_dataset,
                    save_canonical)
+from .encoder import direction_threads
 from .exceptions import ConfigError, DataError, ParseError
 from .hops import forward_pass
 from .train import TrainConfig, evaluate, train
@@ -144,6 +145,7 @@ def cmd_train(args) -> int:
                         "last": _sha256(out / "last.ckpt")},
         "skipped": result.skipped,
         "blas_threads": BLAS_THREADS,
+        "encoder_threads": direction_threads(),
         "metrics": result.metrics,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
@@ -307,7 +309,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
-        print(f"failure: {e}", file=sys.stderr)
+        # the type too: a bare MemoryError has no message of its own
+        name = type(e).__name__
+        print(f"failure: {name}: {e}" if str(e) else f"failure: {name}",
+              file=sys.stderr)
         return 1
 
 

@@ -3,6 +3,9 @@
 `bigru_encode` runs both directions over B embedded sequences as one tape
 node, one column per sequence; a lone sequence is a batch of one.
 `bigru_span_rows` runs the same recurrence on token ids without a tape.
+Once a step is large enough, the two directions' loops (the recurrence and
+BPTT's sweep) run at the same time on two threads, one direction each, in
+the same arithmetic (`direction_threads`).
 
 A token's query vector is built from the forward state just left of it and
 the backward state just right of it, projected by a matrix initialized to
@@ -11,14 +14,69 @@ near-[I; I] so it starts out as (roughly) the sum of those two states.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
+from . import BLAS_THREADS
 from . import autograd as ag
 from .autograd import Tensor
 from .exceptions import ConfigError
+
+# The two directions of a recurrence share nothing until the span queries
+# join them, so once a step's recurrent gemms are large enough each
+# direction runs its loop on a thread of its own. A step costs B h^2
+# multiply-adds per direction and gemm; from 2^19 on the overlap outweighs
+# handing one loop to a worker (the crossover table in CHANGES.md).
+THREAD_WORK = 1 << 19
+_pool = None  # the worker's `ThreadPoolExecutor`, made on first use
+_pool_lock = threading.Lock()
+
+
+def direction_threads() -> dict:
+    """The encoder's thread schedule, as `hopqa train` records it: the
+    threads its loops run on once a step's work per direction, B h^2,
+    reaches `min_step_work` (the calling thread and one pool worker, one
+    direction each), and the CPUs this process may run on. Two threads need
+    two CPUs and BLAS at one thread; else the loops keep to one."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    one_blas = all(v["value"] == "1" for v in BLAS_THREADS.values())
+    return {"threads": 2 if cpus >= 2 and one_blas else 1,
+            "cpus_allowed": cpus, "min_step_work": THREAD_WORK}
+
+
+def _schedule(B: int, h: int) -> list[tuple[slice]]:
+    """How a loop over both directions of B sequences at hidden size h
+    runs: as the `(ds,)` arguments of one call over both directions, or of
+    one call per direction on two threads."""
+    if B * h * h >= THREAD_WORK and direction_threads()["threads"] == 2:
+        return [(slice(0, 1),), (slice(1, 2),)]
+    return [(slice(0, 2),)]
+
+
+def _run(loop, parts) -> None:
+    """`loop(*args)` for each `args` of `parts`, returning once every call
+    has ended: the first in the calling thread, a second at the same time
+    on a one-thread pool made on first use. The calls only read and write
+    arrays they are handed, so the worker allocates none."""
+    global _pool
+    if len(parts) == 1:
+        return loop(*parts[0])
+    with _pool_lock:
+        if _pool is None:
+            # imported here: `concurrent.futures` loads `logging`, 0.8 MB of
+            # RSS that a run whose loops never split should not carry
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="hopqa-bigru")
+    future = _pool.submit(loop, *parts[1])
+    try:
+        loop(*parts[0])
+    finally:
+        future.result()
 
 
 @dataclass
@@ -107,39 +165,51 @@ def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
                 reads=None):
     """Both directions of B left-aligned sequences, n steps each.
 
-    `x_at(k)` is step k's input projection `(2, B, 3h)`, bias included.
-    Returns the `(2, n+1, B, h)` states with the z/r gates `(2, n, B, 2h)`
-    and candidates `(2, n, B, h)` that BPTT needs, as views of time-major
-    arrays: each step is one contiguous block. With `reads`, flat index
-    arrays `(at, src, dst)` ordered by `at`, it keeps two state slots
-    instead and returns only the `(len(at), h)` rows they name: row
-    `dst[i]` is row `src[i]` of the `(2B, h)` states after `at[i] <= n`
-    steps."""
+    `x_at(k, ds)` is step k's input projection `(len(ds), B, 3h)` of the
+    directions in slice ds, bias included. Returns the `(2, n+1, B, h)`
+    states with the z/r gates `(2, n, B, 2h)` and candidates `(2, n, B, h)`
+    that BPTT needs, as views of time-major arrays: each step is one
+    contiguous block. With `reads`, flat index arrays `(at, src, dst)`
+    ordered by `at`, it keeps two state slots instead and returns only the
+    `(len(at), h)` rows they name: row `dst[i]` is row `src[i]` of the
+    `(2B, h)` states after `at[i] <= n` steps."""
     h = u_h.shape[-1]
     keep = reads is None
     H = np.zeros((n + 1 if keep else 2, 2, B, h))
     ZR = np.empty((n if keep else 1, 2, B, 2 * h))
     C = np.empty((n if keep else 1, 2, B, h))
-    tmp = np.empty((2, B, h))
+    tmp, sig = np.empty((2, B, h)), np.empty((2, B, 2 * h))
+    parts = _schedule(B, h)
     if not keep:  # rows read after no step keep the zero state
         at, src, dst = reads
-        ends = np.searchsorted(at, np.arange(1, n + 2))
         rows = np.zeros((len(at), h))
-    for k in range(n):
-        hp, x, out = H[k % len(H)], x_at(k), H[(k + 1) % len(H)]
-        zr, c = (ZR[k], C[k]) if keep else (ZR[0], C[0])
-        ag.stable_sigmoid(np.add(x[..., :2 * h], np.matmul(hp, u_zr, out=zr),
-                                 out=zr), out=zr)
-        z = zr[..., :h]
-        np.matmul(np.multiply(zr[..., h:], hp, out=tmp), u_h, out=c)
-        np.tanh(np.add(x[..., 2 * h:], c, out=c), out=c)
-        np.multiply(np.subtract(1.0, z, out=tmp), c, out=tmp)
-        np.add(np.multiply(z, hp, out=out), tmp, out=out)
-        if not keep:  # this step's rows, one contiguous run of the reads
-            s = slice(ends[k], ends[k + 1])
-            rows[dst[s]] = out.reshape(2 * B, h).take(src[s], axis=0)
-    H, ZR, C = (a.transpose(1, 0, 2, 3) for a in (H, ZR, C))
-    return (H, ZR, C) if keep else rows
+        for i, (ds,) in enumerate(parts):  # the reads of ds's states
+            mine = (src >= ds.start * B) & (src < ds.stop * B)
+            ends = np.searchsorted(at[mine], np.arange(1, n + 2))
+            parts[i] = (ds, ends, src[mine] - ds.start * B, dst[mine],
+                        np.empty((np.diff(ends).max(initial=0), h)))
+
+    def loop(ds, ends=None, src=None, dst=None, buf=None):
+        t, s_zr, u_zr_d, u_h_d = tmp[ds], sig[ds], u_zr[ds], u_h[ds]
+        for k in range(n):
+            hp, out = H[k % len(H), ds], H[(k + 1) % len(H), ds]
+            x, zr, c = x_at(k, ds), ZR[k % len(ZR), ds], C[k % len(C), ds]
+            ag.stable_sigmoid(np.add(x[..., :2 * h], np.matmul(hp, u_zr_d,
+                                                               out=zr),
+                                     out=zr), out=zr, scratch=s_zr)
+            z = zr[..., :h]
+            np.matmul(np.multiply(zr[..., h:], hp, out=t), u_h_d, out=c)
+            np.tanh(np.add(x[..., 2 * h:], c, out=c), out=c)
+            np.multiply(np.subtract(1.0, z, out=t), c, out=t)
+            np.add(np.multiply(z, hp, out=out), t, out=out)
+            if not keep:  # this step's rows, one contiguous run of the reads
+                s = slice(ends[k], ends[k + 1])
+                rows[dst[s]] = out.reshape(-1, h).take(
+                    src[s], axis=0, out=buf[:s.stop - s.start], mode="clip")
+    _run(loop, parts)
+    if not keep:
+        return rows
+    return tuple(a.transpose(1, 0, 2, 3) for a in (H, ZR, C))
 
 
 def padded(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +261,8 @@ def bigru_span_rows(seqs, positions, e_i: np.ndarray,
     src = np.broadcast_to(np.arange(2) * B + np.arange(B)[:, None, None],
                           (*pos.shape, 2)).ravel()
     order = np.argsort(at, kind="stable")
-    rows = _recurrence(lambda k: xw.take(ids[k], axis=0, out=x, mode="clip"),
+    rows = _recurrence(lambda k, ds: xw.take(ids[k, ds], axis=0, out=x[ds],
+                                             mode="clip"),
                        int(at.max()), B, *_recurrent_maps(gru),
                        reads=(at[order], src[order], order))
     return rows.reshape(*pos.shape, -1)
@@ -210,7 +281,8 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
     positions read; `column_span_queries` reads one sequence's column.
 
     The backward pass runs BPTT for both directions and the whole batch at
-    once, over the saved gates and candidates, and leaves the weight and
+    once (one direction per thread on large steps, as the forward pass
+    does), over the saved gates and candidates, and leaves the weight and
     input gradients to gemms over every (step, sequence) row; pad steps
     receive no gradient, so they add exact zeros. It builds the
     gate-derivative factors in the gate-gradient buffer and spends the
@@ -232,7 +304,8 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
                   out=XW[d].reshape(n * B, -1))
     XW += gru.b.data[:, None, None]
     del xd  # before the recurrence allocates its states
-    H, ZR, C = _recurrence(lambda k: XW[:, k], n, B, *_recurrent_maps(gru))
+    H, ZR, C = _recurrence(lambda k, ds: XW[ds, k], n, B,
+                           *_recurrent_maps(gru))
     out = Tensor(H, parents=(embedded, gru.W, gru.U_zr, gru.U_h, gru.b))
 
     def bw(G):
@@ -255,15 +328,24 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
         da_r *= np.subtract(1.0, R, out=C)
         C = None
         U_zr, U_h = gru.U_zr.data, gru.U_h.data
-        dh = np.zeros((2, B, h))
-        for k in reversed(range(n)):
-            g = G[:, k + 1] + dh
-            da = DA[:, k]
-            da[..., :h] *= g
-            drh = np.multiply(da[..., 2 * h:], g, out=da[..., 2 * h:]) @ U_h
-            da[..., h:2 * h] *= drh
-            dh = g * Z[:, k] + drh * R[:, k] + da[..., :2 * h] @ U_zr
-        del g, dh, drh
+        carried = np.zeros((4, 2, B, h))  # dh, g, drh and a product
+
+        def sweep(ds):
+            dh, g, drh, t = carried[:, ds]
+            u_zr, u_h = U_zr[ds], U_h[ds]
+            for k in reversed(range(n)):
+                np.add(G[ds, k + 1], dh, out=g)
+                da = DA[ds, k]
+                da[..., :h] *= g
+                np.matmul(np.multiply(da[..., 2 * h:], g, out=da[..., 2 * h:]),
+                          u_h, out=drh)
+                da[..., h:2 * h] *= drh
+                # dh = g z + drh r + da_zr U_zr, added in that order
+                np.add(np.multiply(g, Z[ds, k], out=dh),
+                       np.multiply(drh, R[ds, k], out=t), out=dh)
+                dh += np.matmul(da[..., :2 * h], u_zr, out=t)
+        _run(sweep, _schedule(B, h))
+        del carried
         # the weight gradients as gemms over every (step, sequence) row
         rows = np.empty((n, B, h))  # hp, then r * hp, of one direction
         d_x = embedded.grad.transpose(1, 0, 2)

@@ -76,8 +76,8 @@ def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
     and the batch traces. Every softmax is masked and every weight product
     a `(B, .)` gemm. The backward is one reverse sweep over the hops; it
     writes into the four tensors of `sb` (zero on pads) and the hop
-    parameters. Untaped, the scores are a constant and no hop's arrays are
-    saved for a backward pass."""
+    parameters. Untaped, the scores are a constant and the traces empty:
+    no hop's arrays are kept, so memory does not grow with `hops`."""
     if hops < 1:
         raise ValueError("need at least one hop")
     p, sig, h, B = params, ag.stable_sigmoid, params.h, len(sb.mask)
@@ -114,10 +114,10 @@ def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
         if taped:
             saved.append((q, alpha, z_t, y_o_t, pc, j, x_a, g_a, x_c, x_g,
                           q_c, g_q))
-        # the sum over h, then one division: `np.mean`'s value, at half its
-        # cost on small rows
-        traces.append(HopTrace(hop=t + 1, alpha=alpha, g_a=g_a, eta=eta,
-                               g_q_mean=g_q.sum(axis=1) / h))
+            # the sum over h, then one division: `np.mean`'s value, at half
+            # its cost on small rows
+            traces.append(HopTrace(hop=t + 1, alpha=alpha, g_a=g_a, eta=eta,
+                                   g_q_mean=g_q.sum(axis=1) / h))
         q = g_q * q + (1.0 - g_q) * q_c
 
     def bw(G):

@@ -29,5 +29,6 @@ def bigru_states(seqs, e_i: np.ndarray, gru: GRUParams) -> np.ndarray:
     xw = (e_i[tokens] @ gru.W.data + gru.b.data[:, None]).reshape(
         2 * len(tokens), -1)
     x = np.empty((2, B, xw.shape[1]))
-    return _recurrence(lambda k: xw.take(ids[k], axis=0, out=x, mode="clip"),
+    return _recurrence(lambda k, ds: xw.take(ids[k, ds], axis=0, out=x[ds],
+                                             mode="clip"),
                        n, B, *_recurrent_maps(gru))[0]

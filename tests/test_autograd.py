@@ -75,14 +75,18 @@ class TestElementwise:
     def test_stable_sigmoid_bit_equal_to_branch_form(self):
         """exp(min(x, 0)) as the numerator gives the bits of the branch
         form where(x >= 0, 1, exp(-|x|)), at the edge values and past the
-        8,192 elements where numpy buffers that `where`; also in place."""
+        8,192 elements where numpy buffers that `where`; also in place and
+        with a scratch buffer."""
         rng = np.random.default_rng(8)
         x = np.concatenate(([0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320],
                             rng.normal(scale=20.0, size=20000)))
         e = np.exp(-np.abs(x))
         want = (np.where(x >= 0, 1.0, e) / (1.0 + e)).tobytes()
-        assert ag.stable_sigmoid(x).tobytes() == want
-        assert ag.stable_sigmoid(x, out=x).tobytes() == want
+        for scratch in (None, np.empty_like(x)):
+            y = x.copy()
+            assert ag.stable_sigmoid(y, scratch=scratch).tobytes() == want
+            assert ag.stable_sigmoid(y, out=y,
+                                     scratch=scratch).tobytes() == want
 
     def test_binary_shape_mismatch(self):
         for op in (ag.add, ag.sub, ag.mul):

@@ -104,7 +104,8 @@ def test_pick_workloads():
 
 def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
     """`--workloads train-h256` runs that workload's pairs and no other,
-    and the BENCH file holds it alone; an unknown name exits 2 before any
+    and the BENCH file holds it alone, with the CPUs each run could use and
+    the load before and after it; an unknown name exits 2 before any
     run."""
     (tmp_path / "BENCHMARK.json").write_text(
         (ROOT / "BENCHMARK.json").read_text())
@@ -117,9 +118,12 @@ def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
             m: {"value": 1.0, "unit": ""} for m in
             ("ex_per_s", "eval_ex_per_s", "setup_s", "peak_rss_mb")}
         r["provenance"] = {
-            "git_commit": None, "src_sha256": "x", "loadavg_1m_before": 0.0,
-            "nproc": 2, "python": "3", "numpy": "2", "blas": "b",
-            "blas_threads": 1, "blas_threads_set_by": "run.py"}
+            "git_commit": None, "src_sha256": "x", "nproc": 2,
+            "cpus_allowed": 1 + len(calls) % 2,
+            "loadavg_1m_before": 0.5 * seed,
+            "loadavg_1m_after": 0.5 * seed + 0.25, "python": "3",
+            "numpy": "2", "blas": "b", "blas_threads": 1,
+            "blas_threads_set_by": "run.py"}
         return r
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
@@ -132,6 +136,15 @@ def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
     assert calls == [("train-h256", 1)] * 2 + [("train-h256", 2)] * 2
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert list(doc["workloads"]) == ["train-h256"]
+    # seed 1 runs the change first, seed 2 the parent; the fake gives the
+    # first run of a pair 2 CPUs and the second 1
+    assert doc["workloads"]["train-h256"]["provenance"] == {
+        "before": {"src_sha256": ["x"], "cpus_allowed": [1, 2],
+                   "loadavg_1m_before": [0.5, 1.0],
+                   "loadavg_1m_after": [0.75, 1.25]},
+        "after": {"src_sha256": ["x"], "cpus_allowed": [2, 1],
+                  "loadavg_1m_before": [0.5, 1.0],
+                  "loadavg_1m_after": [0.75, 1.25]}}
     assert doc["checkouts"]["after"] == {"checkout": str(tmp_path.resolve()),
                                          "tree": "not a git checkout"}
 

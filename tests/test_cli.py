@@ -877,11 +877,17 @@ def train_in_subprocess(workdir, out, **blas_env):
 
 def test_blas_threads_pinned_to_one(workdir, tmp_path):
     """With no BLAS variable set, importing hopqa sets each to 1 before
-    numpy loads, and the manifest says hopqa set them."""
+    numpy loads, and the manifest says hopqa set them; the encoder then
+    runs its two directions on two threads wherever two CPUs are
+    allowed."""
     seen, manifest = train_in_subprocess(workdir, tmp_path / "run")
     assert seen == dict.fromkeys(BLAS_VARS, "1")
     assert manifest["blas_threads"] == {
         k: {"value": "1", "set_by": "hopqa"} for k in BLAS_VARS}
+    cpus = len(os.sched_getaffinity(0))
+    assert manifest["encoder_threads"] == {
+        "threads": 2 if cpus >= 2 else 1, "cpus_allowed": cpus,
+        "min_step_work": 2 ** 19}
 
 
 def test_blas_threads_user_value_kept(workdir, tmp_path):
@@ -893,3 +899,43 @@ def test_blas_threads_user_value_kept(workdir, tmp_path):
         "OPENBLAS_NUM_THREADS": {"value": "2", "set_by": "user"},
         "OMP_NUM_THREADS": {"value": "1", "set_by": "hopqa"},
         "MKL_NUM_THREADS": {"value": "1", "set_by": "hopqa"}}
+    assert manifest["encoder_threads"]["threads"] == 1
+
+
+def test_train_with_direction_threads_exits(tmp_path):
+    """A run whose training chunks meet the encoder's threading rule (32
+    examples at h=128: 2^19) ends and exits: the worker that runs the
+    backward direction does not hold the interpreter open."""
+    gen = write_json(tmp_path / "gen.json", dict(GEN_CFG, n_examples=32))
+    assert main(["gen", "--config", gen, "--out", str(tmp_path / "data")]) == 0
+    cfg = write_json(tmp_path / "train.json", dict(
+        TRAIN_CFG, h=128, batch_size=32, max_epochs=1))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(hopqa.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from hopqa import cli, encoder\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(encoder._pool is not None)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "train", "--config", cfg,
+         "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads(
+        (tmp_path / "run" / "manifest.json").read_text())["encoder_threads"]
+    assert proc.stdout.split()[-1] == str(threads["threads"] == 2)
+
+
+def test_failure_names_the_exception_type(monkeypatch, capsys):
+    """A runtime failure exits 1 and names its type, also when it carries
+    no message, as a bare MemoryError does."""
+    def fail(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    assert main(["gen", "--config", "unused.json", "--out", "x"]) == 1
+    assert capsys.readouterr().err == "failure: MemoryError\n"
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: 1 / 0)
+    assert main(["gen", "--config", "unused.json", "--out", "x"]) == 1
+    assert capsys.readouterr().err == (
+        "failure: ZeroDivisionError: division by zero\n")

@@ -276,6 +276,22 @@ def test_eval_chunk_peak_below_training_chunk():
         assert t.parents == () and t.backward_fn is None
 
 
+def test_untaped_hops_keep_no_trace(mixed):
+    """Untaped, `run_hops_batch` keeps neither a hop's arrays nor its
+    trace, so `forward_batch` over 20 examples at h=4 peaks at 1,000 hops
+    within 10% of its peak at one hop (209 KB at both when measured; 6.0 MB
+    at 1,000 hops while every hop's trace was kept)."""
+    exs, vocab = mixed.examples[:20], mixed.vocab
+    params = params_for(mixed, 4, False)
+    forward_batch(exs, params, vocab, 1)  # warm-up
+    one, many = (traced_peak(lambda: forward_batch(exs, params, vocab, hops))
+                 for hops in (1, 1000))
+    assert many < 1.1 * one
+    sb = support_batch(exs, params, vocab)
+    assert run_hops_batch(sb, params, 3, taped=False)[2] == []
+    assert len(run_hops_batch(sb, params, 3)[2]) == 3
+
+
 def no_support(ex, vocab):
     """`ex` with every candidate occurrence dropped from its document."""
     kept = [s for s in ex.document.symbols if s not in ex.candidates]

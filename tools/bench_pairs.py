@@ -216,9 +216,12 @@ def main(argv=None) -> int:
             doc["host"] = {k: first[k] for k in ("nproc", "python", "numpy",
                                                  "blas", "blas_threads")}
             doc["host"]["blas_threads_set_by"] = first["blas_threads_set_by"]
+        # the CPUs a run could use and the host's load around it: a gain
+        # that needs a second CPU shows here whether each side had one
         doc["workloads"][w]["provenance"] = {s: {
             "src_sha256": sorted({v["src_sha256"] for v in prov[s]}),
-            "loadavg_1m_before": [v["loadavg_1m_before"] for v in prov[s]],
+            **{k: [v[k] for v in prov[s]] for k in (
+                "cpus_allowed", "loadavg_1m_before", "loadavg_1m_after")},
         } for s in SIDES}
         # written after every workload, so a cut run keeps what it measured
         out.write_text(json.dumps(doc, indent=1) + "\n")
