@@ -3,9 +3,9 @@
 `bigru_encode` runs both directions over B embedded sequences as one tape
 node, one column per sequence; a lone sequence is a batch of one.
 `bigru_span_rows` runs the same recurrence on token ids without a tape.
-Once a step is large enough, the two directions' loops (the recurrence and
-BPTT's sweep) run at the same time on two threads, one direction each, in
-the same arithmetic (`direction_threads`).
+Once a step is large enough, the two directions' loops and gemms run at
+the same time on two threads, one direction each, in the same arithmetic
+(`direction_threads`).
 
 A token's query vector is built from the forward state just left of it and
 the backward state just right of it, projected by a matrix initialized to
@@ -183,11 +183,12 @@ def _recurrence(x_at, n: int, B: int, u_zr: np.ndarray, u_h: np.ndarray,
     if not keep:  # rows read after no step keep the zero state
         at, src, dst = reads
         rows = np.zeros((len(at), h))
-        for i, (ds,) in enumerate(parts):  # the reads of ds's states
+        parts, schedule = [], parts
+        for ds, in schedule:  # the reads of ds's states
             mine = (src >= ds.start * B) & (src < ds.stop * B)
             ends = np.searchsorted(at[mine], np.arange(1, n + 2))
-            parts[i] = (ds, ends, src[mine] - ds.start * B, dst[mine],
-                        np.empty((np.diff(ends).max(initial=0), h)))
+            parts.append((ds, ends, src[mine] - ds.start * B, dst[mine],
+                          np.empty((np.diff(ends).max(initial=0), h))))
 
     def loop(ds, ends=None, src=None, dst=None, buf=None):
         t, s_zr, u_zr_d, u_h_d = tmp[ds], sig[ds], u_zr[ds], u_h[ds]
@@ -281,14 +282,16 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
     positions read; `column_span_queries` reads one sequence's column.
 
     The backward pass runs BPTT for both directions and the whole batch at
-    once (one direction per thread on large steps, as the forward pass
-    does), over the saved gates and candidates, and leaves the weight and
+    once, over the saved gates and candidates, and leaves the weight and
     input gradients to gemms over every (step, sequence) row; pad steps
     receive no gradient, so they add exact zeros. It builds the
     gate-derivative factors in the gate-gradient buffer and spends the
-    saved candidates as scratch, so it runs once per node, and a second
-    pass raises. The recurrent gemms read the parameters in place: neither
-    pass copies a weight.
+    saved candidates as scratch, then as the rows of the recurrent maps'
+    gradients, so it runs once per node, and a second pass raises. The
+    recurrent gemms read the parameters in place: neither pass copies a
+    weight. On large steps (`_schedule`) the input projection, the
+    recurrence, BPTT's sweep and the recurrent maps' gradients run one
+    direction per thread.
     """
     # time-major `(n, B, h_in)`, no copy of an `embed_sequence` node
     x = np.ascontiguousarray(embedded.data.transpose(1, 0, 2))
@@ -298,12 +301,18 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
                          f"to {n} tokens")
     if lens.min() < 1:
         raise ValueError("cannot encode an empty sequence")
-    XW = np.empty((2, n, B, gru.W.data.shape[-1]))
-    for d, xd in enumerate((x, _reversed(x, lens))):
-        np.matmul(xd.reshape(n * B, h_in), gru.W.data[d],
-                  out=XW[d].reshape(n * B, -1))
+    h = gru.U_h.data.shape[-1]
+    parts = _schedule(B, h)
+    xs = (x, _reversed(x, lens))  # each direction's input rows
+    XW = np.empty((2, n, B, 3 * h))
+
+    def project(ds):
+        for d in range(ds.start, ds.stop):
+            np.matmul(xs[d].reshape(n * B, h_in), gru.W.data[d],
+                      out=XW[d].reshape(n * B, -1))
+    _run(project, parts)
     XW += gru.b.data[:, None, None]
-    del xd  # before the recurrence allocates its states
+    del xs  # before the recurrence allocates its states
     H, ZR, C = _recurrence(lambda k, ds: XW[ds, k], n, B,
                            *_recurrent_maps(gru))
     out = Tensor(H, parents=(embedded, gru.W, gru.U_zr, gru.U_h, gru.b))
@@ -312,7 +321,6 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
         nonlocal ZR, C
         if C is None:
             raise RuntimeError("a bigru_encode node runs backward once")
-        h = C.shape[-1]
         # G is time-major too (`zeros_like` keeps H's layout)
         Hp, Z, R = H[:, :-1], ZR[..., :h], ZR[..., h:]
         DA = np.empty((2, n, B, 3 * h))  # (da_z, da_r, da_c) per step
@@ -326,7 +334,7 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
         da_c *= np.subtract(1.0, np.square(C, out=C), out=C)
         np.multiply(Hp, R, out=da_r)
         da_r *= np.subtract(1.0, R, out=C)
-        C = None
+        del da_z, da_r, da_c
         U_zr, U_h = gru.U_zr.data, gru.U_h.data
         carried = np.zeros((4, 2, B, h))  # dh, g, drh and a product
 
@@ -344,18 +352,32 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
                 np.add(np.multiply(g, Z[ds, k], out=dh),
                        np.multiply(drh, R[ds, k], out=t), out=dh)
                 dh += np.matmul(da[..., :2 * h], u_zr, out=t)
-        _run(sweep, _schedule(B, h))
+        _run(sweep, parts)
         del carried
-        # the weight gradients as gemms over every (step, sequence) row
-        rows = np.empty((n, B, h))  # hp, then r * hp, of one direction
+        # the weight gradients as gemms over every (step, sequence) row; the
+        # spent candidates hold each direction's rows for the recurrent
+        # maps' gradients, one direction per thread on large steps
+        rows = C.transpose(1, 0, 2, 3).reshape(2, n, B, h)
+
+        def recurrent_grads(ds, prod):
+            for d in range(ds.start, ds.stop):
+                da, r = DA[d].reshape(n * B, 3 * h), rows[d]
+                np.copyto(r, Hp[d])  # hp, then r * hp
+                gru.U_zr.grad[d] += np.matmul(da[:, :2 * h].T,
+                                              r.reshape(n * B, h), out=prod)
+                for k in range(n):  # by step: numpy buffers a 3-d product
+                    np.multiply(R[d, k], Hp[d, k], out=r[k])
+                gru.U_h.grad[d] += np.matmul(da[:, 2 * h:].T,
+                                             r.reshape(n * B, h),
+                                             out=prod[:h])
+        _run(recurrent_grads, [(ds, np.empty((2 * h, h))) for ds, in parts])
+        del Z, R, rows
+        C = ZR = None
+        # the input maps' gradients in this thread: on two, their product
+        # buffers and BLAS's read train-h256 peak RSS 1.1 MiB higher
         d_x = embedded.grad.transpose(1, 0, 2)
         for d in range(2):
             da = DA[d].reshape(n * B, 3 * h)
-            # each gradient product freed before the next is made
-            np.copyto(rows, Hp[d])
-            gru.U_zr.grad[d] += da[:, :2 * h].T @ rows.reshape(n * B, h)
-            np.multiply(R[d], Hp[d], out=rows)
-            gru.U_h.grad[d] += da[:, 2 * h:].T @ rows.reshape(n * B, h)
             xd = (x if d == 0 else _reversed(x, lens)).reshape(n * B, h_in)
             gru.W.grad[d] += xd.T @ da
             del xd
@@ -363,7 +385,6 @@ def bigru_encode(embedded: Tensor, lens, gru: GRUParams) -> Tensor:
             dx = (da @ gru.W.data[d].T).reshape(n, B, h_in)
             d_x += dx if d == 0 else _reversed(dx, lens)
             del dx
-        ZR = None
     out.backward_fn = bw
     return out
 

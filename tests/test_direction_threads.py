@@ -112,8 +112,10 @@ def test_rule_keeps_one_thread(monkeypatch, cpus, blas):
 
 def test_threaded_chunk_peak_bounded(monkeypatch):
     """A training chunk at h=128 on the threaded schedule stays under
-    `CHUNK_PEAK_BOUND`."""
+    `CHUNK_PEAK_BOUND`, once the worker exists: making it, on first use,
+    imports `concurrent.futures` once per process."""
     force(monkeypatch, THREADED)
+    encoder._run(lambda ds: None, THREADED)
     test_batched_encoder.test_chunk_tape_peak_bounded()
 
 
