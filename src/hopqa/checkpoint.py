@@ -103,53 +103,30 @@ def _arrays(npz, path, prefix: str, shapes: dict) -> dict[str, np.ndarray]:
     return out
 
 
-def _count(v) -> bool:
-    return type(v) is int and v >= 0
-
-
-def _real(v) -> bool:
-    """A finite JSON number, as `check_field_types` takes one for a float
-    field: an int `lr0` or evaluator accuracy is saved as an int."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) < float("inf"))
-
-
-def _acc(v) -> bool:
-    return v is None or _real(v)
-
-
-def _rng_state(v) -> bool:
-    """A state the training RNG, a PCG64 generator, takes."""
+def _takes(name: str, value) -> bool:
+    """Whether `RunState` takes `value` for `name`; a saved run holds the
+    `rng_state` a resumed run restores."""
     try:
-        np.random.PCG64().state = v
-    except (TypeError, KeyError, ValueError, OverflowError):
+        RunState(**{name: value})
+    except ConfigError:
         return False
-    return True
+    return value is not None or name != "rng_state"
 
 
-# each key of a resumable checkpoint's `run` header, one per `RunState`
-# scalar, with the test its value must pass
-HEADER_KEYS = {
-    "step": _count, "lr": lambda v: _real(v) and v > 0,
-    "epochs_run": _count, "last_ckpt_acc": _acc, "prev_epoch_acc": _acc,
-    "best_acc": _real, "best_step": _count, "best_epoch": _count,
-    "rng_state": _rng_state,
-}
-
-
-def _run_header(path, obj) -> dict:
-    """The `run` header `obj`, refused with a `DataError` naming the file
-    and the key unless it holds exactly the keys of `HEADER_KEYS`, each
-    value passing its test."""
+def _run_state(path, obj, best) -> RunState:
+    """The `run` header `obj` as a `RunState` with the snapshot `best`,
+    refused with a `DataError` naming the file and the key unless it holds
+    exactly the fields of `RunState` but `best`, each a value it takes."""
+    names = {f.name for f in fields(RunState)} - {"best"}
     keys = obj.keys() if isinstance(obj, dict) else set()
-    for name in sorted(keys | HEADER_KEYS.keys()):
-        if (name not in HEADER_KEYS or name not in keys
-                or not HEADER_KEYS[name](obj[name])):
-            what = ("unknown" if name not in HEADER_KEYS else "missing"
+    for name in sorted(keys | names):
+        if (name not in names or name not in keys
+                or not _takes(name, obj[name])):
+            what = ("unknown" if name not in names else "missing"
                     if name not in keys else f"bad value {obj[name]!r}")
             raise DataError(f"{path}: checkpoint header key run.{name}: "
                             f"{what}")
-    return obj
+    return RunState(**obj, best=best)
 
 
 def load_checkpoint(path) -> CheckpointBundle:
@@ -189,8 +166,8 @@ def load_checkpoint(path) -> CheckpointBundle:
         # any training
         opt_state = run = None
         if header.get("run") is not None:
-            run = RunState(**_run_header(path, header["run"]),
-                           best=_arrays(npz, path, "best", shapes))
+            run = _run_state(path, header["run"],
+                             _arrays(npz, path, "best", shapes))
             trainable = {n: shapes[n] for n, _ in params.trainable()}
             opt_state = {m: _arrays(npz, path, f"adam_{m}", trainable)
                          for m in ("m", "v")}

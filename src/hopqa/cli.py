@@ -8,6 +8,7 @@ outputs. Exit codes: 0 ok, 1 runtime failure, 2 config/data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -44,15 +45,26 @@ def _read_json(path) -> dict:
     return cfg
 
 
-def _make_out(path) -> Path:
+@contextlib.contextmanager
+def _out_dir(path):
     """Create the output directory before any work, so a path that cannot
-    be one fails before the run rather than after it."""
+    be one fails before the run rather than after it. If the block raises,
+    the directories this call created are removed, deepest first, while
+    they are empty, and the error propagates."""
     out = Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create output directory {out}: {e}") from e
-    return out
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {out}: "
+                              f"{e}") from e
+        yield out
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def cmd_gen(args) -> int:
@@ -63,8 +75,8 @@ def cmd_gen(args) -> int:
         cfg = SynthConfig(**cfg_dict)
     except TypeError as e:
         raise ConfigError(f"bad generator config: {e}") from e
-    out = _make_out(args.out)
-    splits = generate_splits(cfg)
+    with _out_dir(args.out) as out:
+        splits = generate_splits(cfg)
     files = {}
     for ds in splits:
         path = out / f"{ds.name}.jsonl"
@@ -109,17 +121,8 @@ def cmd_train(args) -> int:
         config = resume.config if resume else TrainConfig()
 
     train_set, dev_set = _load_dir(args.data)
-    out = Path(args.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]
-    _make_out(out)
-    try:
+    with _out_dir(args.out) as out:
         result = train(config, train_set, dev_set, resume=resume)
-    except BaseException:
-        # a refused or failed run leaves no directory it created; those
-        # are still empty, deepest first, and nothing else is touched
-        for d in made:
-            d.rmdir()
-        raise
     state = result.state
     if result.skipped:
         print(f"skipped: {result.skipped} of {len(train_set.examples)} "

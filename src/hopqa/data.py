@@ -97,16 +97,30 @@ class Dataset:
     vocab: Vocab
 
 
-def check_field_types(config) -> None:
-    """Reject a config field whose value does not match its annotation: an
-    int field takes an int, a float field an int or a float, a bool field a
-    bool, and a bool is never taken as a number."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kinds = {"int": int, "float": (int, float), "bool": bool}[f.type]
-        if not isinstance(value, kinds) or (isinstance(value, bool)
-                                            and f.type != "bool"):
+def check_field_types(record) -> None:
+    """Reject a field whose value does not match its annotation (`int`,
+    `float`, `bool` or `dict`, each maybe `| None`), a bool taken as a
+    number, and a float that is NaN or infinite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is None and f.type.endswith(" | None"):
+            continue
+        kind = f.type.partition("[")[0].partition(" ")[0]
+        if not isinstance(value, {"int": int, "float": (int, float),
+                                  "bool": bool, "dict": dict}[kind]) or (
+                isinstance(value, bool) and kind != "bool"):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def check_signs(record, positive=(), non_negative=()) -> None:
+    """Reject a `positive` field at or below 0, a `non_negative` one below."""
+    for name in (*positive, *non_negative):
+        value = getattr(record, name)
+        if value < 0 or (value == 0 and name in positive):
+            rule = "positive" if name in positive else ">= 0"
+            raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass
@@ -131,13 +145,9 @@ class SynthConfig:
                 f"n_entities={self.n_entities} infeasible: disjoint "
                 f"train/dev/test pools need at least {3 * per_split} entities "
                 f"(2*chain_length+2 per split)")
-        for name in ("n_relations", "n_examples", "n_dev", "n_test"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("n_distractor_facts", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got "
-                                  f"{getattr(self, name)}")
+        check_signs(self, positive=("n_relations", "n_examples", "n_dev",
+                                    "n_test"),
+                    non_negative=("n_distractor_facts", "seed"))
 
 
 def chain_endpoints(facts, start: str, rels: list[str]) -> set[str]:

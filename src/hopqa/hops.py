@@ -249,20 +249,16 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
         ablate_query_gate=ablate_query_gate)
 
 
-def support_batch(examples, params: ModelParams, vocab) -> SupportBatch:
-    """`forward_batch`'s hop-independent part: the padded support memory of
-    B examples, built without a tape (`build_support_batch` without
-    states) as constants that hold only what the hop loop reads."""
-    return build_support_batch(examples, params, answer_row=vocab.answer_row)
-
-
 def forward_batch(examples, params: ModelParams, vocab, hops: int,
                   support: SupportBatch | None = None):
     """`forward_pass` without dropout for B examples, none of them without
     support (`Example.positions` empty): `run_hops_batch` untaped over
-    their `support_batch`, built here unless `support` passes it. Returns
-    the `(B, K)` candidate scores and probabilities, K the largest candidate
-    count, with -inf scores and zero probabilities on the pads."""
-    sb = support_batch(examples, params, vocab) if support is None else support
+    their support memory, built here (`build_support_batch` without states:
+    constants that hold only what the hop loop reads) unless `support`
+    passes it. Returns the `(B, K)` candidate scores and probabilities, K
+    the largest candidate count, with -inf scores and zero probabilities on
+    the pads."""
+    sb = support if support is not None else build_support_batch(
+        examples, params, answer_row=vocab.answer_row)
     scores = run_hops_batch(sb, params, hops, taped=False)[0].data
     return scores, _masked_softmax(scores, sb.cand_mask)

@@ -15,8 +15,10 @@ scores chunks of `chunk_size(EVAL_BUDGET, h)` examples.
 
 from __future__ import annotations
 
+import math
 import mmap
 import operator
+import os
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
 
@@ -24,12 +26,11 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import Dataset, Vocab, check_field_types
+from .data import Dataset, Vocab, check_field_types, check_signs
 from .exceptions import ConfigError
-from .hops import (forward_batch, forward_pass, run_hops_batch,
-                   support_batch)
+from .hops import forward_batch, forward_pass, run_hops_batch
 # benches/tracer.py patches the name train.init_params
-from .model import ModelParams, init_params, make_params
+from .model import ModelParams, init_params, make_params, param_shapes
 from .support import build_support_batch, encode_batch
 
 
@@ -49,19 +50,12 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("h", "hops", "batch_size", "checkpoint_every",
-                     "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        check_signs(self, positive=("h", "hops", "lr0", "batch_size",
+                                    "checkpoint_every", "max_epochs",
+                                    "embed_init_stddev"),
+                    non_negative=("seed", "dev_subsample"))
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} not in [0, 1)")
-        if self.lr0 <= 0 or self.embed_init_stddev <= 0:
-            raise ConfigError("lr0 and embed_init_stddev must be positive")
-        if self.dev_subsample < 0:
-            raise ConfigError(f"dev_subsample must be 0 (full dev set) or "
-                              f"positive, got {self.dev_subsample}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def loss_from_scores(scores: Tensor, gold_pos) -> Tensor:
@@ -187,7 +181,8 @@ class EvalResult:
 
 
 def _support_batches(params: ModelParams, chunks, vocab) -> list:
-    """Each chunk's `support_batch`. Read-only parameters keep the batches
+    """Each chunk's untaped `build_support_batch`, the hop-independent part
+    of `forward_batch`. Read-only parameters keep the batches
     and return them to a later call with the same arrays, the same example
     objects and an equal `answer_row`; writable ones keep nothing."""
     arrays = [t.data for _, t in params.named()]
@@ -198,7 +193,8 @@ def _support_batches(params: ModelParams, chunks, vocab) -> list:
     if (read_only and old[0][:2] == key[:2]
             and all(map(operator.is_, old[0][2:], key[2:]))):
         return old[1]
-    batches = [support_batch(c, params, vocab) for c in chunks]
+    batches = [build_support_batch(c, params, answer_row=vocab.answer_row)
+               for c in chunks]
     params._support = (key, batches) if read_only else None
     return batches
 
@@ -277,7 +273,7 @@ class RunState:
     the Adam moments, everything a resumed run needs to continue
     bit-exactly. `best` is the parameter snapshot (name -> array) of the
     best dev accuracy; `rng_state` is the training RNG's state when the run
-    ended."""
+    ended. Made with a bad field value, it raises `ConfigError`."""
     step: int = 0
     lr: float = TrainConfig.lr0
     epochs_run: int = 0
@@ -288,6 +284,16 @@ class RunState:
     best_epoch: int = 0
     rng_state: dict | None = None
     best: dict[str, np.ndarray] | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        check_signs(self, positive=("lr",), non_negative=(
+            "step", "epochs_run", "best_step", "best_epoch"))
+        if self.rng_state is not None:
+            try:  # a state the training RNG, a PCG64 generator, takes
+                np.random.PCG64(0).state = self.rng_state
+            except (TypeError, KeyError, ValueError, OverflowError) as e:
+                raise ConfigError(f"bad PCG64 rng_state: {e}") from e
 
     def record(self, acc: float, at_epoch_boundary: bool,
                params: ModelParams) -> bool:
@@ -347,6 +353,15 @@ def train(config: TrainConfig, train_set: Dataset, dev_set: Dataset, *,
                           f"occurs in its document")
     vocab = train_set.vocab
     dims = (config.h, vocab.size, vocab.n_answers, config.identity_eo)
+    # the parameters, their gradients, both Adam moments and the best
+    # snapshot, in float64, sized in Python integers before any is made
+    need = 5 * 8 * sum(map(math.prod, param_shapes(*dims).values()))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"h={config.h} needs {need / 2**30:,.1f} GiB for "
+                          f"the parameters, their gradients, Adam moments "
+                          f"and best snapshot; this machine has "
+                          f"{have / 2**30:,.1f} GiB")
 
     if evaluator is None:
         def evaluator(p):

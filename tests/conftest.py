@@ -1,3 +1,7 @@
+# hopqa first: it sets the BLAS thread variables only if numpy is not yet
+# imported, so the suite runs the thread policy the CLI runs
+import hopqa  # noqa: F401
+
 import numpy as np
 import pytest
 

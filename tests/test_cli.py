@@ -130,6 +130,18 @@ class TestGen:
         assert f"cannot create output directory {out}" in \
             capsys.readouterr().err
 
+    def test_failed_generation_leaves_no_dir(self, tmp_path, capsys):
+        """A config too tight to sample from fails after `--out` was made;
+        every directory the command created goes again."""
+        gen_cfg = write_json(tmp_path / "gen.json", {
+            "n_entities": 12, "n_distractor_facts": 50, "n_examples": 2,
+            "n_dev": 1, "n_test": 1})
+        assert main(["gen", "--config", gen_cfg,
+                     "--out", str(tmp_path / "g" / "sub")]) == 2
+        assert ("could not sample a solvable example; config too tight"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "g").exists()
+
     def test_config_not_object_exit_2(self, tmp_path, capsys):
         gen_cfg = write_json(tmp_path / "gen.json", [1, 2])
         assert main(["gen", "--config", gen_cfg, "--seed", "3",
@@ -160,7 +172,9 @@ class TestTrain:
     @pytest.mark.parametrize("field,value,kind", [
         ("h", 4.5, "int"), ("hops", 1.5, "int"), ("batch_size", "4", "int"),
         ("max_epochs", True, "int"), ("identity_eo", "yes", "bool"),
-        ("lr0", "0.1", "float")])
+        ("lr0", "0.1", "float"), ("lr0", float("nan"), "finite"),
+        ("embed_init_stddev", float("inf"), "finite"),
+        ("dropout", float("-inf"), "finite")])
     def test_wrong_config_type_exit_2(self, workdir, tmp_path, capsys, field,
                                       value, kind):
         cfg = write_json(tmp_path / "bad.json",
@@ -202,6 +216,16 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_oversize_config_exit_2(self, workdir, tmp_path, capsys):
+        """A hidden size whose parameters the machine cannot hold is
+        refused before they are allocated, naming h and the size."""
+        cfg = write_json(tmp_path / "big.json", dict(TRAIN_CFG, h=10 ** 11))
+        assert main(["train", "--config", cfg,
+                     "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "runs" / "big")]) == 2
+        assert "error: h=100000000000 needs" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_resume_matches_straight_run(self, workdir, tmp_path):
         """1 epoch + resume for a 2nd epoch reproduces a straight 2-epoch run
@@ -525,7 +549,7 @@ class TestEval:
 
     @pytest.mark.parametrize("case", ["not-json", "not-object", "no-version",
                                       "no-config", "no-vocab", "float-h",
-                                      "bad-vocab"])
+                                      "bad-vocab", "nan-lr0"])
     def test_bad_checkpoint_header_exit_2(self, workdir, tmp_path, capsys,
                                           case):
         """A header that is not JSON, lacks a required key or holds a bad
@@ -539,6 +563,8 @@ class TestEval:
             rec["config"]["h"] = 4.5
         if case == "bad-vocab":
             rec["vocab"] = {}
+        if case == "nan-lr0":
+            rec["config"]["lr0"] = float("nan")
         header = {"not-json": "{not json",
                   "not-object": json.dumps(list(rec))}.get(case)
         arrays["header"] = np.array(header or json.dumps(rec))
@@ -549,7 +575,9 @@ class TestEval:
                      "--data", str(workdir / "data" / "dev.jsonl")]) == 2
         want = {"not-json": "checkpoint header is not JSON",
                 "float-h": "bad checkpoint config or vocab: h must be int",
-                "bad-vocab": "bad checkpoint config or vocab: 'tokens'"}.get(
+                "bad-vocab": "bad checkpoint config or vocab: 'tokens'",
+                "nan-lr0": "bad checkpoint config or vocab: lr0 must be "
+                "finite, got nan"}.get(
                     case, "checkpoint header lacks version, config or vocab")
         captured = capsys.readouterr()
         assert f"error: {ckpt}: {want}" in captured.err
@@ -900,6 +928,13 @@ def test_blas_threads_user_value_kept(workdir, tmp_path):
         "OMP_NUM_THREADS": {"value": "1", "set_by": "hopqa"},
         "MKL_NUM_THREADS": {"value": "1", "set_by": "hopqa"}}
     assert manifest["encoder_threads"]["threads"] == 1
+
+
+def test_suite_runs_under_blas_policy():
+    """The suite imports hopqa before numpy (conftest.py), so BLAS runs
+    at the thread count the CLI and the benchmark run at."""
+    assert all(v["set_by"] in ("hopqa", "user")
+               for v in hopqa.BLAS_THREADS.values()), hopqa.BLAS_THREADS
 
 
 def test_train_with_direction_threads_exits(tmp_path):

@@ -30,8 +30,7 @@ from hopqa.data import (Dataset, SynthConfig, Vocab, generate_splits,
 from hopqa.encoder import (Document, bigru_encode, bigru_span_rows,
                            embed_sequence, padded)
 from hopqa.exceptions import EmptySupportError
-from hopqa.hops import (forward_batch, forward_pass, run_hops_batch,
-                        support_batch)
+from hopqa.hops import forward_batch, forward_pass, run_hops_batch
 from hopqa.model import init_params, make_params
 from hopqa.support import Example, build_support_batch, encode_batch
 
@@ -214,7 +213,8 @@ def test_support_batch_is_reference_bit_for_bit(mixed, identity_eo, h,
     a mix, and all 65 examples with their padded pairs and candidates."""
     params = params_for(mixed, h, identity_eo, 10)
     examples = mixed.examples[picked]
-    sb = support_batch(examples, params, mixed.vocab)
+    sb = build_support_batch(examples, params,
+                             answer_row=mixed.vocab.answer_row)
     ref = build_support_batch(
         examples, params, answer_row=mixed.vocab.answer_row,
         states=ag.constant(bigru_states([ex.encoder_input()
@@ -270,7 +270,8 @@ def test_eval_chunk_peak_below_training_chunk():
         ag.backward(reduce(ag.add, losses), accumulate=True)
 
     assert eval_peak < traced_peak(train_chunk)
-    sb = support_batch(dev.examples[:4], params, vocab)
+    sb = build_support_batch(dev.examples[:4], params,
+                             answer_row=vocab.answer_row)
     scores = run_hops_batch(sb, params, 4, taped=False)[0]
     for t in (sb.queries, sb.y_i, sb.y_o, sb.cand, scores):
         assert t.parents == () and t.backward_fn is None
@@ -287,7 +288,7 @@ def test_untaped_hops_keep_no_trace(mixed):
     one, many = (traced_peak(lambda: forward_batch(exs, params, vocab, hops))
                  for hops in (1, 1000))
     assert many < 1.1 * one
-    sb = support_batch(exs, params, vocab)
+    sb = build_support_batch(exs, params, answer_row=vocab.answer_row)
     assert run_hops_batch(sb, params, 3, taped=False)[2] == []
     assert len(run_hops_batch(sb, params, 3)[2]) == 3
 
@@ -358,14 +359,15 @@ def writable_copy(params):
 
 
 def count_builds(monkeypatch):
-    """The example count of every `support_batch` call `evaluate` makes."""
+    """The example count of every `build_support_batch` call `evaluate`
+    makes."""
     builds = []
 
-    def spy(examples, *args):
+    def spy(examples, *args, **kwargs):
         builds.append(len(examples))
-        return support_batch(examples, *args)
+        return build_support_batch(examples, *args, **kwargs)
 
-    monkeypatch.setattr(train, "support_batch", spy)
+    monkeypatch.setattr(train, "build_support_batch", spy)
     return builds
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,9 +10,9 @@ from hopqa import autograd as ag
 from hopqa.data import Dataset, SynthConfig, generate_splits, make_example
 from hopqa.exceptions import ConfigError
 from hopqa.model import init_params, make_params, param_shapes
-from hopqa.train import (EVAL_BUDGET, TRAIN_BUDGET, Adam, TrainConfig,
-                         chunk_size, evaluate, example_loss, loss_from_scores,
-                         train)
+from hopqa.train import (EVAL_BUDGET, TRAIN_BUDGET, Adam, RunState,
+                         TrainConfig, chunk_size, evaluate, example_loss,
+                         loss_from_scores, train)
 
 from conftest import gru_gates, named_per_gate
 
@@ -500,6 +501,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{field} must be {kind}"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lr0", "dropout",
+                                       "embed_init_stddev"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_floats_rejected(self, field, value):
+        """A NaN or infinity in a float field would train to a non-finite
+        gradient (exit 1) or pass unnoticed in evaluation."""
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            tiny_config(**{field: value})
+
+    def test_oversize_parameter_set_refused_before_allocating(
+            self, tiny_task, monkeypatch):
+        """At h=10^11 the parameters alone would take terabytes: the run
+        is refused from their shapes, and no parameter is drawn."""
+        tr, dev, _ = tiny_task
+        monkeypatch.setattr(train_module, "init_params", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^h=100000000000 needs "
+                               r"[\d,.]+ GiB for the parameters"):
+                train(tiny_config(h=10 ** 11), tr, dev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_empty_dataset_rejected(self, tiny_task):
         tr, dev, _ = tiny_task
         from hopqa.data import Dataset
@@ -549,3 +575,34 @@ class TestEndToEndSmoke:
         losses = [m["train_loss"] for m in res.metrics]
         assert losses[-1] < losses[0]
         assert 0.0 <= res.best_acc <= 1.0
+
+
+class TestRunStateChecks:
+    """`RunState` refuses a bad value when it is made, so a damaged
+    checkpoint header and a bad resume state fail in one place."""
+
+    @pytest.mark.parametrize("field", ["step", "epochs_run", "best_step",
+                                       "best_epoch"])
+    @pytest.mark.parametrize("value", [-1, True, "3", 2.0])
+    def test_bad_count_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            RunState(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -0.5, np.nan, np.inf, -np.inf,
+                                       "0.1", None])
+    def test_bad_lr_refused(self, value):
+        with pytest.raises(ConfigError, match="^lr must be"):
+            RunState(lr=value)
+
+    @pytest.mark.parametrize("field", ["best_acc", "last_ckpt_acc",
+                                       "prev_epoch_acc"])
+    def test_non_finite_accuracy_refused(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            RunState(**{field: np.nan})
+
+    @pytest.mark.parametrize("value", [
+        {}, {"bit_generator": "MT19937", "state": {"key": [], "pos": 0}},
+        {"bit_generator": "PCG64", "state": {"state": 1}}, [1, 2]])
+    def test_bad_rng_state_refused(self, value):
+        with pytest.raises(ConfigError, match="rng_state"):
+            RunState(rng_state=value)
