@@ -159,7 +159,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_sweep(spec: str) -> list[int]:
+def _parse_sweep(spec: str) -> range:
     try:
         lo, hi = spec.split("..")
         lo, hi = int(lo), int(hi)
@@ -167,7 +167,7 @@ def _parse_sweep(spec: str) -> list[int]:
         raise ConfigError(f"bad --hop-sweep {spec!r}, expected a..b") from e
     if lo < 1 or hi < lo:
         raise ConfigError(f"bad --hop-sweep range {spec!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _read_for_checkpoint(path, bundle) -> Dataset:

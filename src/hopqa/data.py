@@ -148,6 +148,15 @@ class SynthConfig:
         check_signs(self, positive=("n_relations", "n_examples", "n_dev",
                                     "n_test"),
                     non_negative=("n_distractor_facts", "seed"))
+        # a distractor joins two of the chain_length+1 entities that a dev
+        # or test pool leaves off the chain, by any relation
+        k = self.chain_length + 1
+        most = k * (k - 1) * self.n_relations
+        if self.n_distractor_facts > most:
+            raise ConfigError(
+                f"n_distractor_facts={self.n_distractor_facts} infeasible: "
+                f"the {k} entities off the chain in a dev or test pool hold "
+                f"at most {most} distinct facts ({k}*{k - 1}*n_relations)")
 
 
 def chain_endpoints(facts, start: str, rels: list[str]) -> set[str]:

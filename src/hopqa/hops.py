@@ -69,17 +69,24 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
                    ablate_query_gate: bool = False,
                    force_answer_gate: float | None = None,
-                   taped: bool = True
-                   ) -> tuple[Tensor, np.ndarray, list[HopTrace]]:
+                   taped: bool = True, start: tuple | None = None
+                   ) -> tuple[Tensor, tuple, list[HopTrace]]:
     """The cycle for the B examples of `sb` as one tape node, the `(B, K)`
-    candidate scores with -inf on pad candidates; also returns the answers
-    and the batch traces. Every softmax is masked and every weight product
-    a `(B, .)` gemm. The backward is one reverse sweep over the hops; it
+    candidate scores with -inf on pad candidates; also returns the end
+    state `(hops, q, a)`, the query and answer after the last hop, and the
+    batch traces. Every softmax is masked and every weight product a
+    `(B, .)` gemm. The backward is one reverse sweep over the hops; it
     writes into the four tensors of `sb` (zero on pads) and the hop
     parameters. Untaped, the scores are a constant and the traces empty:
-    no hop's arrays are kept, so memory does not grow with `hops`."""
+    no hop's arrays are kept, so memory does not grow with `hops`. There,
+    `start` (the end state `(t, q, a)`, t <= `hops`, of an untaped call on
+    the same `sb`, parameters and flags) runs only hops t+1..`hops`: a hop
+    reads only the state the one before it left."""
     if hops < 1:
         raise ValueError("need at least one hop")
+    if start is not None and (taped or start[0] > hops):
+        raise ValueError("a start state continues only an untaped loop, "
+                         "to at least its own hop count")
     p, sig, h, B = params, ag.stable_sigmoid, params.h, len(sb.mask)
     q0, cand, rows = sb.queries.data[:, 0], sb.cand.data, np.arange(B)
     memory = (sb.queries.data[:, 1:], sb.y_i.data, sb.y_o.data)
@@ -90,8 +97,8 @@ def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
         a0 = s0 * v0
     else:
         a0 = np.zeros((B, p.answer_dim))
-    q, a, saved, traces = q0, a0, [], []
-    for t in range(hops):
+    (t0, q, a), saved, traces = start or (0, q0, a0), [], []
+    for t in range(t0, hops):
         alpha = _masked_softmax((Z @ q[..., None])[..., 0], sb.mask)
         # one product per memory array: a product over their concatenation
         # rounds differently at some widths
@@ -186,9 +193,9 @@ def run_hops_batch(sb: SupportBatch, params: ModelParams, hops: int, *,
     used += [p.u_a_g, p.b_a] if force_answer_gate is None else []
     scores = np.where(sb.cand_mask, (cand @ a[..., None])[..., 0], -np.inf)
     if not taped:
-        return ag.constant(scores), a, traces
-    return Tensor(scores, parents=(sb.queries, sb.y_i, sb.y_o, sb.cand,
-                                   *used), backward_fn=bw), a, traces
+        return ag.constant(scores), (hops, q, a), traces
+    return Tensor(scores, parents=(sb.queries, sb.y_i, sb.y_o, sb.cand, *used),
+                  backward_fn=bw), (hops, q, a), traces
 
 
 def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
@@ -217,7 +224,7 @@ def run_hops(q0: Tensor, z_mat: Tensor, y_i_mat: Tensor, y_o_mat: Tensor,
         y_i=ag.reshape(y_i_mat, (1, m, h)), y_o=ag.reshape(y_o_mat, (1, m, d)),
         mask=np.ones((1, m), dtype=bool), cand=ag.reshape(cand_mat, (1, k, d)),
         cand_mask=np.ones((1, k), dtype=bool))
-    scores, answer, traces = run_hops_batch(
+    scores, (_, _, answer), traces = run_hops_batch(
         sb, params, hops, ablate_query_gate=ablate_query_gate,
         force_answer_gate=force_answer_gate)
     scores = ag.reshape(scores, (k,))
@@ -250,15 +257,17 @@ def forward_pass(example: Example, params: ModelParams, vocab, hops: int, *,
 
 
 def forward_batch(examples, params: ModelParams, vocab, hops: int,
-                  support: SupportBatch | None = None):
+                  support: SupportBatch | None = None,
+                  start: tuple | None = None):
     """`forward_pass` without dropout for B examples, none of them without
     support (`Example.positions` empty): `run_hops_batch` untaped over
     their support memory, built here (`build_support_batch` without states:
     constants that hold only what the hop loop reads) unless `support`
-    passes it. Returns the `(B, K)` candidate scores and probabilities, K
-    the largest candidate count, with -inf scores and zero probabilities on
-    the pads."""
+    passes it, and continued from `start` (see `run_hops_batch`). Returns
+    the `(B, K)` candidate scores and probabilities, K the largest
+    candidate count, with -inf scores and zero probabilities on the pads,
+    and the hop loop's end state."""
     sb = support if support is not None else build_support_batch(
         examples, params, answer_row=vocab.answer_row)
-    scores = run_hops_batch(sb, params, hops, taped=False)[0].data
-    return scores, _masked_softmax(scores, sb.cand_mask)
+    out, end, _ = run_hops_batch(sb, params, hops, taped=False, start=start)
+    return out.data, _masked_softmax(out.data, sb.cand_mask), end

@@ -42,7 +42,7 @@ class ModelParams:
     g_a_q: Tensor
     u_a_g: Tensor
     b_a: Tensor
-    # `train.evaluate`'s last support batches, kept for read-only arrays
+    # `evaluate`'s support batches and hop states, kept for read-only arrays
     _support: tuple | None = field(init=False, default=None, repr=False,
                                    compare=False)
 

@@ -180,23 +180,25 @@ class EvalResult:
     abstained: int
 
 
-def _support_batches(params: ModelParams, chunks, vocab) -> list:
+def _support_batches(params: ModelParams, chunks, vocab) -> tuple:
     """Each chunk's untaped `build_support_batch`, the hop-independent part
-    of `forward_batch`. Read-only parameters keep the batches
-    and return them to a later call with the same arrays, the same example
+    of `forward_batch`, and a list of each chunk's hop loop end state, None
+    until `evaluate` stores one. Read-only parameters keep both lists and
+    return them to a later call with the same arrays, the same example
     objects and an equal `answer_row`; writable ones keep nothing."""
     arrays = [t.data for _, t in params.named()]
     key = (vocab.answer_row, [len(c) for c in chunks], *arrays,
            *(ex for c in chunks for ex in c))
     read_only = not any(a.flags.writeable for a in arrays)
-    old = params._support or ((), None)
+    old = params._support or ((), None, None)
     if (read_only and old[0][:2] == key[:2]
             and all(map(operator.is_, old[0][2:], key[2:]))):
-        return old[1]
+        return old[1:]
     batches = [build_support_batch(c, params, answer_row=vocab.answer_row)
                for c in chunks]
-    params._support = (key, batches) if read_only else None
-    return batches
+    ends = [None] * len(chunks)
+    params._support = (key, batches, ends) if read_only else None
+    return batches, ends
 
 
 def evaluate(params: ModelParams, dataset: Dataset, hops: int,
@@ -206,8 +208,10 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
     `chunk_size(EVAL_BUDGET, h)` examples (128 at h=256, 2,048 at h=16),
     one tape-free `forward_batch` call each; its predictions are those of
     `forward_pass`, the reference path. The support memories do not depend
-    on `hops`: with read-only parameters, as `load_checkpoint` gives, a
-    later call on the same examples reuses them, so a sweep encodes once."""
+    on `hops`, nor the state after hop t on the hops that follow: with
+    read-only parameters, as `load_checkpoint` gives, a later call on the
+    same examples reuses the memories and continues each chunk's hop loop
+    if `hops` is not below its last, so a sweep a..b runs b hops a chunk."""
     if max_examples < 0:
         raise ConfigError(f"max_examples must be 0 (all) or positive, got "
                           f"{max_examples}")
@@ -220,9 +224,11 @@ def evaluate(params: ModelParams, dataset: Dataset, hops: int,
     size = chunk_size(EVAL_BUDGET, params.h)
     chunks = [scored[s:s + size] for s in range(0, len(scored), size)]
     picked = {}
-    for chunk, sb in zip(chunks, _support_batches(params, chunks,
-                                                  dataset.vocab)):
-        _, probs = forward_batch(chunk, params, dataset.vocab, hops, sb)
+    batches, ends = _support_batches(params, chunks, dataset.vocab)
+    for i, (chunk, sb) in enumerate(zip(chunks, batches)):
+        start = ends[i] if ends[i] and ends[i][0] <= hops else None
+        _, probs, ends[i] = forward_batch(chunk, params, dataset.vocab, hops,
+                                          sb, start)
         picked.update((id(ex), ex.candidates[k])
                       for ex, k in zip(chunk, probs.argmax(axis=1)))
     preds: list[int | None] = [picked.get(id(ex)) for ex in examples]

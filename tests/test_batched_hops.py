@@ -83,7 +83,7 @@ def test_batch_of_one_is_forward_pass_bit_for_bit(mixed, identity_eo, hops):
     params = params_for(mixed, identity_eo, h=16, seed=hops)
     for ex in mixed.examples:
         ref = forward_pass(ex, params, vocab, hops)
-        scores, probs = forward_batch([ex], params, vocab, hops)
+        scores, probs, _ = forward_batch([ex], params, vocab, hops)
         assert np.array_equal(scores[0], ref.scores.data)
         assert np.array_equal(probs[0], ref.probs.data)
         sb = build_support_batch([ex], params, answer_row=vocab.answer_row,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hopqa import cli
 from hopqa.checkpoint import load_checkpoint, save_checkpoint
 from hopqa.cli import build_parser, main
 from hopqa.data import load_dataset
+from hopqa.exceptions import ConfigError
 from hopqa.model import init_params
 from hopqa.train import TrainConfig, evaluate, example_loss
 
@@ -130,16 +132,35 @@ class TestGen:
         assert f"cannot create output directory {out}" in \
             capsys.readouterr().err
 
-    def test_failed_generation_leaves_no_dir(self, tmp_path, capsys):
-        """A config too tight to sample from fails after `--out` was made;
-        every directory the command created goes again."""
+    def test_failed_generation_leaves_no_dir(self, tmp_path, capsys,
+                                             monkeypatch):
+        """Generation that fails after `--out` was made removes every
+        directory the command created."""
+        def tight(cfg):
+            assert (tmp_path / "g" / "sub").is_dir()
+            raise ConfigError("could not sample a solvable example; config "
+                              "too tight")
+
+        monkeypatch.setattr(cli, "generate_splits", tight)
+        gen_cfg = write_json(tmp_path / "gen.json", GEN_CFG)
+        assert main(["gen", "--config", gen_cfg,
+                     "--out", str(tmp_path / "g" / "sub")]) == 2
+        assert ("could not sample a solvable example; config too tight"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "g").exists()
+
+    def test_too_many_distractor_facts_exit_2(self, tmp_path, capsys):
+        """The 2 entities off a one-fact chain in a 4-entity dev pool hold
+        at most 2*1*4 distinct facts: 50 are refused before `--out` is
+        made, where sampling for them once took 2.5 s of failed draws."""
         gen_cfg = write_json(tmp_path / "gen.json", {
             "n_entities": 12, "n_distractor_facts": 50, "n_examples": 2,
             "n_dev": 1, "n_test": 1})
         assert main(["gen", "--config", gen_cfg,
                      "--out", str(tmp_path / "g" / "sub")]) == 2
-        assert ("could not sample a solvable example; config too tight"
-                in capsys.readouterr().err)
+        assert ("error: n_distractor_facts=50 infeasible: the 2 entities off "
+                "the chain in a dev or test pool hold at most 8 distinct "
+                "facts" in capsys.readouterr().err)
         assert not (tmp_path / "g").exists()
 
     def test_config_not_object_exit_2(self, tmp_path, capsys):
@@ -473,6 +494,23 @@ class TestEval:
             assert header == sweep[0]
             single += rows
         assert len(sweep) == 7 and sweep == single
+
+    def test_huge_sweep_is_not_materialized(self):
+        """`--hop-sweep 1..100000000` is held as a range: a list of its hop
+        counts traced 40 MB per million of them."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            sweep = cli._parse_sweep("1..100000000")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2**20
+        assert (sweep[0], sweep[-1], len(sweep)) == (1, 10**8, 10**8)
 
     def test_bad_sweep_exit_2(self, workdir, capsys):
         assert main(["eval", "--checkpoint", str(workdir / "run" / "best.ckpt"),

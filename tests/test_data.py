@@ -51,6 +51,23 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(n_entities=17, chain_length=2)
 
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_distractor_fact_limit(self, length):
+        """A dev or test pool leaves k = chain_length+1 entities off the
+        chain, which hold k(k-1) n_relations distinct facts: that many are
+        generated, one more is refused."""
+        k = length + 1
+        cfg = dict(chain_length=length, n_relations=2,
+                   n_entities=3 * (2 * length + 2), n_examples=2, n_dev=2,
+                   n_test=2)
+        limit = k * (k - 1) * 2
+        for split in generate_splits(SynthConfig(
+                **cfg, n_distractor_facts=limit)):
+            for ex in split.examples:
+                assert len(ex.document.symbols) == 4 * (length + limit)
+        with pytest.raises(ConfigError, match=f"at most {limit} distinct"):
+            SynthConfig(**cfg, n_distractor_facts=limit + 1)
+
     def test_counts_positive(self):
         with pytest.raises(ConfigError):
             SynthConfig(n_examples=0)

@@ -4,8 +4,10 @@
 embedding modes, sizes, hop counts, mixed document lengths and candidate
 counts, and chunk edges; and they pin the outcome of an example without
 support pairs. Chunks hold `EVAL_BUDGET` = 128 x 256 examples x h. A loaded
-checkpoint's read-only parameters reuse their support batches across calls;
-the reused path is held bit-equal to a writable copy's fresh one.
+checkpoint's read-only parameters reuse their support batches across calls
+and continue each chunk's hop loop from the last call's hop count; the
+reused and continued path is held bit-equal to a writable copy's fresh one,
+in every order of hop counts, and its hops are counted.
 
 Evaluation's support batch is built without a tape from the state rows its
 span queries read (`encoder.bigru_span_rows`). It is held bit-equal to
@@ -22,6 +24,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import hopqa.hops as hops_mod
 import hopqa.train as train
 from hopqa import autograd as ag
 from hopqa.checkpoint import load_checkpoint, save_checkpoint
@@ -293,6 +296,30 @@ def test_untaped_hops_keep_no_trace(mixed):
     assert len(run_hops_batch(sb, params, 3)[2]) == 3
 
 
+@pytest.mark.parametrize("flags", [{}, {"ablate_query_gate": True},
+                                   {"force_answer_gate": 0.5}])
+def test_start_state_continues_untaped_loop(mixed, flags):
+    """An untaped loop continued from an end state reaches the scores and
+    end state of a run from hop 1 bit for bit, and keeps no trace; a taped
+    call, or one with fewer hops than the state holds, refuses it."""
+    exs, vocab = mixed.examples[:9], mixed.vocab
+    params = params_for(mixed, 4, False, 12)
+    sb = build_support_batch(exs, params, answer_row=vocab.answer_row)
+    _, end, _ = run_hops_batch(sb, params, 3, taped=False, **flags)
+    for hops in (3, 4, 7):
+        got = run_hops_batch(sb, params, hops, taped=False, start=end, **flags)
+        ref = run_hops_batch(sb, params, hops, taped=False, **flags)
+        assert got[0].data.tobytes() == ref[0].data.tobytes()
+        assert got[1][0] == ref[1][0] == hops
+        for x, y in zip(got[1][1:], ref[1][1:]):
+            assert x.tobytes() == y.tobytes()
+        assert got[2] == []
+    with pytest.raises(ValueError, match="only an untaped loop"):
+        run_hops_batch(sb, params, 4, start=end, **flags)
+    with pytest.raises(ValueError, match="at least its own hop count"):
+        run_hops_batch(sb, params, 2, taped=False, start=end, **flags)
+
+
 def no_support(ex, vocab):
     """`ex` with every candidate occurrence dropped from its document."""
     kept = [s for s in ex.document.symbols if s not in ex.candidates]
@@ -472,3 +499,118 @@ def test_reuse_dies_with_params(mixed, tmp_path):
     del params, sb, t
     gc.collect()
     assert ref() is None
+
+
+HOP_ORDERS = {"ascending": [1, 2, 3, 4, 5, 6],
+              "descending": [6, 5, 4, 3, 2, 1],
+              "repeated": [3, 3, 5, 5, 5, 1, 1],
+              "mixed": [2, 5, 1, 6, 3, 4, 1, 6]}
+
+
+@pytest.mark.parametrize("order", HOP_ORDERS)
+@pytest.mark.parametrize("identity_eo", [True, False])
+def test_continued_hop_loop_matches_fresh(mixed, monkeypatch, tmp_path,
+                                          identity_eo, order):
+    """A loaded checkpoint's `evaluate` continues each chunk's hop loop from
+    the hop count of its last call, or starts again at hop 1 below it. In
+    ascending, descending, repeated and mixed orders, over three chunks of
+    mixed document lengths, every call's `forward_batch` scores are
+    bit-equal to those of a writable copy, which runs every call from hop
+    1, and the kept state holds each chunk's last hop count."""
+    monkeypatch.setattr(train, "EVAL_BUDGET", 32 * 4)
+    params = loaded(params_for(mixed, 4, identity_eo, 11), mixed.vocab,
+                    tmp_path / "m.ckpt")
+    fresh = writable_copy(params)
+    for hops in HOP_ORDERS[order]:
+        res, calls = spied_evaluate(monkeypatch, params, mixed, hops)
+        ref, ref_calls = spied_evaluate(monkeypatch, fresh, mixed, hops)
+        assert [len(exs) for exs, _ in calls] == [32, 32, 1]
+        assert res.predictions == ref.predictions
+        assert res.accuracy == ref.accuracy
+        assert_same_scores(calls, ref_calls)
+        assert [end[0] for end in params._support[2]] == [hops] * 3
+    assert fresh._support is None
+
+
+def changed_input(change, data, params, mixed):
+    """`data`, `evaluate`'s keyword arguments and `params` after one of the
+    input changes that drop the kept support batches."""
+    kw = {}
+    if change == "dataset":
+        data = Dataset(name="other", examples=mixed.examples[24:48],
+                       vocab=mixed.vocab)
+    elif change == "max_examples":
+        kw["max_examples"] = 20
+    elif change == "answer_row":
+        data = Dataset(name="permuted", examples=data.examples,
+                       vocab=permuted_vocab(data.vocab))
+    else:
+        t = params.E_i if change == "rebound" else params.U_q_c
+        a = t.data * 1.5
+        a.setflags(write=False)
+        t.data = a
+    return data, kw
+
+
+@pytest.mark.parametrize("change", ["dataset", "max_examples", "answer_row",
+                                    "rebound", "rebound hop parameter"])
+def test_changed_input_starts_hop_loop_anew(mixed, monkeypatch, tmp_path,
+                                            change):
+    """After a call at 4 hops kept each chunk's hop state, a call at 5 hops
+    on a changed input starts again at hop 1: its scores are bit-equal to a
+    writable copy's. A rebound hop parameter, which leaves the support
+    memory as it was, drops the kept state too."""
+    data = subset(mixed, 24)
+    params = loaded(params_for(data, 4, False, 13), data.vocab,
+                    tmp_path / "m.ckpt")
+    first = spied_evaluate(monkeypatch, params, data, 4)[1]
+    data, kw = changed_input(change, data, params, mixed)
+    res, calls = spied_evaluate(monkeypatch, params, data, 5, **kw)
+    assert not np.array_equal(calls[0][1], first[0][1])
+    ref, ref_calls = spied_evaluate(monkeypatch, writable_copy(params), data,
+                                    5, **kw)
+    assert res.predictions == ref.predictions
+    assert_same_scores(calls, ref_calls)
+
+
+def count_softmax(monkeypatch):
+    """The batch size of every `hops._masked_softmax` call: a hop makes two
+    (its retrieval and the candidate distribution of the answer gate's
+    eta), and a `forward_batch` call one more (its probabilities)."""
+    sizes, real = [], hops_mod._masked_softmax
+
+    def spy(x, mask):
+        sizes.append(len(x))
+        return real(x, mask)
+
+    monkeypatch.setattr(hops_mod, "_masked_softmax", spy)
+    return sizes
+
+
+def test_sweep_runs_one_hop_loop(mixed, monkeypatch, tmp_path):
+    """A sweep 1..50 on a loaded checkpoint over three chunks runs 50 hops
+    per chunk, not the 1 + 2 + ... + 50 = 1,275 that a loop from hop 1 per
+    call runs."""
+    monkeypatch.setattr(train, "EVAL_BUDGET", 32 * 4)
+    params = loaded(params_for(mixed, 4, False, 14), mixed.vocab,
+                    tmp_path / "m.ckpt")
+    sizes = count_softmax(monkeypatch)
+    n = 50
+    for hops in range(1, n + 1):
+        train.evaluate(params, mixed, hops)
+    per_chunk = 2 * n + n  # two per hop, one per call
+    assert sorted(sizes) == sorted([32, 32, 1] * per_chunk)
+
+
+def test_writable_params_run_every_hop(mixed, monkeypatch):
+    """Writable parameters, which training's `evaluate` passes, keep no
+    hop state: every call runs all its hops from hop 1 and leaves
+    `_support` empty."""
+    monkeypatch.setattr(train, "EVAL_BUDGET", 32 * 4)
+    params = params_for(mixed, 4, False, 15)
+    sizes = count_softmax(monkeypatch)
+    for hops in (3, 5, 5, 2, 6):
+        del sizes[:]
+        train.evaluate(params, mixed, hops)
+        assert sorted(sizes) == sorted([32, 32, 1] * (2 * hops + 1))
+        assert params._support is None
